@@ -34,6 +34,7 @@ from .pseudo import (
 from .rng import RngStream
 from .scores import (
     LinearLogitMap,
+    ScoredView,
     hinge_loss,
     lipschitz_bound,
     logits,
@@ -45,6 +46,7 @@ from .scores import (
     ramp_loss,
     score,
     score_matrix,
+    scored_view,
 )
 from .shift_bounds import (
     BoundInputs,

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,13 @@ from .pseudo import UncertaintyGrid, pseudo_calibrate, select_u_star, source_tun
 from .pseudo import _curve_with_thresholds
 from .rng import RngStream
 from .scores import (
+    ScoredView,
     lipschitz_bound,
     population_hinge_loss,
     population_ramp_loss,
     predict,
     score,
+    scored_view,
 )
 from .shift_bounds import (
     coverage_gap_bound,
@@ -128,24 +130,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         merged = _merge_config(DEFAULT_CONFIG, raw)
+        src, sh = merged["source"], merged["shift"]
         try:
             source = SourceSpec(
-                class_means=np.asarray(merged["source"]["class_means"], dtype=float),
-                class_cov_scale=float(merged["source"]["class_cov_scale"]),
-                priors=np.asarray(merged["source"]["priors"], dtype=float),
+                class_means=np.asarray(src["class_means"], dtype=float),
+                class_cov_scale=_real("source.class_cov_scale", src["class_cov_scale"]),
+                priors=np.asarray(src["priors"], dtype=float),
             )
             shift = ShiftSpec(
-                per_class_translation=np.asarray(merged["shift"]["per_class_translation"], dtype=float),
-                noise_scale=float(merged["shift"]["noise_scale"]),
-                clip_radius=float(merged["shift"]["clip_radius"]),
-                clip_mode=str(merged["shift"]["clip_mode"]),
+                per_class_translation=np.asarray(sh["per_class_translation"], dtype=float),
+                noise_scale=_real("shift.noise_scale", sh["noise_scale"]),
+                clip_radius=_real("shift.clip_radius", sh["clip_radius"]),
+                clip_mode=str(sh["clip_mode"]),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid source/shift specification: {exc}") from exc
         if shift.per_class_translation.shape != source.class_means.shape:
             raise ConfigError("per_class_translation must match class_means in shape")
 
-        sigma_grid = tuple(float(s) for s in merged["sigma_grid"])
+        sigma_grid = _reals("sigma_grid", merged["sigma_grid"])
         if not sigma_grid:
             raise ConfigError("sigma_grid must be nonempty")
         if any(s < 0 for s in sigma_grid):
@@ -153,7 +156,9 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(sigma_grid, sigma_grid[1:])):
             raise ConfigError("sigma_grid must be strictly ascending")
 
-        methods = tuple(str(m) for m in merged["methods"])
+        if not isinstance(merged["methods"], list) or not all(isinstance(m, str) for m in merged["methods"]):
+            raise ConfigError("methods must be a list of method names")
+        methods = tuple(merged["methods"])
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
@@ -161,35 +166,39 @@ class ExperimentConfig:
             raise ConfigError("methods must be nonempty")
 
         policy = merged["tau_policy"]
-        kind = str(policy.get("kind", "none"))
+        kind = policy.get("kind", "none")
         if kind not in ("none", "fixed", "tau_design"):
             raise ConfigError(f"unknown tau policy kind {kind!r}")
-        value = float(policy.get("value", 0.0))
+        value = _real("tau_policy.value", policy.get("value", 0.0))
         if kind == "fixed" and value < 0:
             raise ConfigError("fixed tau must be nonnegative")
 
         u_grid = merged["u_grid"]
         if u_grid is not None:
-            u_grid = tuple(float(u) for u in u_grid)
+            u_grid = _reals("u_grid", u_grid, finite=False)
             try:
                 UncertaintyGrid(np.asarray(u_grid))
             except ValueError as exc:
                 raise ConfigError(f"invalid u_grid: {exc}") from exc
 
-        alpha = float(merged["alpha"])
+        tau_grid = _reals("tau_grid", merged["tau_grid"])
+        if any(t < 0 for t in tau_grid):
+            raise ConfigError("tau_grid values must be nonnegative")
+
+        alpha = _real("alpha", merged["alpha"])
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-        counts = {name: int(merged[name]) for name in ("n_train", "n_cal", "n_test", "trials")}
+        counts = {name: _integer(name, merged[name]) for name in ("n_train", "n_cal", "n_test", "trials")}
         for name, val in counts.items():
             if val < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        epochs = int(merged["train"]["epochs"])
-        learning_rate = float(merged["train"]["learning_rate"])
+        epochs = _integer("train.epochs", merged["train"]["epochs"])
+        learning_rate = _real("train.learning_rate", merged["train"]["learning_rate"])
         if epochs < 1 or learning_rate <= 0:
             raise ConfigError("train.epochs must be >= 1 and train.learning_rate positive")
 
         return cls(
-            seed=int(merged["seed"]),
+            seed=_integer("seed", merged["seed"]),
             alpha=alpha,
             n_train=counts["n_train"],
             n_cal=counts["n_cal"],
@@ -200,7 +209,7 @@ class ExperimentConfig:
             tau_policy_kind=kind,
             tau_policy_value=value,
             u_grid=u_grid,
-            tau_grid=tuple(float(t) for t in merged["tau_grid"]),
+            tau_grid=tau_grid,
             epochs=epochs,
             learning_rate=learning_rate,
             source_spec=source,
@@ -246,12 +255,35 @@ class ExperimentConfig:
         return float(self.source_spec.priors @ per_class)
 
 
+def _integer(name: str, value) -> int:
+    """A JSON integer; an integral float is accepted, anything else is a config error."""
+    if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, finite: bool = True) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _reals(name: str, values, finite: bool = True) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_real(f"{name}[{i}]", v, finite) for i, v in enumerate(values))
+
+
 def _merge_config(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
         if key not in merged:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(merged[key], dict) and isinstance(value, dict):
+        if isinstance(merged[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {key!r} must be an object")
             for sub, subval in value.items():
                 if sub not in merged[key]:
                     raise ConfigError(f"unknown config key {key}.{sub}")
@@ -288,14 +320,15 @@ class TrialData:
 
     Calibration methods receive ``x_target_cal`` only; ``y_target_cal_oracle``
     is revealed solely to the oracle arm and ``y_target_test`` solely to final
-    evaluation and oracle-flagged loss measurements.
+    evaluation and oracle-flagged loss measurements. The ``x_*`` fields hold
+    raw inputs or each split's scored view.
     """
 
-    x_source: np.ndarray
+    x_source: np.ndarray | ScoredView
     y_source: np.ndarray
-    x_target_cal: np.ndarray
+    x_target_cal: np.ndarray | ScoredView
     y_target_cal_oracle: np.ndarray
-    x_target_test: np.ndarray
+    x_target_test: np.ndarray | ScoredView
     y_target_test: np.ndarray
 
 
@@ -313,23 +346,27 @@ class TrialRecord:
     cor1_bound: float | None
 
 
+def _target_split(cfg: ExperimentConfig, sigma_idx: int, trial: int, name: str, n: int):
+    """Shifted target split ``name`` of a cell and its labels, drawn from the cell's own substreams."""
+    cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
+    xb, yb = generate_source(cfg.source_spec, n, cell.substream(f"{name}-base"))
+    shift = cfg.shift_spec.scaled(cfg.sigma_grid[sigma_idx])
+    return apply_shift(xb, yb, shift, cell.substream(f"{name}-shift")), yb
+
+
 def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> TrialData:
     """Regenerate the splits of one (sigma, trial) cell from its derived streams."""
-    sigma = cfg.sigma_grid[sigma_idx]
-    shift = cfg.shift_spec.scaled(sigma)
     cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("source-cal"))
-    xb, yb = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("target-cal-base"))
-    x_tc = apply_shift(xb, yb, shift, cell.substream("target-cal-shift"))
-    xt, yt = generate_source(cfg.source_spec, cfg.n_test, cell.substream("target-test-base"))
-    x_tt = apply_shift(xt, yt, shift, cell.substream("target-test-shift"))
+    x_tc, y_tc = _target_split(cfg, sigma_idx, trial, "target-cal", cfg.n_cal)
+    x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
     return TrialData(
         x_source=x_src,
         y_source=y_src,
         x_target_cal=x_tc,
-        y_target_cal_oracle=yb,
+        y_target_cal_oracle=y_tc,
         x_target_test=x_tt,
-        y_target_test=yt,
+        y_target_test=y_tt,
     )
 
 
@@ -344,11 +381,12 @@ def _assert_score_invariants(model, x, y) -> None:
     they coincide on correctly classified points, and the excess on
     misclassified points is at most twice the (positive) true score.
     """
-    s_true = score(model, x, y)
-    s_pseudo = score(model, x, predict(model, x))
+    view = scored_view(model, x)
+    s_true = score(model, view, y)
+    s_pseudo = score(model, view, predict(model, view))
     if not (s_true >= s_pseudo - 1e-9).all():
         raise InvariantError("pseudo score exceeded the true-label score")
-    correct = np.asarray(y) == predict(model, x)
+    correct = np.asarray(y) == predict(model, view)
     if correct.any() and not np.allclose(s_true[correct], s_pseudo[correct], rtol=0.0, atol=1e-12):
         raise InvariantError("scores differ on correctly classified points")
     wrong = ~correct
@@ -364,7 +402,7 @@ def train_model(cfg: ExperimentConfig):
     return train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
 
 
-def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, sigma_idx: int, trial: int):
+def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream):
     """Threshold for one calibration strategy; target labels reach only the oracle arm."""
     if method == "source":
         return calibrate(score(model, data.x_source, data.y_source), cfg.alpha), None
@@ -378,7 +416,7 @@ def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData
             data.x_target_cal,
             cfg.alpha,
             grid=cfg.uncertainty_grid(),
-            rng=_tune_stream(cfg, sigma_idx, trial),
+            rng=tune,
         )
         return cal, tuning
     if method == "oracle":
@@ -394,7 +432,10 @@ def _trial_tau(cfg: ExperimentConfig, model, data: TrialData) -> float | None:
         return cfg.tau_policy_value
     # tau_design: undercoverage gap and hinge losses; the target hinge loss is
     # an oracle input measured on the evaluation split.
-    gap = undercoverage_gap_estimate(model, data.x_source, data.y_source, cfg.alpha)
+    try:
+        gap = undercoverage_gap_estimate(model, data.x_source, data.y_source, cfg.alpha)
+    except ValueError as exc:
+        raise DataError(f"tau_design policy failed: {exc}") from exc
     hinge_src = population_hinge_loss(model, data.x_source, data.y_source)
     hinge_tgt = population_hinge_loss(model, data.x_target_test, data.y_target_test)
     try:
@@ -406,18 +447,11 @@ def _trial_tau(cfg: ExperimentConfig, model, data: TrialData) -> float | None:
         ) from exc
 
 
-def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[TrialRecord]:
-    """All method records of one (sigma, trial) cell, sharing the same data."""
-    sigma = cfg.sigma_grid[sigma_idx]
-    data = make_trial_data(cfg, sigma_idx, trial)
+def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, sigma, trial: int, tune: RngStream, thm2):
+    """Every method's record for one cell of scored splits (generator cell or logit table)."""
     _assert_score_invariants(model, data.x_target_test, data.y_target_test)
-
     tau = _trial_tau(cfg, model, data)
     tau_eff = 0.0 if tau is None else tau
-
-    lip = lipschitz_bound(model)
-    ramp_src = population_ramp_loss(model, data.x_source, data.y_source)
-    thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lip, cfg.rho_mix_certified(sigma))
     # Oracle-flagged target losses back the relaxed bound column.
     ramp_tgt = population_ramp_loss(model, data.x_target_test, data.y_target_test)
     hinge_tgt = population_hinge_loss(model, data.x_target_test, data.y_target_test)
@@ -425,9 +459,7 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
 
     records = []
     for method in cfg.methods:
-        cal, tuning = _calibrate_method(cfg, model, method, data, sigma_idx, trial)
-        cov = coverage(model, data.x_target_test, data.y_target_test, cal, tau_eff)
-        ess = expected_set_size(model, data.x_target_test, cal, tau_eff)
+        cal, tuning = _calibrate_method(cfg, model, method, data, tune)
         records.append(
             TrialRecord(
                 method=method,
@@ -436,8 +468,8 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
                 threshold=cal.threshold,
                 u_star=tuning.u_star if tuning is not None else None,
                 tau=tau,
-                coverage=cov,
-                ess=ess,
+                coverage=coverage(model, data.x_target_test, data.y_target_test, cal, tau_eff),
+                ess=expected_set_size(model, data.x_target_test, cal, tau_eff),
                 thm2_bound=thm2 if method == "hard_pseudo" else None,
                 cor1_bound=cor1 if method == "hard_pseudo" else None,
             )
@@ -445,26 +477,45 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     return records
 
 
+def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[TrialRecord]:
+    """All method records of one (sigma, trial) cell, sharing the same scored data."""
+    sigma = cfg.sigma_grid[sigma_idx]
+    raw = make_trial_data(cfg, sigma_idx, trial)
+    data = replace(
+        raw,
+        x_source=scored_view(model, raw.x_source),
+        x_target_cal=scored_view(model, raw.x_target_cal),
+        x_target_test=scored_view(model, raw.x_target_test),
+    )
+    ramp_src = population_ramp_loss(model, data.x_source, data.y_source)
+    thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
+    return _evaluate_cell(cfg, model, data, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
+
+
 def run_method(cfg: ExperimentConfig, model, method: str, sigma_idx: int, trial: int) -> TrialRecord:
     """Single-method record for one (sigma, trial) cell."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    sub = ExperimentConfig.from_dict({**cfg.resolved(), "methods": [method]})
-    return run_trial(sub, model, sigma_idx, trial)[0]
+    return run_trial(replace(cfg, methods=(method,)), model, sigma_idx, trial)[0]
 
 
-def _parallel_trials(cfg: ExperimentConfig, model, worker, threads: int) -> list:
-    cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
+def _map(fn, items: list, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` worker threads when above 1."""
     if threads <= 1:
-        return [worker(si, t) for si, t in cells]
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda c: worker(*c), cells))
+        return list(pool.map(fn, items))
+
+
+def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list:
+    cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
+    return _map(lambda cell: worker(*cell), cells, threads)
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    chunks = _parallel_trials(cfg, model, lambda si, t: run_trial(cfg, model, si, t), threads)
+    chunks = _parallel_trials(cfg, lambda si, t: run_trial(cfg, model, si, t), threads)
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (cfg.methods.index(r.method), r.sigma, r.trial))
     return records, aggregate_records(records)
@@ -563,12 +614,11 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
         sigma = cfg.sigma_grid[si]
         diag = diagnostics[si]
         data = make_trial_data(cfg, si, t)
-        _assert_score_invariants(model, data.x_target_test, data.y_target_test)
+        test = scored_view(model, data.x_target_test)
+        _assert_score_invariants(model, test, data.y_target_test)
         cal = pseudo_calibrate(model, data.x_target_cal, cfg.alpha)
         out = []
         for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
-            cov = coverage(model, data.x_target_test, data.y_target_test, cal, tau)
-            ess = expected_set_size(model, data.x_target_test, cal, tau)
             cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
             out.append(
                 TrialRecord(
@@ -578,15 +628,15 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
                     threshold=cal.threshold,
                     u_star=None,
                     tau=tau,
-                    coverage=cov,
-                    ess=ess,
+                    coverage=coverage(model, test, data.y_target_test, cal, tau),
+                    ess=expected_set_size(model, test, cal, tau),
                     thm2_bound=None,
                     cor1_bound=cor1,
                 )
             )
         return out
 
-    chunks = _parallel_trials(cfg, model, worker, threads)
+    chunks = _parallel_trials(cfg, worker, threads)
     records = [rec for chunk in chunks for rec in chunk]
     method_order = {"hard_pseudo": 0, "tau_adjusted": 1}
     records.sort(key=lambda r: (method_order[r.method], r.sigma, r.trial))
@@ -597,6 +647,53 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
 # Bounds report
 
 
+def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
+    """Source-side quantities shared by every entry of a bounds report."""
+    source = scored_view(model, x_src)
+    src_scores = score(model, source, y_src)
+    return {
+        "cal_scores": score(model, x_cal, y_cal),
+        "src_scores": src_scores,
+        "sup_density": sup_density_estimate(src_scores),
+        "ramp_source": population_ramp_loss(model, source, y_src),
+        "hinge_source": population_hinge_loss(model, source, y_src),
+        "undercoverage_gap": undercoverage_gap_estimate(model, x_src, y_src, alpha),
+    }
+
+
+def _measured_entry(model, alpha: float, tau_grid, src: dict, x_tgt, y_tgt) -> dict:
+    """Measured fields of one bounds-report entry; the target losses are oracle inputs."""
+    target = scored_view(model, x_tgt)
+    tgt_scores = score(model, target, y_tgt)
+    ramp_tgt = population_ramp_loss(model, target, y_tgt)
+    hinge_tgt = population_hinge_loss(model, target, y_tgt)
+    try:
+        tau_rule = tau_correction(src["hinge_source"], hinge_tgt, src["undercoverage_gap"])
+    except ValueError:
+        tau_rule = None
+    return {
+        "ramp_source": src["ramp_source"],
+        "hinge_source": src["hinge_source"],
+        "ramp_target_oracle": ramp_tgt,
+        "hinge_target_oracle": hinge_tgt,
+        "w1_scores_measured": w1_1d(src["src_scores"], tgt_scores),
+        "coverage_gap_measured": integrated_coverage_gap(src["cal_scores"], src["src_scores"], tgt_scores).integrated,
+        "relaxed_coverage_lower": [[t, relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, t)] for t in tau_grid],
+        "undercoverage_gap": src["undercoverage_gap"],
+        "tau_rule": tau_rule,
+    }
+
+
+def _bounds_report(alpha: float, lipschitz: float | None, src: dict, per_sigma: list[dict]) -> dict:
+    return {
+        "alpha": alpha,
+        "lipschitz": lipschitz,
+        "sup_density_source": src["sup_density"],
+        "oracle_inputs": ["ramp_target_oracle", "hinge_target_oracle"],
+        "per_sigma": per_sigma,
+    }
+
+
 def run_bounds_report(cfg: ExperimentConfig) -> dict:
     """Evaluate every bound from measured and generator-certified quantities."""
     model = train_model(cfg)
@@ -605,11 +702,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
     x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
-    cal_scores = score(model, x_cal, y_cal)
-    src_scores = score(model, x_src, y_src)
-    sup_density = sup_density_estimate(src_scores)
-    ramp_src = population_ramp_loss(model, x_src, y_src)
-    hinge_src = population_hinge_loss(model, x_src, y_src)
+    src = _source_measures(model, cfg.alpha, x_cal, y_cal, x_src, y_src)
 
     per_sigma = []
     for si, sigma in enumerate(cfg.sigma_grid):
@@ -617,12 +710,9 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
         stream = root.substream("target", si)
         xb, yb = generate_source(cfg.source_spec, cfg.n_test, stream.substream("base"))
         x_tgt = apply_shift(xb, yb, shift, stream.substream("shift"))
-        tgt_scores = score(model, x_tgt, yb)
 
-        rho_cert = shift.rho_true
         rho_mix_cert = cfg.rho_mix_certified(sigma)
-        w1_measured = w1_1d(src_scores, tgt_scores)
-        w1_bound = score_shift_w1_bound(lip, rho_cert)
+        w1_bound = score_shift_w1_bound(lip, shift.rho_true)
         k = cfg.source_spec.n_classes
         class_rows = [np.nonzero(yb == c)[0] for c in range(1, k + 1)]
         per_class_w1 = None
@@ -632,103 +722,41 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
                 w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows
             ]
             rho_mix_measured = rho_mix(cfg.source_spec.priors, per_class_w1)
-        gap = integrated_coverage_gap(cal_scores, src_scores, tgt_scores)
-        ramp_tgt = population_ramp_loss(model, x_tgt, yb)
-        hinge_tgt = population_hinge_loss(model, x_tgt, yb)
-        gap_src = undercoverage_gap_estimate(model, x_src, y_src, cfg.alpha)
-        try:
-            tau_rule = tau_correction(hinge_src, hinge_tgt, gap_src)
-        except ValueError:
-            tau_rule = None
 
-        per_sigma.append(
+        entry = _measured_entry(model, cfg.alpha, cfg.tau_grid, src, x_tgt, yb)
+        entry.update(
             {
                 "sigma": sigma,
-                "rho_certified": rho_cert,
+                "rho_certified": shift.rho_true,
                 "rho_mix_certified": rho_mix_cert,
                 "per_class_w1_paired": per_class_w1,
                 "rho_mix_measured": rho_mix_measured,
-                "ramp_source": ramp_src,
-                "hinge_source": hinge_src,
-                "ramp_target_oracle": ramp_tgt,
-                "hinge_target_oracle": hinge_tgt,
-                "w1_scores_measured": w1_measured,
                 "w1_score_bound": w1_bound,
-                "coverage_gap_measured": gap.integrated,
-                "coverage_gap_bound": coverage_gap_bound(sup_density, w1_bound),
-                "pseudo_coverage_lower": pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lip, rho_mix_cert),
-                "relaxed_coverage_lower": [
-                    [t, relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, t)] for t in cfg.tau_grid
-                ],
-                "undercoverage_gap": gap_src,
-                "tau_rule": tau_rule,
+                "coverage_gap_bound": coverage_gap_bound(src["sup_density"], w1_bound),
+                "pseudo_coverage_lower": pseudo_coverage_lower_bound(cfg.alpha, src["ramp_source"], lip, rho_mix_cert),
             }
         )
-
-    return {
-        "alpha": cfg.alpha,
-        "lipschitz": lip,
-        "sup_density_source": sup_density,
-        "oracle_inputs": ["ramp_target_oracle", "hinge_target_oracle"],
-        "per_sigma": per_sigma,
-    }
+        per_sigma.append(entry)
+    return _bounds_report(cfg.alpha, lip, src, per_sigma)
 
 
 def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> dict:
     """Bounds computable from ingested logits alone; shift-certificate terms are null."""
     model = logit_table_as_map(table)
-    x_cal, y_cal = table.features("source_cal"), table.labels_for("source_cal")
-    x_src, y_src = table.features("source_test"), table.labels_for("source_test")
-    x_tgt, y_tgt = table.features("target_test"), table.labels_for("target_test")
-    for name, y in (("source_cal", y_cal), ("source_test", y_src), ("target_test", y_tgt)):
+    splits = {tag: (table.features(tag), table.labels_for(tag)) for tag in ("source_cal", "source_test", "target_test")}
+    for name, (_, y) in splits.items():
         if (np.asarray(y) == 0).any():
             raise DataError(f"split {name} contains MISSING labels; cannot measure losses")
 
-    cal_scores = score(model, x_cal, y_cal)
-    src_scores = score(model, x_src, y_src)
-    tgt_scores = score(model, x_tgt, y_tgt)
-    sup_density = sup_density_estimate(src_scores)
-    ramp_src = population_ramp_loss(model, x_src, y_src)
-    hinge_src = population_hinge_loss(model, x_src, y_src)
-    ramp_tgt = population_ramp_loss(model, x_tgt, y_tgt)
-    hinge_tgt = population_hinge_loss(model, x_tgt, y_tgt)
-    w1_measured = w1_1d(src_scores, tgt_scores)
-    gap = integrated_coverage_gap(cal_scores, src_scores, tgt_scores)
-    gap_src = undercoverage_gap_estimate(model, x_src, y_src, alpha)
-    try:
-        tau_rule = tau_correction(hinge_src, hinge_tgt, gap_src)
-    except ValueError:
-        tau_rule = None
-
-    return {
-        "alpha": alpha,
-        "lipschitz": None,
-        "sup_density_source": sup_density,
-        "oracle_inputs": ["ramp_target_oracle", "hinge_target_oracle"],
-        "per_sigma": [
-            {
-                "sigma": None,
-                "rho_certified": None,
-                "rho_mix_certified": None,
-                "per_class_w1_paired": None,
-                "rho_mix_measured": None,
-                "ramp_source": ramp_src,
-                "hinge_source": hinge_src,
-                "ramp_target_oracle": ramp_tgt,
-                "hinge_target_oracle": hinge_tgt,
-                "w1_scores_measured": w1_measured,
-                "w1_score_bound": None,
-                "coverage_gap_measured": gap.integrated,
-                "coverage_gap_bound": coverage_gap_bound(sup_density, w1_measured),
-                "pseudo_coverage_lower": None,
-                "relaxed_coverage_lower": [
-                    [t, relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, t)] for t in tau_grid
-                ],
-                "undercoverage_gap": gap_src,
-                "tau_rule": tau_rule,
-            }
-        ],
-    }
+    src = _source_measures(model, alpha, *splits["source_cal"], *splits["source_test"])
+    entry = _measured_entry(model, alpha, tau_grid, src, *splits["target_test"])
+    entry.update(
+        dict.fromkeys(("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured")),
+        w1_score_bound=None,
+        coverage_gap_bound=coverage_gap_bound(src["sup_density"], entry["w1_scores_measured"]),
+        pseudo_coverage_lower=None,
+    )
+    return _bounds_report(alpha, None, src, [entry])
 
 
 # ---------------------------------------------------------------------------
@@ -764,75 +792,24 @@ def run_tune(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
     """One-shot sweep over an ingested logit table (no generator, single trial)."""
     model = logit_table_as_map(table)
-    x_src, y_src = table.features("source_cal"), table.labels_for("source_cal")
-    x_tc, y_tc = table.features("target_cal"), table.labels_for("target_cal")
-    x_tt, y_tt = table.features("target_test"), table.labels_for("target_test")
-    if x_src.shape[0] == 0 or x_tc.shape[0] == 0 or x_tt.shape[0] == 0:
+    y_src, y_tc, y_tt = (table.labels_for(tag) for tag in ("source_cal", "target_cal", "target_test"))
+    if y_src.size == 0 or y_tc.size == 0 or y_tt.size == 0:
         raise DataError("logit table must populate source_cal, target_cal and target_test")
     if (y_src == 0).any() or (y_tt == 0).any():
         raise DataError("source_cal and target_test splits must be fully labeled")
-
-    data = TrialData(
-        x_source=x_src,
-        y_source=y_src,
-        x_target_cal=x_tc,
-        y_target_cal_oracle=y_tc,
-        x_target_test=x_tt,
-        y_target_test=y_tt,
-    )
-    _assert_score_invariants(model, data.x_target_test, data.y_target_test)
     if "oracle" in cfg.methods and (y_tc == 0).any():
         raise DataError("oracle method requested but target_cal contains MISSING labels")
 
-    tau = None
-    if cfg.tau_policy_kind == "fixed":
-        tau = cfg.tau_policy_value
-    elif cfg.tau_policy_kind == "tau_design":
-        gap = undercoverage_gap_estimate(model, x_src, y_src, cfg.alpha)
-        hinge_src = population_hinge_loss(model, x_src, y_src)
-        hinge_tgt = population_hinge_loss(model, x_tt, y_tt)
-        tau = tau_correction(hinge_src, hinge_tgt, gap)
-    tau_eff = 0.0 if tau is None else tau
-
-    ramp_tgt = population_ramp_loss(model, x_tt, y_tt)
-    hinge_tgt = population_hinge_loss(model, x_tt, y_tt)
-    cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, tau_eff)
-
-    records = []
-    for method in cfg.methods:
-        cal, tuning = _calibrate_table_method(cfg, model, method, data)
-        cov = coverage(model, x_tt, y_tt, cal, tau_eff)
-        ess = expected_set_size(model, x_tt, cal, tau_eff)
-        records.append(
-            TrialRecord(
-                method=method,
-                sigma=None,
-                trial=0,
-                threshold=cal.threshold,
-                u_star=tuning.u_star if tuning is not None else None,
-                tau=tau,
-                coverage=cov,
-                ess=ess,
-                thm2_bound=None,
-                cor1_bound=cor1 if method == "hard_pseudo" else None,
-            )
-        )
+    data = TrialData(
+        x_source=scored_view(model, table.features("source_cal")),
+        y_source=y_src,
+        x_target_cal=scored_view(model, table.features("target_cal")),
+        y_target_cal_oracle=y_tc,
+        x_target_test=scored_view(model, table.features("target_test")),
+        y_target_test=y_tt,
+    )
+    records = _evaluate_cell(cfg, model, data, None, 0, RngStream(cfg.seed).substream("table-tune"), None)
     return records, aggregate_records(records)
-
-
-def _calibrate_table_method(cfg: ExperimentConfig, model, method: str, data: TrialData):
-    if method == "source_tuned":
-        tuning, cal = source_tuned_calibrate(
-            model,
-            data.x_source,
-            data.y_source,
-            data.x_target_cal,
-            cfg.alpha,
-            grid=cfg.uncertainty_grid(),
-            rng=RngStream(cfg.seed).substream("table-tune"),
-        )
-        return cal, tuning
-    return _calibrate_method(cfg, model, method, data, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -907,13 +884,33 @@ def read_records_csv(path) -> list[dict]:
         return [dict(zip(RECORD_COLUMNS, row)) for row in reader]
 
 
+def _replay_records(cfg: ExperimentConfig, model, view: ScoredView, y, group) -> list[str]:
+    """Mismatch messages of one cell's records against its scored evaluation split."""
+    mismatches = []
+    for name, row in group:
+        where = f"{name}: {row['method']} sigma={row['sigma']} trial={row['trial']}"
+        try:
+            tau = float(row["tau"]) if row["tau"] else 0.0
+            cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
+            cov = _fmt(coverage(model, view, y, cal, tau))
+            ess = _fmt(expected_set_size(model, view, cal, tau))
+        except ValueError as exc:
+            mismatches.append(f"{where}: {exc}")
+            continue
+        if cov != row["coverage"] or ess != row["ess"]:
+            mismatches.append(f"{where}: coverage {row['coverage']} -> {cov}, ess {row['ess']} -> {ess}")
+    return mismatches
+
+
 def replay_audit(out_dir, threads: int = 1) -> int:
     """Recompute every emitted coverage/ESS from the emitted thresholds.
 
-    Regenerates each trial's evaluation split from its derived stream and
-    checks that coverage and ESS, formatted identically, match the records
-    byte for byte. Returns the number of audited rows; raises
-    :class:`InvariantError` on any mismatch.
+    Groups the records by (sigma, trial) cell, regenerates only each cell's
+    evaluation split from its derived streams and scores it once, then checks
+    that coverage and ESS, formatted identically, match the cell's records
+    byte for byte. A cell's view is dropped once its records are checked;
+    ``threads`` workers audit cells in parallel. Returns the number of
+    audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
     config_path = out / "config.json"
@@ -931,46 +928,30 @@ def replay_audit(out_dir, threads: int = 1) -> int:
     if logits_path is not None:
         table = load_logit_table(logits_path)
         model = logit_table_as_map(table)
+        table_split = (scored_view(model, table.features("target_test")), table.labels_for("target_test"))
     else:
-        table = None
         model = train_model(cfg)
 
-    audited = 0
-    mismatches = []
+    cells: dict[tuple[str, str], list[tuple[str, dict]]] = {}
     for path in candidates:
-        rows = read_records_csv(path)
+        for row in read_records_csv(path):
+            cells.setdefault((row["sigma"], row["trial"]), []).append((path.name, row))
 
-        def check(row: dict) -> tuple[bool, str]:
-            tau = float(row["tau"]) if row["tau"] else 0.0
-            threshold = float(row["threshold"])
-            cal = CalibrationResult(threshold=threshold, alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
-            if table is not None:
-                x_tt, y_tt = table.features("target_test"), table.labels_for("target_test")
-            else:
-                sigma = float(row["sigma"])
-                try:
-                    sigma_idx = cfg.sigma_grid.index(sigma)
-                except ValueError:
-                    return False, f"{path.name}: sigma {sigma} not in config grid"
-                data = make_trial_data(cfg, sigma_idx, int(row["trial"]))
-                x_tt, y_tt = data.x_target_test, data.y_target_test
-            cov = _fmt(coverage(model, x_tt, y_tt, cal, tau))
-            ess = _fmt(expected_set_size(model, x_tt, cal, tau))
-            if cov != row["coverage"] or ess != row["ess"]:
-                return False, (
-                    f"{path.name}: {row['method']} sigma={row['sigma']} trial={row['trial']}: "
-                    f"coverage {row['coverage']} -> {cov}, ess {row['ess']} -> {ess}"
-                )
-            return True, ""
+    def audit(cell) -> list[str]:
+        (sigma_text, trial_text), group = cell
+        if logits_path is not None:
+            return _replay_records(cfg, model, *table_split, group)
+        try:
+            sigma_idx, trial = cfg.sigma_grid.index(float(sigma_text)), int(trial_text)
+        except ValueError:
+            sigma_idx, trial = None, -1
+        if not 0 <= trial < cfg.trials:
+            return [f"{name}: sigma {sigma_text} trial {trial_text} is not a cell of the config grid" for name, _ in group]
+        x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
+        return _replay_records(cfg, model, scored_view(model, x_tt), y_tt, group)
 
-        if threads <= 1:
-            results = [check(r) for r in rows]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(check, rows))
-        audited += len(rows)
-        mismatches.extend(msg for ok, msg in results if not ok)
-
+    mismatches = [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
+    audited = sum(len(group) for group in cells.values())
     for msg in mismatches:
         print(f"replay mismatch: {msg}", file=sys.stderr)
     if mismatches:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .scores import _as_batch, _check_labels, _margins_of_labels, score_matrix
+from .scores import score_matrix, scored_view
 
 #: Sentinel threshold meaning "include every label". Infinity keeps the
 #: downstream set arithmetic (s <= threshold + tau) working unchanged.
@@ -60,6 +61,7 @@ def _validate_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+@lru_cache(maxsize=1024)
 def _quantile_count(n: int, alpha: float) -> int:
     # Exact ceil of (1-alpha)(n+1); Fraction avoids e.g. 0.8*5 -> 4.0000000000000002.
     return math.ceil(Fraction(n + 1) * (1 - Fraction(alpha)))
@@ -92,11 +94,18 @@ def empirical_quantile(scores, level: float) -> float:
     return float(np.partition(s, k - 1)[k - 1])
 
 
+def _validate_tau(tau: float) -> None:
+    if not tau >= 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+
+
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Split-conformal threshold of a calibration score sample at level alpha."""
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-D sample")
+    if np.isnan(s).any():
+        raise ValueError("calibration scores must not contain NaN")
     _validate_alpha(alpha)
     n = s.size
     k = _quantile_count(n, alpha)
@@ -109,8 +118,7 @@ def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozen
 
     ``tau = 0`` gives the plain conformal set; ``tau > 0`` relaxes it.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _validate_tau(tau)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("prediction_set expects a single input vector")
@@ -120,26 +128,24 @@ def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozen
 
 
 def coverage(model, x, y, cal: CalibrationResult, tau: float = 0.0) -> float:
-    """Fraction of labeled test points whose true label lands in the prediction set."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    batch, _ = _as_batch(x)
-    if batch.shape[0] == 0:
+    """Fraction of labeled test points whose true label lands in the prediction set.
+
+    ``x`` may be a :class:`~shiftcp.scores.ScoredView` of the test inputs.
+    """
+    _validate_tau(tau)
+    view = scored_view(model, x)
+    if len(view) == 0:
         raise ValueError("coverage of an empty sample is undefined")
-    yarr = _check_labels(np.asarray(y), model.n_classes)
-    true_scores = -_margins_of_labels(model.logit_matrix(batch), yarr)
-    return float(np.mean(true_scores <= cal.threshold + tau))
+    return float(np.mean(view.label_scores(y) <= cal.threshold + tau))
 
 
 def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> float:
-    """Mean prediction-set cardinality over a batch of inputs."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    batch, _ = _as_batch(x)
-    if batch.shape[0] == 0:
+    """Mean prediction-set cardinality over a batch of inputs (or a scored view)."""
+    _validate_tau(tau)
+    view = scored_view(model, x)
+    if len(view) == 0:
         raise ValueError("expected set size of an empty sample is undefined")
-    mat = score_matrix(model, batch)
-    return float((mat <= cal.threshold + tau).sum(axis=1).mean())
+    return np.count_nonzero(view.scores <= cal.threshold + tau) / len(view)
 
 
 def empirical_cdf(scores, t: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .conformal import CalibrationResult, calibrate
 from .rng import RngStream
-from .scores import _as_batch, _margins_of_labels, predict, predictive_entropy
+from .scores import ScoredView, predict, scored_view
 
 __all__ = [
     "UncertaintyGrid",
@@ -98,16 +98,14 @@ def randomized_pseudo_label(model, h_value: float, u: float, x, rng: RngStream) 
     return int(rng.generator().integers(1, model.n_classes + 1))
 
 
-def _mixed_labels(model, batch: np.ndarray, u: float, rng: RngStream | None) -> np.ndarray:
+def _mixed_labels(view: ScoredView, u: float, rng: RngStream | None) -> np.ndarray:
     """Vectorized pseudo-labels at cutoff ``u`` with one coupled uniform draw per point."""
-    hard = predict(model, batch)
     if math.isinf(u) and u > 0:
-        return hard
+        return view.hard
     if rng is None:
         raise ValueError("randomized pseudo-labels with a finite cutoff require an rng stream")
-    h = predictive_entropy(model, batch)
-    uniform = rng.generator().integers(1, model.n_classes + 1, size=batch.shape[0])
-    return np.where(h <= u, hard, uniform)
+    uniform = rng.generator().integers(1, view.n_classes + 1, size=len(view))
+    return np.where(view.entropy <= u, view.hard, uniform)
 
 
 def pseudo_calibrate(
@@ -121,14 +119,12 @@ def pseudo_calibrate(
 
     The default ``u = inf`` keeps every hard pseudo-label (no randomness
     consumed); a finite ``u`` randomizes the labels of points whose predictive
-    entropy exceeds it.
+    entropy exceeds it. ``inputs`` may be a :class:`~shiftcp.scores.ScoredView`.
     """
-    batch, _ = _as_batch(inputs)
-    if batch.shape[0] == 0:
+    view = scored_view(model, inputs)
+    if len(view) == 0:
         raise ValueError("cannot calibrate on an empty input sample")
-    labels = _mixed_labels(model, batch, u, rng)
-    pseudo_scores = -_margins_of_labels(model.logit_matrix(batch), labels)
-    return calibrate(pseudo_scores, alpha)
+    return calibrate(view.label_scores(_mixed_labels(view, u, rng)), alpha)
 
 
 def source_coverage_curve(
@@ -152,20 +148,20 @@ def source_coverage_curve(
 
 
 def _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng):
-    batch, _ = _as_batch(x_source)
-    if batch.shape[0] == 0:
+    view = scored_view(model, x_source)
+    n = len(view)
+    if n == 0:
         raise ValueError("source sample must be nonempty")
-    y = np.asarray(y_source)
-    rows = model.logit_matrix(batch)
-    true_scores = -_margins_of_labels(rows, y)
-    hard = np.argmax(rows, axis=1) + 1
-    h = predictive_entropy(model, batch)
-    uniform = rng.generator().integers(1, model.n_classes + 1, size=batch.shape[0])
+    true_scores = view.label_scores(y_source)
+    # Every cutoff mixes the same two gathers: the hard-label score and the
+    # score of the point's one coupled uniform draw.
+    hard_scores = view.label_scores(view.hard)
+    uniform_scores = view.label_scores(rng.generator().integers(1, view.n_classes + 1, size=n))
 
     out = []
     for u in grid.values:
-        labels = hard if (math.isinf(u) and u > 0) else np.where(h <= u, hard, uniform)
-        cal = calibrate(-_margins_of_labels(rows, labels), alpha)
+        pseudo = hard_scores if (math.isinf(u) and u > 0) else np.where(view.entropy <= u, hard_scores, uniform_scores)
+        cal = calibrate(pseudo, alpha)
         c_hat = float(np.mean(true_scores <= cal.threshold))
         out.append((float(u), c_hat, cal.threshold))
     return out
@@ -199,13 +195,14 @@ def source_tuned_calibrate(
     Runs the full pipeline: source coverage curve -> cutoff selection ->
     randomized pseudo-calibration of the unlabeled target inputs at the chosen
     cutoff. Source and target randomization use independent substreams of
-    ``rng``.
+    ``rng``. Either sample may be a :class:`~shiftcp.scores.ScoredView`.
     """
     if rng is None:
         raise ValueError("source_tuned_calibrate requires an rng stream")
+    source = scored_view(model, x_source)
     if grid is None:
-        grid = UncertaintyGrid.default(model.n_classes)
-    trace = _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng.substream("tune-source"))
+        grid = UncertaintyGrid.default(source.n_classes)
+    trace = _curve_with_thresholds(model, source, y_source, alpha, grid, rng.substream("tune-source"))
     curve = [(u, c) for u, c, _ in trace]
     u_star = select_u_star(curve, alpha)
     source_threshold = next(thr for u, _, thr in trace if u == u_star)

@@ -12,11 +12,29 @@ one row per point, 1-D label array) and vectorizes accordingly. Any object
 exposing ``logit_matrix(x) -> (n, K)`` and ``n_classes`` can stand in for a
 classifier; see :class:`LinearLogitMap` and the logit-table map in
 :mod:`shiftcp.synthetic`.
+
+Scored views
+------------
+:func:`scored_view` makes one ``logit_matrix`` pass over a batch and keeps
+what every downstream quantity is derived from: the (n, K) score matrix
+``S``, the hard labels and the predictive entropy. Scores of any label
+assignment are then the gather ``S[i, y_i - 1]`` (true labels,
+pseudo-labels, randomized labels), and coverage, set sizes, losses and the
+tuning curve are reductions over ``S``. A :class:`ScoredView` can be passed
+wherever a batch of inputs is expected (the model argument is then unused),
+so a caller that scores a split once pays for one logit pass however many
+quantities it derives.
+
+The view is the single validation boundary: logits must be finite (a
+non-finite input row raises instead of counting as a miss), and labels are
+checked for integrality, the range ``1..K`` and one label per row each time
+they are gathered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +105,91 @@ def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
     return y
 
 
+def row_max(rows: np.ndarray) -> np.ndarray:
+    """Per-row maximum of an (n, K) matrix.
+
+    Reduces a transposed copy: numpy reduces a few long columns far faster
+    than many short rows, and a maximum is exact in any order.
+    """
+    return np.ascontiguousarray(rows.T).max(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredView:
+    """One batch scored once: score matrix, hard labels and predictive entropy.
+
+    Built from an (n, K) logit matrix, which must be finite. ``scores[i, k]``
+    is the nonconformity score of label ``k + 1`` at row ``i``; ``hard``
+    holds the 1-based argmax labels (ties to the smallest index); ``entropy``
+    is the temperature-1 softmax entropy in nats, computed on first use. The
+    arrays are read-only.
+    """
+
+    logits: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(init=False, repr=False)
+    hard: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.logits, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] < 2:
+            raise ValueError(f"logits must be an (n, K) matrix with K >= 2, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("logits must be finite; the inputs contain NaN or infinite values")
+        # Column-major work: the best competitor of a label is the row maximum,
+        # or the runner-up for the argmax label itself.
+        cols = np.ascontiguousarray(rows.T)
+        best = np.argmax(rows, axis=1)
+        is_best = np.arange(rows.shape[1])[:, None] == best
+        top1 = cols.max(axis=0)
+        top2 = np.where(is_best, -np.inf, cols).max(axis=0)
+        # Negated margin, -(own - best competitor): the sign of a zero matches
+        # the margin route exactly.
+        scores = -(cols - np.where(is_best, top2, top1)).T
+        for name, arr in (("logits", rows), ("scores", scores), ("hard", best + 1)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        expz = np.exp(self.logits - row_max(self.logits)[:, None])
+        p = expz / expz.sum(axis=1, keepdims=True)
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+        out = -terms.sum(axis=1)
+        out.flags.writeable = False
+        return out
+
+    @property
+    def n_classes(self) -> int:
+        return self.scores.shape[1]
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, rows) -> "ScoredView":
+        """View of a subset of rows (a slice or an index array)."""
+        return ScoredView(self.logits[rows])
+
+    def label_scores(self, y) -> np.ndarray:
+        """Scores ``S[i, y_i - 1]`` of one label per row."""
+        yarr = _check_labels(np.atleast_1d(y), self.n_classes)
+        if yarr.shape != (len(self),):
+            raise ValueError(f"expected one label per scored row ({len(self)}), got shape {yarr.shape}")
+        return self.scores[np.arange(len(self)), yarr - 1]
+
+
+def scored_view(model, x) -> ScoredView:
+    """Score a batch of inputs with one logit pass; a view is returned unchanged."""
+    return _scored(model, x)[0]
+
+
+def _scored(model, x) -> tuple[ScoredView, bool]:
+    """The view of ``x`` and whether ``x`` was a single input."""
+    if isinstance(x, ScoredView):
+        return x, False
+    batch, single = _as_batch(x)
+    return ScoredView(model.logit_matrix(batch)), single
+
+
 def logits(model, x) -> np.ndarray:
     """Class logit vector(s) for ``x``: shape (K,) for a single input, (n, K) for a batch."""
     batch, single = _as_batch(x)
@@ -96,18 +199,17 @@ def logits(model, x) -> np.ndarray:
 
 def predict(model, x):
     """Predicted class = argmax of the logits, ties broken by the smallest class index."""
-    out = np.argmax(logits(model, x), axis=-1) + 1
-    return int(out) if np.ndim(out) == 0 else out
+    view, single = _scored(model, x)
+    return int(view.hard[0]) if single else view.hard
 
 
-def _margins_of_labels(logit_rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Margin of label y[i] in row i: own logit minus the best competing logit."""
-    n = logit_rows.shape[0]
-    idx = np.arange(n)
-    own = logit_rows[idx, y - 1]
-    masked = logit_rows.copy()
-    masked[idx, y - 1] = -np.inf
-    return own - masked.max(axis=1)
+def score(model, x, y):
+    """Nonconformity score: the negated margin of label ``y`` at ``x``."""
+    view, single = _scored(model, x)
+    if single and np.size(y) != 1:
+        raise ValueError("single input requires a single label")
+    out = view.label_scores(y)
+    return float(out[0]) if single else out
 
 
 def margin(model, x, y):
@@ -115,31 +217,13 @@ def margin(model, x, y):
 
     Positive iff ``y`` strictly beats every other class; zero on exact ties.
     """
-    batch, single = _as_batch(x)
-    yarr = _check_labels(np.atleast_1d(y), model.n_classes)
-    if single and yarr.size != 1:
-        raise ValueError("single input requires a single label")
-    out = _margins_of_labels(model.logit_matrix(batch), yarr)
-    return float(out[0]) if single else out
-
-
-def score(model, x, y):
-    """Nonconformity score: the negated margin of label ``y`` at ``x``."""
-    return -margin(model, x, y)
+    return -score(model, x, y)
 
 
 def score_matrix(model, x) -> np.ndarray:
     """Scores of every candidate label, shape (n, K)."""
-    batch, single = _as_batch(x)
-    rows = model.logit_matrix(batch)
-    k = rows.shape[1]
-    part = np.partition(rows, k - 2, axis=1)
-    top1 = part[:, -1]
-    top2 = part[:, -2]
-    best = np.argmax(rows, axis=1)
-    competitors = np.where(np.arange(k)[None, :] == best[:, None], top2[:, None], top1[:, None])
-    out = competitors - rows
-    return out[0] if single else out
+    view, single = _scored(model, x)
+    return view.scores[0] if single else view.scores
 
 
 def ramp_loss(gamma):
@@ -156,22 +240,21 @@ def hinge_loss(gamma):
     return float(out) if g.ndim == 0 else out
 
 
+def _true_margins(model, x, y) -> np.ndarray:
+    view = scored_view(model, x)
+    if len(view) == 0:
+        raise ValueError("population loss of an empty sample is undefined")
+    return -view.label_scores(y)
+
+
 def population_ramp_loss(model, x, y) -> float:
     """Mean ramp loss of the true-label margins over a labeled sample."""
-    batch, _ = _as_batch(x)
-    if batch.shape[0] == 0:
-        raise ValueError("population loss of an empty sample is undefined")
-    yarr = _check_labels(np.asarray(y), model.n_classes)
-    return float(ramp_loss(_margins_of_labels(model.logit_matrix(batch), yarr)).mean())
+    return float(ramp_loss(_true_margins(model, x, y)).mean())
 
 
 def population_hinge_loss(model, x, y) -> float:
     """Mean hinge loss of the true-label margins over a labeled sample."""
-    batch, _ = _as_batch(x)
-    if batch.shape[0] == 0:
-        raise ValueError("population loss of an empty sample is undefined")
-    yarr = _check_labels(np.asarray(y), model.n_classes)
-    return float(hinge_loss(_margins_of_labels(model.logit_matrix(batch), yarr)).mean())
+    return float(hinge_loss(_true_margins(model, x, y)).mean())
 
 
 def predictive_entropy(model, x):
@@ -179,14 +262,8 @@ def predictive_entropy(model, x):
 
     Computed with max-subtraction for stability; ranges over ``[0, ln K]``.
     """
-    batch, single = _as_batch(x)
-    rows = model.logit_matrix(batch)
-    z = rows - rows.max(axis=1, keepdims=True)
-    expz = np.exp(z)
-    p = expz / expz.sum(axis=1, keepdims=True)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    out = -terms.sum(axis=1)
-    return float(out[0]) if single else out
+    view, single = _scored(model, x)
+    return float(view.entropy[0]) if single else view.entropy
 
 
 def lipschitz_bound(model: LinearLogitMap) -> float:

@@ -21,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 from .conformal import coverage
 from .pseudo import pseudo_calibrate
 from .rng import RngStream
+from .scores import ScoredView
 
 #: Largest exact assignment instance; larger samples must be subsampled.
 MAX_ASSIGNMENT_SIZE = 512
@@ -201,12 +202,14 @@ def undercoverage_gap_estimate(model, x_source, y_source, alpha: float) -> float
     Splits the sample in half: the first half calibrates on hard pseudo-labels,
     the second half evaluates coverage against the true labels. Returns
     ``(1 - alpha) - coverage``, unclipped (negative means overcoverage).
+    ``x_source`` may be a :class:`~shiftcp.scores.ScoredView`, whose halves
+    are sliced without rescoring.
     """
-    x = np.asarray(x_source, dtype=float)
+    x = x_source if isinstance(x_source, ScoredView) else np.asarray(x_source, dtype=float)
     y = np.asarray(y_source)
-    if x.ndim != 2 or x.shape[0] < 2:
+    if (isinstance(x, np.ndarray) and x.ndim != 2) or len(x) < 2:
         raise ValueError("need at least two labeled source points")
-    half = x.shape[0] // 2
+    half = len(x) // 2
     cal = pseudo_calibrate(model, x[:half], alpha)
     cov = coverage(model, x[half:], y[half:], cal)
     return (1.0 - alpha) - cov

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DataError, InvariantError
 from .rng import RngStream
-from .scores import LinearLogitMap
+from .scores import LinearLogitMap, row_max
 
 SPLIT_TAGS = ("source_cal", "source_test", "target_cal", "target_test")
 
@@ -168,21 +168,13 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     return out[0] if single else out
 
 
-def train_classifier(
-    x,
-    y,
-    epochs: int = 200,
-    learning_rate: float = 0.1,
-    rng: RngStream | None = None,
-) -> LinearLogitMap:
+def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:
     """Multinomial logistic regression by full-batch gradient descent.
 
-    Zero-initialized, so the fit is deterministic; the ``rng`` parameter is
-    accepted for pipeline uniformity only. The cross-entropy loss must be
-    non-increasing across epochs and an :class:`InvariantError` is raised if
-    it is not (a sign the learning rate is too large for the data scale).
+    Zero-initialized, so the fit is deterministic. The cross-entropy loss must
+    be non-increasing across epochs and an :class:`InvariantError` is raised
+    if it is not (a sign the learning rate is too large for the data scale).
     """
-    del rng
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y)
     if xa.ndim != 2 or xa.shape[0] == 0:
@@ -206,14 +198,15 @@ def train_classifier(
     prev_loss = np.inf
     for _ in range(epochs):
         z = xa @ w.T + b
-        zmax = z.max(axis=1, keepdims=True)
-        logsumexp = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        zmax = row_max(z)[:, None]
+        p = np.exp(z - zmax)
+        total = p.sum(axis=1, keepdims=True)
+        logsumexp = zmax[:, 0] + np.log(total[:, 0])
         loss = float(np.mean(logsumexp - z[np.arange(n), ya - 1]))
         if loss > prev_loss + 1e-9:
             raise InvariantError(f"training loss increased ({prev_loss:.6g} -> {loss:.6g}); lower the learning rate")
         prev_loss = loss
-        p = np.exp(z - zmax)
-        p /= p.sum(axis=1, keepdims=True)
+        p /= total
         grad = (p - onehot) / n
         w -= learning_rate * (grad.T @ xa)
         b -= learning_rate * grad.sum(axis=0)

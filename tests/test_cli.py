@@ -1,5 +1,6 @@
 """CLI orchestration: config handling, subcommands, determinism, audits."""
 
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from shiftcp.cli import (
     ExperimentConfig,
     TrialData,
     _calibrate_method,
+    _tune_stream,
     aggregate_records,
     main,
     make_trial_data,
@@ -131,11 +133,11 @@ class TestTrialMachinery:
             y_target_test=data.y_target_test,
         )
         for method in ("source", "hard_pseudo", "source_tuned"):
-            cal_a, _ = _calibrate_method(cfg, model, method, data, 1, 0)
-            cal_b, _ = _calibrate_method(cfg, model, method, permuted, 1, 0)
+            cal_a, _ = _calibrate_method(cfg, model, method, data, _tune_stream(cfg, 1, 0))
+            cal_b, _ = _calibrate_method(cfg, model, method, permuted, _tune_stream(cfg, 1, 0))
             assert cal_a.threshold == cal_b.threshold
-        oracle_a, _ = _calibrate_method(cfg, model, "oracle", data, 1, 0)
-        oracle_b, _ = _calibrate_method(cfg, model, "oracle", permuted, 1, 0)
+        oracle_a, _ = _calibrate_method(cfg, model, "oracle", data, _tune_stream(cfg, 1, 0))
+        oracle_b, _ = _calibrate_method(cfg, model, "oracle", permuted, _tune_stream(cfg, 1, 0))
         assert oracle_a.threshold != oracle_b.threshold
 
     def test_tuned_coverage_at_least_hard_per_trial(self):
@@ -297,19 +299,29 @@ class TestCommandLine:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out2), "--seed", "99"]) == 0
         assert (out1 / "records.csv").read_bytes() != (out2 / "records.csv").read_bytes()
 
-    def test_replay_passes_and_detects_tampering(self, tmp_path):
+    def test_replay_passes_and_detects_tampering(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["replay", "--out", str(out)]) == 0
+        assert main(["replay", "--out", str(out), "--threads", "2"]) == 0
+        capsys.readouterr()
 
+        # One record of the cell (sigma 0, trial 0) is tampered with; the other
+        # three records of that cell stay intact and must still pass.
         records = out / "records.csv"
         lines = records.read_text().splitlines()
         fields = lines[1].split(",")
+        cell = [line for line in lines[1:] if line.split(",")[1:3] == fields[1:3]]
+        assert len(cell) == 4
         fields[6] = "0.123456789"
         lines[1] = ",".join(fields)
         records.write_text("\n".join(lines) + "\n")
-        assert main(["replay", "--out", str(out)]) == 4
+        for threads in ("1", "2"):
+            assert main(["replay", "--out", str(out), "--threads", threads]) == 4
+            err = capsys.readouterr().err
+            assert err.count("replay mismatch:") == 1
+            assert "1 of 24 records failed" in err
 
     def test_tau_subcommand(self, tmp_path):
         cfg_path = self._write_config(
@@ -448,3 +460,85 @@ class TestLogitsRoute:
         for row in aggregates:
             assert row["trials"] == 2
             assert 0.0 <= row["mean_coverage"] <= 1.0
+
+
+def _tiny_config(tmp_path, **overrides) -> str:
+    raw = {"n_train": 300, "n_cal": 60, "n_test": 80, "trials": 1, "sigma_grid": [0.0, 0.8]}
+    raw.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _one_source_row_table(tmp_path) -> str:
+    rng = np.random.default_rng(5)
+    tags = ["source_cal"] + ["target_cal"] * 6 + ["target_test"] * 6
+    path = tmp_path / "table.csv"
+    write_logit_table(path, tags, rng.integers(1, 4, size=13), rng.normal(size=(13, 3)))
+    return str(path)
+
+
+def _tampered_run(tmp_path) -> str:
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
+    records = out / "records.csv"
+    lines = records.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[7] = "2.5"
+    lines[-1] = ",".join(fields)
+    records.write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+# Each case builds the argv of one CLI call in a temporary directory.
+EXIT_CASES = {
+    "sweep-ok": (lambda p: ["sweep", "--config", _tiny_config(p)], 0),
+    "seed-not-an-integer": (lambda p: ["sweep", "--config", _tiny_config(p, seed="abc")], 2),
+    "trials-fractional": (lambda p: ["sweep", "--config", _tiny_config(p, trials=2.7)], 2),
+    "sigma-grid-nan": (lambda p: ["sweep", "--config", _tiny_config(p, sigma_grid=[0.0, math.nan])], 2),
+    "section-not-an-object": (lambda p: ["sweep", "--config", _tiny_config(p, train=5)], 2),
+    "tau-grid-negative": (lambda p: ["bounds", "--config", _tiny_config(p, tau_grid=[0.0, -1.0])], 2),
+    "tau-design-one-cal-point": (
+        lambda p: ["sweep", "--config", _tiny_config(p, n_cal=1, tau_policy={"kind": "tau_design"})],
+        3,
+    ),
+    "table-tau-design-one-source-row": (
+        lambda p: [
+            "sweep",
+            "--logits",
+            _one_source_row_table(p),
+            "--config",
+            _tiny_config(p, tau_policy={"kind": "tau_design"}),
+        ],
+        3,
+    ),
+    "replay-tampered": (lambda p: ["replay", "--out", _tampered_run(p)], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_contract(tmp_path, case):
+    build, expected = EXIT_CASES[case]
+    argv = build(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == expected
+
+
+# sha256 of the outputs at this shape and seed 20250809. records.csv and
+# tau_records.csv are the behavioural contract of the CLI: a change that moves
+# these digests must say why.
+SEED_DIGESTS = {
+    "sweep": ("records.csv", "7f771a8ba5dc844c86284278172e2d79dd7af0f38e43db1a41f66f700f49f0fe"),
+    "tau": ("tau_records.csv", "fd389dede42fb7244ed09c73eea126c2a406f05aa5bb3b33e3aa98001000433d"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEED_DIGESTS))
+def test_outputs_match_recorded_digests(tmp_path, command):
+    name, digest = SEED_DIGESTS[command]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest

@@ -99,6 +99,11 @@ class TestEmpiricalQuantile:
 
 
 class TestCalibrate:
+    def test_nan_scores_rejected(self):
+        # A NaN score must raise, not give a NaN threshold.
+        with pytest.raises(ValueError, match="NaN"):
+            calibrate([0.1, math.nan, 0.3, 0.4, 0.5], 0.2)
+
     def test_level_one_takes_max(self):
         res = calibrate([1.0, 2.0, 3.0, 4.0], 0.2)
         assert res.threshold == 4.0
@@ -151,6 +156,26 @@ class TestPredictionSet:
 
 
 class TestCoverageAndSetSize:
+    def test_nan_input_row_rejected(self, identity_map):
+        # A NaN row must raise, not count as a miss.
+        cal = calibrate([0.5] * 9, 0.2)
+        x = np.array([[3.0, 1.0], [np.nan, 0.0], [0.0, 5.0]])
+        with pytest.raises(ValueError, match="finite"):
+            coverage(identity_map, x, np.array([1, 1, 2]), cal)
+        with pytest.raises(ValueError, match="finite"):
+            expected_set_size(identity_map, x, cal)
+
+    def test_nan_tau_rejected(self, identity_map):
+        # NaN slack must raise, not give empty sets.
+        cal = calibrate([0.5] * 9, 0.2)
+        x = np.array([[3.0, 1.0], [0.0, 5.0]])
+        with pytest.raises(ValueError, match="tau"):
+            coverage(identity_map, x, np.array([1, 2]), cal, tau=math.nan)
+        with pytest.raises(ValueError, match="tau"):
+            expected_set_size(identity_map, x, cal, tau=math.nan)
+        with pytest.raises(ValueError, match="tau"):
+            prediction_set(identity_map, x[0], cal, tau=math.nan)
+
     def test_full_set_covers_everything(self, identity_map):
         cal = calibrate([0.0], 0.2)
         x = np.array([[3.0, 1.0], [0.0, 5.0]])

@@ -245,6 +245,14 @@ class TestSourceTunedCalibrate:
             )
             assert cal.threshold >= pseudo_calibrate(trained_model, x_tgt, 0.2).threshold
 
+    def test_source_label_zero_rejected(self, trained_model, three_class_source):
+        # Label 0 must raise, not wrap to class K through the index y - 1 = -1.
+        x_src, y_src = generate_source(three_class_source, 100, RngStream(57).substream("s"))
+        x_tgt, _ = generate_source(three_class_source, 100, RngStream(57).substream("t"))
+        y_src[3] = 0
+        with pytest.raises(ValueError, match="labels must lie in"):
+            source_tuned_calibrate(trained_model, x_src, y_src, x_tgt, 0.2, rng=RngStream(57).substream("l"))
+
     def test_seeded_replay_is_deterministic(self, trained_model, three_class_source):
         x_src, y_src = generate_source(three_class_source, 150, RngStream(53).substream("s"))
         x_tgt, _ = generate_source(three_class_source, 150, RngStream(53).substream("t"))

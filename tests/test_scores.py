@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from shiftcp.scores import (
     LinearLogitMap,
+    ScoredView,
     hinge_loss,
     lipschitz_bound,
     logits,
@@ -21,6 +22,7 @@ from shiftcp.scores import (
     ramp_loss,
     score,
     score_matrix,
+    scored_view,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -210,3 +212,58 @@ class TestLipschitzBound:
     def test_max_pairwise_difference(self):
         m = LinearLogitMap(np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 4.0]]), np.zeros(3))
         assert lipschitz_bound(m) == pytest.approx(5.0)
+
+
+class TestScoredView:
+    def test_matches_the_public_functions(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            m = random_map(rng, int(rng.integers(2, 6)), 3)
+            x = rng.normal(size=(40, 3))
+            y = rng.integers(1, m.n_classes + 1, size=40)
+            view = scored_view(m, x)
+            np.testing.assert_array_equal(view.scores, score_matrix(m, x))
+            np.testing.assert_array_equal(view.hard, predict(m, x))
+            np.testing.assert_array_equal(view.entropy, predictive_entropy(m, x))
+            np.testing.assert_array_equal(view.label_scores(y), score(m, x, y))
+            rows = m.logit_matrix(x)
+            for label in range(1, m.n_classes + 1):
+                # Negated margin straight from its definition.
+                others = np.delete(rows, label - 1, axis=1).max(axis=1)
+                np.testing.assert_array_equal(view.scores[:, label - 1], -(rows[:, label - 1] - others))
+
+    def test_view_stands_in_for_inputs(self, identity_map):
+        x = np.array([[3.0, 1.0], [0.0, 5.0], [2.0, 2.5]])
+        y = np.array([1, 1, 2])
+        view = scored_view(identity_map, x)
+        assert scored_view(None, view) is view
+        np.testing.assert_array_equal(score(None, view, y), score(identity_map, x, y))
+        assert population_hinge_loss(None, view, y) == population_hinge_loss(identity_map, x, y)
+        np.testing.assert_array_equal(predict(None, view), predict(identity_map, x))
+
+    def test_row_subset_equals_rescoring(self):
+        rng = np.random.default_rng(9)
+        m = random_map(rng, 3, 2)
+        x = rng.normal(size=(30, 2))
+        sub = scored_view(m, x)[10:]
+        np.testing.assert_array_equal(sub.scores, scored_view(m, x[10:]).scores)
+        np.testing.assert_array_equal(sub.entropy, scored_view(m, x[10:]).entropy)
+
+    def test_arrays_are_read_only(self, identity_map):
+        view = scored_view(identity_map, np.array([[3.0, 1.0]]))
+        with pytest.raises(ValueError):
+            view.hard[0] = 2
+
+    def test_non_finite_logits_rejected(self, identity_map):
+        with pytest.raises(ValueError, match="finite"):
+            scored_view(identity_map, np.array([[3.0, 1.0], [np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            ScoredView(np.array([[np.inf, 0.0]]))
+
+    def test_labels_checked_at_the_gather(self, identity_map):
+        view = scored_view(identity_map, np.array([[3.0, 1.0], [0.0, 5.0]]))
+        for bad in ([0, 1], [1, 3], [1.5, 1]):
+            with pytest.raises(ValueError, match="labels"):
+                view.label_scores(np.array(bad))
+        with pytest.raises(ValueError, match="one label per scored row"):
+            view.label_scores(np.array([1, 2, 1]))
