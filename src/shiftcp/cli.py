@@ -346,12 +346,18 @@ class TrialRecord:
     cor1_bound: float | None
 
 
+def _shifted_sample(cfg: ExperimentConfig, sigma: float, n: int, base: RngStream, shift: RngStream):
+    """``n`` source draws from ``base`` shifted at strength ``sigma`` by ``shift``: (shifted x, y, base x)."""
+    xb, yb = generate_source(cfg.source_spec, n, base)
+    return apply_shift(xb, yb, cfg.shift_spec.scaled(sigma), shift), yb, xb
+
+
 def _target_split(cfg: ExperimentConfig, sigma_idx: int, trial: int, name: str, n: int):
     """Shifted target split ``name`` of a cell and its labels, drawn from the cell's own substreams."""
     cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
-    xb, yb = generate_source(cfg.source_spec, n, cell.substream(f"{name}-base"))
-    shift = cfg.shift_spec.scaled(cfg.sigma_grid[sigma_idx])
-    return apply_shift(xb, yb, shift, cell.substream(f"{name}-shift")), yb
+    sigma = cfg.sigma_grid[sigma_idx]
+    x, y, _ = _shifted_sample(cfg, sigma, n, cell.substream(f"{name}-base"), cell.substream(f"{name}-shift"))
+    return x, y
 
 
 def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> TrialData:
@@ -424,56 +430,74 @@ def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData
     raise ConfigError(f"unknown method {method!r}")
 
 
+def _tau_design(model, alpha: float, source, y_source, target, y_target, where: str) -> dict:
+    """The slack rule's measured ingredients and the slack it designs.
+
+    The target hinge loss is an oracle input. A degenerate rule is a
+    :class:`DataError` whose message starts with ``where``.
+    """
+    design = {
+        "hinge_source": population_hinge_loss(model, source, y_source),
+        "hinge_target_oracle": population_hinge_loss(model, target, y_target),
+    }
+    try:
+        design["undercoverage_gap"] = undercoverage_gap_estimate(model, source, y_source, alpha)
+        design["tau"] = tau_correction(design["hinge_source"], design["hinge_target_oracle"], design["undercoverage_gap"])
+    except ValueError as exc:
+        measured = ", ".join(f"{name}={value:.4g}" for name, value in design.items())
+        raise DataError(
+            f"{where}: {exc} ({measured}); "
+            "a larger calibration sample or a larger alpha stabilizes the undercoverage estimate"
+        ) from exc
+    return design
+
+
 def _trial_tau(cfg: ExperimentConfig, model, data: TrialData) -> float | None:
     """Slack applied to prediction sets under the configured tau policy."""
     if cfg.tau_policy_kind == "none":
         return None
     if cfg.tau_policy_kind == "fixed":
         return cfg.tau_policy_value
-    # tau_design: undercoverage gap and hinge losses; the target hinge loss is
-    # an oracle input measured on the evaluation split.
-    try:
-        gap = undercoverage_gap_estimate(model, data.x_source, data.y_source, cfg.alpha)
-    except ValueError as exc:
-        raise DataError(f"tau_design policy failed: {exc}") from exc
-    hinge_src = population_hinge_loss(model, data.x_source, data.y_source)
-    hinge_tgt = population_hinge_loss(model, data.x_target_test, data.y_target_test)
-    try:
-        return tau_correction(hinge_src, hinge_tgt, gap)
-    except ValueError as exc:
-        raise DataError(
-            f"tau_design policy failed: {exc} (hinge_source={hinge_src:.4g}, gap={gap:.4g}); "
-            "a larger calibration sample or a larger alpha stabilizes the undercoverage estimate"
-        ) from exc
+    # tau_design measures the target hinge loss on the evaluation split.
+    design = _tau_design(
+        model, cfg.alpha, data.x_source, data.y_source, data.x_target_test, data.y_target_test, "tau_design policy failed"
+    )
+    return design["tau"]
+
+
+def _record(model, test: ScoredView, y_test, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
+    """One method's record: coverage and set size of ``cal`` plus slack ``tau`` on the scored test split."""
+    tau_eff = 0.0 if tau is None else tau
+    return TrialRecord(
+        method=method,
+        sigma=sigma,
+        trial=trial,
+        threshold=cal.threshold,
+        u_star=u_star,
+        tau=tau,
+        coverage=coverage(model, test, y_test, cal, tau_eff),
+        ess=expected_set_size(model, test, cal, tau_eff),
+        thm2_bound=thm2,
+        cor1_bound=cor1,
+    )
 
 
 def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, sigma, trial: int, tune: RngStream, thm2):
     """Every method's record for one cell of scored splits (generator cell or logit table)."""
-    _assert_score_invariants(model, data.x_target_test, data.y_target_test)
+    test, y_test = data.x_target_test, data.y_target_test
+    _assert_score_invariants(model, test, y_test)
     tau = _trial_tau(cfg, model, data)
-    tau_eff = 0.0 if tau is None else tau
     # Oracle-flagged target losses back the relaxed bound column.
-    ramp_tgt = population_ramp_loss(model, data.x_target_test, data.y_target_test)
-    hinge_tgt = population_hinge_loss(model, data.x_target_test, data.y_target_test)
-    cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, tau_eff)
+    ramp_tgt = population_ramp_loss(model, test, y_test)
+    hinge_tgt = population_hinge_loss(model, test, y_test)
+    cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
 
     records = []
     for method in cfg.methods:
         cal, tuning = _calibrate_method(cfg, model, method, data, tune)
-        records.append(
-            TrialRecord(
-                method=method,
-                sigma=sigma,
-                trial=trial,
-                threshold=cal.threshold,
-                u_star=tuning.u_star if tuning is not None else None,
-                tau=tau,
-                coverage=coverage(model, data.x_target_test, data.y_target_test, cal, tau_eff),
-                ess=expected_set_size(model, data.x_target_test, cal, tau_eff),
-                thm2_bound=thm2 if method == "hard_pseudo" else None,
-                cor1_bound=cor1 if method == "hard_pseudo" else None,
-            )
-        )
+        bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
+        u_star = tuning.u_star if tuning is not None else None
+        records.append(_record(model, test, y_test, method, sigma, trial, cal, tau, u_star, *bounds))
     return records
 
 
@@ -492,13 +516,6 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     return _evaluate_cell(cfg, model, data, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
-def run_method(cfg: ExperimentConfig, model, method: str, sigma_idx: int, trial: int) -> TrialRecord:
-    """Single-method record for one (sigma, trial) cell."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
-    return run_trial(replace(cfg, methods=(method,)), model, sigma_idx, trial)[0]
-
-
 def _map(fn, items: list, threads: int) -> list:
     """``[fn(item) for item in items]``, on ``threads`` worker threads when above 1."""
     if threads <= 1:
@@ -507,16 +524,16 @@ def _map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list:
+def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list[TrialRecord]:
+    """The records ``worker(sigma_idx, trial)`` returns for every cell, in grid order."""
     cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
-    return _map(lambda cell: worker(*cell), cells, threads)
+    return [rec for chunk in _map(lambda cell: worker(*cell), cells, threads) for rec in chunk]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    chunks = _parallel_trials(cfg, lambda si, t: run_trial(cfg, model, si, t), threads)
-    records = [rec for chunk in chunks for rec in chunk]
+    records = _parallel_trials(cfg, lambda si, t: run_trial(cfg, model, si, t), threads)
     records.sort(key=lambda r: (cfg.methods.index(r.method), r.sigma, r.trial))
     return records, aggregate_records(records)
 
@@ -524,17 +541,11 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord
 def aggregate_records(records: list[TrialRecord]) -> list[dict]:
     """Mean and standard error of coverage/ESS per (method, sigma) group."""
     groups: dict[tuple[str, float | None], list[TrialRecord]] = {}
-    order: list[tuple[str, float | None]] = []
     for rec in records:
-        key = (rec.method, rec.sigma)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.method, rec.sigma), []).append(rec)
 
     out = []
-    for method, sigma in order:
-        rows = groups[(method, sigma)]
+    for (method, sigma), rows in groups.items():
         cov = np.array([r.coverage for r in rows])
         ess = np.array([r.ess for r in rows])
         n = cov.size
@@ -569,7 +580,6 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     are oracle inputs; everything else is source-measurable.
     """
     sigma = cfg.sigma_grid[sigma_idx]
-    shift = cfg.shift_spec.scaled(sigma)
     diag = RngStream(cfg.seed).substream("tau-diag", sigma_idx)
     # The slack rule divides by (source hinge loss - undercoverage gap), so the
     # gap estimate must be accurate relative to the hinge loss. These are
@@ -577,28 +587,11 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     # stable (the gap estimator halves its sample internally).
     n_diag = max(2 * cfg.n_cal, 8192)
     x_src, y_src = generate_source(cfg.source_spec, n_diag, diag.substream("source"))
-    xb, yb = generate_source(cfg.source_spec, max(cfg.n_cal, n_diag // 2), diag.substream("target-base"))
-    x_tgt = apply_shift(xb, yb, shift, diag.substream("target-shift"))
-
-    gap = undercoverage_gap_estimate(model, x_src, y_src, cfg.alpha)
-    hinge_src = population_hinge_loss(model, x_src, y_src)
-    hinge_tgt = population_hinge_loss(model, x_tgt, yb)
-    ramp_tgt = population_ramp_loss(model, x_tgt, yb)
-    try:
-        tau = tau_correction(hinge_src, hinge_tgt, gap)
-    except ValueError as exc:
-        raise DataError(
-            f"sigma={sigma}: {exc} (hinge_source={hinge_src:.4g}, gap={gap:.4g}); "
-            "a larger calibration sample or a larger alpha stabilizes the undercoverage estimate"
-        ) from exc
-    return {
-        "sigma": sigma,
-        "undercoverage_gap": gap,
-        "hinge_source": hinge_src,
-        "hinge_target_oracle": hinge_tgt,
-        "ramp_target_oracle": ramp_tgt,
-        "tau": tau,
-    }
+    n_tgt = max(cfg.n_cal, n_diag // 2)
+    x_tgt, y_tgt, _ = _shifted_sample(cfg, sigma, n_tgt, diag.substream("target-base"), diag.substream("target-shift"))
+    source, target = scored_view(model, x_src), scored_view(model, x_tgt)
+    design = _tau_design(model, cfg.alpha, source, y_src, target, y_tgt, f"sigma={sigma}")
+    return {"sigma": sigma, "ramp_target_oracle": population_ramp_loss(model, target, y_tgt), **design}
 
 
 def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
@@ -611,33 +604,19 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
     diagnostics = [tau_diagnostics(cfg, model, si) for si in range(len(cfg.sigma_grid))]
 
     def worker(si: int, t: int) -> list[TrialRecord]:
-        sigma = cfg.sigma_grid[si]
         diag = diagnostics[si]
-        data = make_trial_data(cfg, si, t)
-        test = scored_view(model, data.x_target_test)
-        _assert_score_invariants(model, test, data.y_target_test)
-        cal = pseudo_calibrate(model, data.x_target_cal, cfg.alpha)
+        x_cal, _ = _target_split(cfg, si, t, "target-cal", cfg.n_cal)
+        x_test, y_test = _target_split(cfg, si, t, "target-test", cfg.n_test)
+        test = scored_view(model, x_test)
+        _assert_score_invariants(model, test, y_test)
+        cal = pseudo_calibrate(model, x_cal, cfg.alpha)
         out = []
         for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
             cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
-            out.append(
-                TrialRecord(
-                    method=method,
-                    sigma=sigma,
-                    trial=t,
-                    threshold=cal.threshold,
-                    u_star=None,
-                    tau=tau,
-                    coverage=coverage(model, test, data.y_target_test, cal, tau),
-                    ess=expected_set_size(model, test, cal, tau),
-                    thm2_bound=None,
-                    cor1_bound=cor1,
-                )
-            )
+            out.append(_record(model, test, y_test, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
         return out
 
-    chunks = _parallel_trials(cfg, worker, threads)
-    records = [rec for chunk in chunks for rec in chunk]
+    records = _parallel_trials(cfg, worker, threads)
     method_order = {"hard_pseudo": 0, "tau_adjusted": 1}
     records.sort(key=lambda r: (method_order[r.method], r.sigma, r.trial))
     return records, diagnostics
@@ -657,7 +636,7 @@ def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
         "sup_density": sup_density_estimate(src_scores),
         "ramp_source": population_ramp_loss(model, source, y_src),
         "hinge_source": population_hinge_loss(model, source, y_src),
-        "undercoverage_gap": undercoverage_gap_estimate(model, x_src, y_src, alpha),
+        "undercoverage_gap": undercoverage_gap_estimate(model, source, y_src, alpha),
     }
 
 
@@ -706,13 +685,12 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
     per_sigma = []
     for si, sigma in enumerate(cfg.sigma_grid):
-        shift = cfg.shift_spec.scaled(sigma)
         stream = root.substream("target", si)
-        xb, yb = generate_source(cfg.source_spec, cfg.n_test, stream.substream("base"))
-        x_tgt = apply_shift(xb, yb, shift, stream.substream("shift"))
+        x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
 
+        rho_certified = cfg.shift_spec.scaled(sigma).rho_true
         rho_mix_cert = cfg.rho_mix_certified(sigma)
-        w1_bound = score_shift_w1_bound(lip, shift.rho_true)
+        w1_bound = score_shift_w1_bound(lip, rho_certified)
         k = cfg.source_spec.n_classes
         class_rows = [np.nonzero(yb == c)[0] for c in range(1, k + 1)]
         per_class_w1 = None
@@ -727,7 +705,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
         entry.update(
             {
                 "sigma": sigma,
-                "rho_certified": shift.rho_true,
+                "rho_certified": rho_certified,
                 "rho_mix_certified": rho_mix_cert,
                 "per_class_w1_paired": per_class_w1,
                 "rho_mix_measured": rho_mix_measured,
@@ -774,10 +752,8 @@ def run_tune(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 
     per_sigma = []
     for si, sigma in enumerate(cfg.sigma_grid):
-        shift = cfg.shift_spec.scaled(sigma)
         stream = root.substream("target", si)
-        xb, yb = generate_source(cfg.source_spec, cfg.n_cal, stream.substream("base"))
-        x_tgt = apply_shift(xb, yb, shift, stream.substream("shift"))
+        x_tgt, _, _ = _shifted_sample(cfg, sigma, cfg.n_cal, stream.substream("base"), stream.substream("shift"))
         cal = pseudo_calibrate(model, x_tgt, cfg.alpha, u=u_star, rng=stream.substream("labels"))
         per_sigma.append({"sigma": sigma, "target_threshold": cal.threshold, "n": cfg.n_cal})
 
@@ -819,30 +795,23 @@ def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     return f"{float(value):.9g}"
 
 
-def write_records_csv(path, records: list[TrialRecord]) -> None:
+def _write_csv(path, columns, rows) -> None:
+    """One header line, then each row's ``columns`` formatted by :func:`_fmt`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.method,
-                    _fmt(r.sigma),
-                    str(r.trial),
-                    _fmt(r.threshold),
-                    _fmt(r.u_star),
-                    _fmt(r.tau),
-                    _fmt(r.coverage),
-                    _fmt(r.ess),
-                    _fmt(r.thm2_bound),
-                    _fmt(r.cor1_bound),
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+
+
+def write_records_csv(path, records: list[TrialRecord]) -> None:
+    _write_csv(path, RECORD_COLUMNS, (vars(r) for r in records))
 
 
 def write_aggregate_csv(path, aggregates: list[dict]) -> None:
@@ -858,11 +827,7 @@ def write_aggregate_csv(path, aggregates: list[dict]) -> None:
         "mean_thm2_bound",
         "mean_cor1_bound",
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in aggregates:
-            writer.writerow([row["method"]] + [_fmt(row[c]) if c != "trials" else str(row[c]) for c in columns[1:]])
+    _write_csv(path, columns, aggregates)
 
 
 def _write_json(path, payload) -> None:
@@ -1106,8 +1071,6 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_tau(cfg: ExperimentConfig, out: Path, args) -> int:
-    if args.logits:
-        raise ConfigError("the tau experiment requires the synthetic generator")
     out.mkdir(parents=True, exist_ok=True)
     records, diagnostics = run_tau_experiment(cfg, threads=args.threads)
     _write_json(out / "config.json", cfg.resolved())
@@ -1132,16 +1095,10 @@ def _cmd_bounds(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_tune(cfg: ExperimentConfig, out: Path, args) -> int:
-    if args.logits:
-        raise ConfigError("the tuning trace requires the synthetic generator")
     out.mkdir(parents=True, exist_ok=True)
     rows, result = run_tune(cfg)
     _write_json(out / "config.json", cfg.resolved())
-    with open(out / "tune_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "c_hat", "source_threshold"])
-        for row in rows:
-            writer.writerow([_fmt(row["u"]), _fmt(row["c_hat"]), _fmt(row["source_threshold"])])
+    _write_csv(out / "tune_trace.csv", ("u", "c_hat", "source_threshold"), rows)
     _write_json(out / "tune_result.json", result)
     print(f"wrote {out / 'tune_trace.csv'} (u_star = {_fmt(result['u_star'])})")
     return 0
@@ -1196,8 +1153,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file (defaults are used when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="shiftcp-out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trial evaluation")
-        p.add_argument("--logits", default=None, help="ingest externally computed logits from this CSV table")
+        if name in ("sweep", "tau", "replay"):
+            p.add_argument("--threads", type=int, default=1, help="worker threads for trial evaluation")
+        if name in ("sweep", "bounds"):
+            p.add_argument("--logits", default=None, help="ingest externally computed logits from this CSV table")
     return parser
 
 

@@ -98,14 +98,23 @@ def randomized_pseudo_label(model, h_value: float, u: float, x, rng: RngStream) 
     return int(rng.generator().integers(1, model.n_classes + 1))
 
 
-def _mixed_labels(view: ScoredView, u: float, rng: RngStream | None) -> np.ndarray:
-    """Vectorized pseudo-labels at cutoff ``u`` with one coupled uniform draw per point."""
-    if math.isinf(u) and u > 0:
-        return view.hard
+def _uniform_scores(view: ScoredView, rng: RngStream | None) -> np.ndarray:
+    """Scores of one coupled uniform-label draw per point."""
     if rng is None:
         raise ValueError("randomized pseudo-labels with a finite cutoff require an rng stream")
-    uniform = rng.generator().integers(1, view.n_classes + 1, size=len(view))
-    return np.where(view.entropy <= u, view.hard, uniform)
+    return view.label_scores(rng.generator().integers(1, view.n_classes + 1, size=len(view)))
+
+
+def _pseudo_scores(view: ScoredView, u: float, hard_scores: np.ndarray, uniform_scores) -> np.ndarray:
+    """Randomized pseudo-label scores at cutoff ``u``.
+
+    The hard-label score where the predictive entropy is at most ``u``, the
+    uniform-label score elsewhere. ``uniform_scores`` is called only for a
+    finite cutoff, so ``u = inf`` draws nothing.
+    """
+    if math.isinf(u) and u > 0:
+        return hard_scores
+    return np.where(view.entropy <= u, hard_scores, uniform_scores())
 
 
 def pseudo_calibrate(
@@ -124,7 +133,8 @@ def pseudo_calibrate(
     view = scored_view(model, inputs)
     if len(view) == 0:
         raise ValueError("cannot calibrate on an empty input sample")
-    return calibrate(view.label_scores(_mixed_labels(view, u, rng)), alpha)
+    pseudo = _pseudo_scores(view, u, view.label_scores(view.hard), lambda: _uniform_scores(view, rng))
+    return calibrate(pseudo, alpha)
 
 
 def source_coverage_curve(
@@ -149,19 +159,17 @@ def source_coverage_curve(
 
 def _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng):
     view = scored_view(model, x_source)
-    n = len(view)
-    if n == 0:
+    if len(view) == 0:
         raise ValueError("source sample must be nonempty")
     true_scores = view.label_scores(y_source)
     # Every cutoff mixes the same two gathers: the hard-label score and the
     # score of the point's one coupled uniform draw.
     hard_scores = view.label_scores(view.hard)
-    uniform_scores = view.label_scores(rng.generator().integers(1, view.n_classes + 1, size=n))
+    uniform_scores = _uniform_scores(view, rng)
 
     out = []
     for u in grid.values:
-        pseudo = hard_scores if (math.isinf(u) and u > 0) else np.where(view.entropy <= u, hard_scores, uniform_scores)
-        cal = calibrate(pseudo, alpha)
+        cal = calibrate(_pseudo_scores(view, u, hard_scores, lambda: uniform_scores), alpha)
         c_hat = float(np.mean(true_scores <= cal.threshold))
         out.append((float(u), c_hat, cal.threshold))
     return out

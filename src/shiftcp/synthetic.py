@@ -137,11 +137,13 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
         norms = np.linalg.norm(eps, axis=1, keepdims=True)
         factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
         return eps * factor
+    # An accepted row never changes, so each round re-checks only the rows it redrew.
+    bad = np.flatnonzero(np.linalg.norm(eps, axis=1) > radius)
     for _ in range(_MAX_REJECTION_ROUNDS):
-        bad = np.linalg.norm(eps, axis=1) > radius
-        if not bad.any():
+        if bad.size == 0:
             return eps
-        eps[bad] = scale * g.standard_normal((int(bad.sum()), d))
+        eps[bad] = scale * g.standard_normal((bad.size, d))
+        bad = bad[np.linalg.norm(eps[bad], axis=1) > radius]
     raise InvariantError("clipped-noise rejection sampling did not converge; radius is too small for the noise scale")
 
 

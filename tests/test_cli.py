@@ -1,8 +1,12 @@
 """CLI orchestration: config handling, subcommands, determinism, audits."""
 
+import ast
 import hashlib
+import importlib
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from shiftcp.cli import (
     aggregate_records,
     main,
     make_trial_data,
-    run_method,
     run_sweep,
     run_tau_experiment,
     run_trial,
@@ -105,10 +108,10 @@ class TestTrialMachinery:
         assert len(records) == 1
         assert records[0].method == "oracle"
 
-    def test_run_method_matches_run_trial(self):
+    def test_single_method_matches_run_trial(self):
         cfg = small_config()
         model = train_model(cfg)
-        rec = run_method(cfg, model, "hard_pseudo", 1, 2)
+        (rec,) = run_trial(replace(cfg, methods=("hard_pseudo",)), model, 1, 2)
         full = {r.method: r for r in run_trial(cfg, model, 1, 2)}
         assert rec == full["hard_pseudo"]
 
@@ -527,18 +530,92 @@ def test_exit_code_contract(tmp_path, case):
 
 # sha256 of the outputs at this shape and seed 20250809. records.csv and
 # tau_records.csv are the behavioural contract of the CLI: a change that moves
-# these digests must say why.
+# these digests must say why. The other files pin the aggregates, the tau
+# diagnostics and the tuning trace that the same run writes.
 SEED_DIGESTS = {
-    "sweep": ("records.csv", "7f771a8ba5dc844c86284278172e2d79dd7af0f38e43db1a41f66f700f49f0fe"),
-    "tau": ("tau_records.csv", "fd389dede42fb7244ed09c73eea126c2a406f05aa5bb3b33e3aa98001000433d"),
+    "sweep": {
+        "records.csv": "7f771a8ba5dc844c86284278172e2d79dd7af0f38e43db1a41f66f700f49f0fe",
+        "aggregate.csv": "b08901708605ba705565f1d3da5af5a55a4746b68c75ce266762fe01df455cca",
+    },
+    "tau": {
+        "tau_records.csv": "fd389dede42fb7244ed09c73eea126c2a406f05aa5bb3b33e3aa98001000433d",
+        "tau_aggregate.csv": "7b7481b60bb3f7dbfdba639c27d3b525910f952d5b452455c5ef5123b44ca508",
+        "tau_diagnostics.json": "0db4664ab99c50dc7f151a6db9a43a186644206664d7a97fa70008428cada38f",
+    },
+    "tune": {
+        "tune_trace.csv": "40adbae8bc91b49ce5332f1e7370da3f42c3f87d266aac6ee2d4d2470c122787",
+        "tune_result.json": "58d2078024ea5dcc4d39e0231083fad9feea6a334390f8f5fc95823ec6a754dc",
+    },
 }
 
 
 @pytest.mark.parametrize("command", sorted(SEED_DIGESTS))
 def test_outputs_match_recorded_digests(tmp_path, command):
-    name, digest = SEED_DIGESTS[command]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}))
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[command]}
+    assert got == SEED_DIGESTS[command]
+
+
+def _exit_code(argv) -> int:
+    """``main``'s return value, or the code of the ``SystemExit`` that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# --threads acts only on sweep/tau/replay and --logits only on sweep/bounds;
+# anywhere else the flag is a usage error instead of being silently ignored.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--logits", "missing.csv"],
+        ["train", "--logits", "missing.csv"],
+        ["replay", "--logits", "missing.csv"],
+        ["selftest", "--logits", "missing.csv"],
+        ["tau", "--logits", "missing.csv"],
+        ["tune", "--logits", "missing.csv"],
+        ["gen", "--threads", "2"],
+        ["bounds", "--threads", "2"],
+    ],
+    ids=" ".join,
+)
+def test_flag_outside_its_subcommands_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", _tiny_config(tmp_path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_tau_and_tune_reject_logits_with_exit_code_2(tmp_path):
+    for command in ("tau", "tune"):
+        assert _exit_code([command, "--logits", _one_source_row_table(tmp_path), "--out", str(tmp_path / command)]) == 2
+
+
+def test_replay_accepts_seed_and_threads(tmp_path):
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
+    assert main(["replay", "--seed", "20250809", "--out", str(out), "--threads", "1"]) == 0
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark tracer wraps these names from outside; a name the package
+    # no longer has would silently read zero in every per-layer metric.
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    ]
+    missing = []
+    for _, module_name, qualname in traced:
+        owner = importlib.import_module(f"shiftcp.{module_name}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []
