@@ -867,14 +867,15 @@ def _replay_records(cfg: ExperimentConfig, model, view: ScoredView, y, group) ->
     return mismatches
 
 
-def replay_audit(out_dir, threads: int = 1) -> int:
+def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     """Recompute every emitted coverage/ESS from the emitted thresholds.
 
     Groups the records by (sigma, trial) cell, regenerates only each cell's
     evaluation split from its derived streams and scores it once, then checks
     that coverage and ESS, formatted identically, match the cell's records
     byte for byte. A cell's view is dropped once its records are checked;
-    ``threads`` workers audit cells in parallel. Returns the number of
+    ``threads`` workers audit cells in parallel. A ``seed`` other than the
+    run's recorded seed is a :class:`ConfigError`. Returns the number of
     audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
@@ -885,6 +886,8 @@ def replay_audit(out_dir, threads: int = 1) -> int:
         resolved = json.load(fh)
     logits_path = resolved.pop("logits", None)
     cfg = ExperimentConfig.from_dict(resolved)
+    if seed is not None and seed != cfg.seed:
+        raise ConfigError(f"seed {seed} differs from the seed {cfg.seed} recorded in {config_path}")
 
     candidates = [p for p in (out / "records.csv", out / "tau_records.csv") if p.exists()]
     if not candidates:
@@ -1105,7 +1108,7 @@ def _cmd_tune(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_replay(cfg: ExperimentConfig, out: Path, args) -> int:
-    audited = replay_audit(out, threads=args.threads)
+    audited = replay_audit(out, threads=args.threads, seed=args.seed)
     print(f"replay audit passed: {audited} records verified")
     return 0
 
@@ -1150,9 +1153,11 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="JSON config file (defaults are used when omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default="shiftcp-out", help="output directory")
+        if name != "replay":  # replay reads the audited run's own config.json
+            p.add_argument("--config", default=None, help="JSON config file (defaults are used when omitted)")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed (replay: must equal the run's)")
+        if name != "selftest":
+            p.add_argument("--out", default="shiftcp-out", help="output directory (replay: the run to audit)")
         if name in ("sweep", "tau", "replay"):
             p.add_argument("--threads", type=int, default=1, help="worker threads for trial evaluation")
         if name in ("sweep", "bounds"):
@@ -1163,8 +1168,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
-        return _COMMANDS[args.command](cfg, Path(args.out), args)
+        # A flag the subcommand does not declare is passed on as None.
+        cfg = load_config(args.config, seed_override=args.seed) if "config" in args else None
+        out = Path(args.out) if "out" in args else None
+        return _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,9 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -386,7 +389,7 @@ class TestCommandLine:
         assert model["train_accuracy"] > 0.9
 
     def test_selftest_subcommand(self, tmp_path, capsys):
-        assert main(["selftest", "--out", str(tmp_path / "st")]) == 0
+        assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
@@ -546,13 +549,20 @@ SEED_DIGESTS = {
         "tune_trace.csv": "40adbae8bc91b49ce5332f1e7370da3f42c3f87d266aac6ee2d4d2470c122787",
         "tune_result.json": "58d2078024ea5dcc4d39e0231083fad9feea6a334390f8f5fc95823ec6a754dc",
     },
+    "bounds": {
+        "bounds.json": "8fcb423b0fdeb801b2c10d9331201d27c8b5409a5044f29efc245475c678ea8a",
+    },
 }
+# bounds runs at the benchmark's tiny bounds shape, where every class
+# exceeds the assignment limit, so its subsampled solves are pinned too.
+DIGEST_CONFIGS = {"bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]}}
 
 
+@pytest.mark.filterwarnings("ignore:subsampling:UserWarning")
 @pytest.mark.parametrize("command", sorted(SEED_DIGESTS))
 def test_outputs_match_recorded_digests(tmp_path, command):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}))
+    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(command, {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1})))
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[command]}
@@ -567,8 +577,10 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-# --threads acts only on sweep/tau/replay and --logits only on sweep/bounds;
-# anywhere else the flag is a usage error instead of being silently ignored.
+# --threads acts only on sweep/tau/replay, --logits only on sweep/bounds,
+# --config everywhere but replay (which reads its run's config.json) and
+# --out everywhere but selftest (which writes nothing); anywhere else the flag
+# is a usage error instead of being silently ignored.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -580,13 +592,17 @@ def _exit_code(argv) -> int:
         ["tune", "--logits", "missing.csv"],
         ["gen", "--threads", "2"],
         ["bounds", "--threads", "2"],
+        ["replay", "--config", "missing.json"],
+        ["selftest", "--out", "x"],
     ],
     ids=" ".join,
 )
 def test_flag_outside_its_subcommands_is_a_usage_error(tmp_path, argv):
     out = tmp_path / "out"
+    config = _tiny_config(tmp_path)
+    declared = {"replay": ["--out", str(out)], "selftest": ["--config", config]}
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--config", _tiny_config(tmp_path), "--out", str(out)])
+        main(argv + declared.get(argv[0], ["--config", config, "--out", str(out)]))
     assert exc.value.code == 2
     assert not out.exists()
 
@@ -600,6 +616,16 @@ def test_replay_accepts_seed_and_threads(tmp_path):
     out = tmp_path / "run"
     assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
     assert main(["replay", "--seed", "20250809", "--out", str(out), "--threads", "1"]) == 0
+
+
+def test_replay_rejects_a_seed_other_than_the_runs(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--seed", "999", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "seed 999 differs from the seed 20250809" in captured.err
+    assert "replay audit passed" not in captured.out
 
 
 def test_benchmark_traced_names_resolve():
@@ -619,3 +645,12 @@ def test_benchmark_traced_names_resolve():
         if owner is None:
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the import time; only the assignment solver loads it.
+    src = str(Path(__file__).parents[1] / "src")
+    code = "import sys, shiftcp.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

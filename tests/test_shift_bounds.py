@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import wasserstein_distance
 
 from shiftcp.rng import RngStream
@@ -107,6 +108,27 @@ class TestW1Assignment:
             a = rng.normal(size=(n, 1))
             b = rng.normal(size=(n, 1))
             assert w1_assignment(a, b) == pytest.approx(w1_1d(a[:, 0], b[:, 0]), abs=1e-9)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.sampled_from([1, 2, 3]),
+        translation=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+        noise=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+    )
+    def test_reduced_costs_keep_the_plain_assignment_value(self, seed, n, d, translation, noise):
+        # Translated copies (noise 0) and translations large next to the noise
+        # are the near-degenerate instances the reduced costs are for.
+        g = np.random.default_rng(seed)
+        a = g.normal(size=(n, d))
+        b = a[g.permutation(n)] + translation * g.normal(size=d) + noise * g.normal(size=(n, d))
+        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        got = w1_assignment(a, b)
+        assert got == pytest.approx(cost[rows, cols].mean(), abs=1e-12)
+        # Kantorovich-Rubinstein: the 1-Lipschitz potential x -> <x, theta>
+        # certifies W1 >= |mean(b) - mean(a)|.
+        assert got >= np.linalg.norm(b.mean(axis=0) - a.mean(axis=0)) - 1e-12
 
     def test_size_mismatch_and_oversize_rejected(self):
         with pytest.raises(ValueError):
