@@ -35,6 +35,7 @@ from .pseudo import UncertaintyGrid, pseudo_calibrate, select_u_star, source_tun
 from .pseudo import _curve_with_thresholds
 from .rng import RngStream
 from .scores import (
+    LinearLogitMap,
     ScoredView,
     lipschitz_bound,
     population_hinge_loss,
@@ -164,6 +165,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method(s) {unknown}; choose from {list(METHODS)}")
         if not methods:
             raise ConfigError("methods must be nonempty")
+        if len(set(methods)) < len(methods):
+            raise ConfigError(f"methods must not repeat, got {list(methods)}")
 
         policy = merged["tau_policy"]
         kind = policy.get("kind", "none")
@@ -197,8 +200,11 @@ class ExperimentConfig:
         if epochs < 1 or learning_rate <= 0:
             raise ConfigError("train.epochs must be >= 1 and train.learning_rate positive")
 
+        seed = _integer("seed", merged["seed"])
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
         return cls(
-            seed=_integer("seed", merged["seed"]),
+            seed=seed,
             alpha=alpha,
             n_train=counts["n_train"],
             n_cal=counts["n_cal"],
@@ -403,9 +409,12 @@ def _assert_score_invariants(model, x, y) -> None:
 
 
 def train_model(cfg: ExperimentConfig):
-    """Train the fixed classifier used by every trial of a run."""
+    """Train the fixed classifier used by every trial of a run; a failed fit is a data error."""
     x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
-    return train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+    try:
+        return train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+    except ValueError as exc:
+        raise DataError(f"cannot train the classifier: {exc}") from exc
 
 
 def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream):
@@ -1010,6 +1019,28 @@ def run_selftest(seed: int = 7) -> list[tuple[str, bool]]:
             monotone &= cal.threshold >= prev  # thresholds grow as u shrinks
         prev = cal.threshold
     results.append(("threshold-monotone-in-randomization", monotone))
+
+    # Cutoff search vs the full source coverage curve. On the synthetic trial
+    # the unbounded cutoff qualifies; a map with confident class-2 errors
+    # makes the search bisect, and the same map reversed makes it fall back.
+    w, b = np.array([[3.0, 0.0], [1.5, 0.0], [0.0, 3.0]]), np.array([0.0, 0.0, -2.0])
+    y_sk = g.integers(1, 4, size=600)
+    x_sk = np.array([[1.5, 0.0], [2.5, 0.0], [0.0, 1.5]])[y_sk - 1] + 0.4 * g.standard_normal((600, 2))
+    cases = [(model, data.x_source, data.y_source, data.x_target_cal)] + [
+        (m, x_sk[:300], y_sk[:300], x_sk[300:]) for m in (LinearLogitMap(w, b), LinearLogitMap(-w, -b))
+    ]
+    grid = cfg.uncertainty_grid()
+    ok, picked = True, []
+    for m, x_src, y_src, x_tgt in cases:
+        tuning, cal = source_tuned_calibrate(m, x_src, y_src, x_tgt, cfg.alpha, grid=grid, rng=stream)
+        full = _curve_with_thresholds(m, x_src, y_src, cfg.alpha, grid, stream.substream("tune-source"))
+        u_star = select_u_star([(u, c) for u, c, _ in full], cfg.alpha)
+        ok &= tuning.u_star == u_star and set(tuning.coverage_curve) <= {(u, c) for u, c, _ in full}
+        ok &= cal == pseudo_calibrate(m, x_tgt, cfg.alpha, u=u_star, rng=stream.substream("tune-target"))
+        picked.append(u_star)
+    # The three cases reach the last grid point, an interior one and the first.
+    ok &= picked[0] == grid.values[-1] and grid.values[0] < picked[1] < grid.values[-1] and picked[2] == grid.values[0]
+    results.append(("tuned-search-vs-full-curve", ok))
     return results
 
 

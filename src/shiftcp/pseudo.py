@@ -3,10 +3,23 @@
 Hard pseudo-labels are the classifier's own predictions. Randomized
 pseudo-labels keep the prediction where the predictive entropy is at most a
 cutoff ``u`` and substitute a uniformly random class above it. The
-source-tuned procedure sweeps ``u`` over a grid, measures on labeled source
-data how much coverage each cutoff retains, picks the largest cutoff that
-keeps source coverage at the nominal level, and calibrates on the unlabeled
-target inputs with that cutoff.
+source-tuned procedure measures on labeled source data how much coverage a
+cutoff retains, picks the largest grid cutoff that keeps source coverage at
+the nominal level, and calibrates on the unlabeled target inputs with that
+cutoff.
+
+Search
+------
+The source coverage ``c_hat(u)`` is non-increasing in ``u`` for every draw:
+the hard-label score is the row minimum of the score matrix, so each point's
+pseudo-score can only fall as ``u`` grows, and with it the threshold and the
+count of true-label scores at or below it. The qualifying cutoffs are
+therefore a prefix of the grid, and :func:`source_tuned_calibrate` finds its
+end by probing the last grid point, then the first, then bisecting between
+them: one calibration when the unbounded cutoff qualifies and at most 7 on
+the default 33-point grid. It picks exactly the cutoff a full sweep would
+pick. :func:`source_coverage_curve` (and the ``tune`` subcommand)
+still evaluate every grid point.
 
 Coupling
 --------
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -75,7 +89,11 @@ class UncertaintyGrid:
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Trace of the source sweep: the chosen cutoff and the coverage curve."""
+    """The chosen cutoff and the source coverage at the cutoffs the search probed.
+
+    ``coverage_curve`` holds ``(u, c_hat)`` for the probed grid points only,
+    in ascending ``u``; :func:`source_coverage_curve` gives the full curve.
+    """
 
     u_star: float
     coverage_curve: tuple[tuple[float, float], ...]
@@ -157,22 +175,53 @@ def source_coverage_curve(
     return [(u, c) for u, c, _ in curve]
 
 
-def _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng):
+def _source_probe(model, x_source, y_source, alpha, rng):
+    """``probe(u) -> (u, c_hat, threshold)``: pseudo-calibrate the source at one cutoff.
+
+    The hard- and true-label scores are gathered once. The coupled uniform
+    draw is made at the first finite cutoff probed, and the entropy is
+    computed only then, so probing ``u = inf`` alone draws nothing.
+    """
     view = scored_view(model, x_source)
     if len(view) == 0:
         raise ValueError("source sample must be nonempty")
     true_scores = view.label_scores(y_source)
-    # Every cutoff mixes the same two gathers: the hard-label score and the
-    # score of the point's one coupled uniform draw.
     hard_scores = view.label_scores(view.hard)
-    uniform_scores = _uniform_scores(view, rng)
+    uniform_scores = cache(lambda: _uniform_scores(view, rng))
 
-    out = []
-    for u in grid.values:
-        cal = calibrate(_pseudo_scores(view, u, hard_scores, lambda: uniform_scores), alpha)
-        c_hat = float(np.mean(true_scores <= cal.threshold))
-        out.append((float(u), c_hat, cal.threshold))
-    return out
+    def probe(u):
+        cal = calibrate(_pseudo_scores(view, u, hard_scores, uniform_scores), alpha)
+        return float(u), float(np.mean(true_scores <= cal.threshold)), cal.threshold
+
+    return probe
+
+
+def _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng):
+    probe = _source_probe(model, x_source, y_source, alpha, rng)
+    return [probe(u) for u in grid.values]
+
+
+def _search_curve(probe, values, alpha):
+    """The probed points, ascending in ``u``, from which :func:`select_u_star` decides.
+
+    ``c_hat`` is non-increasing in ``u``, so the qualifying cutoffs form a
+    prefix of the grid: probe the last point, then the first, then bisect
+    while ``values[lo]`` qualifies and ``values[hi]`` does not.
+    """
+    last = probe(values[-1])
+    if last[1] >= 1.0 - alpha or len(values) == 1:
+        return [last]
+    lo, hi = 0, len(values) - 1
+    probed = {lo: probe(values[lo]), hi: last}
+    if probed[lo][1] >= 1.0 - alpha:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            probed[mid] = probe(values[mid])
+            if probed[mid][1] >= 1.0 - alpha:
+                lo = mid
+            else:
+                hi = mid
+    return [probed[i] for i in sorted(probed)]
 
 
 def select_u_star(curve, alpha: float) -> float:
@@ -200,17 +249,19 @@ def source_tuned_calibrate(
 ) -> tuple[TuningResult, CalibrationResult]:
     """Tune the entropy cutoff on labeled source data, then calibrate the target.
 
-    Runs the full pipeline: source coverage curve -> cutoff selection ->
-    randomized pseudo-calibration of the unlabeled target inputs at the chosen
-    cutoff. Source and target randomization use independent substreams of
-    ``rng``. Either sample may be a :class:`~shiftcp.scores.ScoredView`.
+    Runs the full pipeline: search of the source coverage curve -> cutoff
+    selection -> randomized pseudo-calibration of the unlabeled target inputs
+    at the chosen cutoff. Source and target randomization use independent
+    substreams of ``rng``. Either sample may be a
+    :class:`~shiftcp.scores.ScoredView`.
     """
     if rng is None:
         raise ValueError("source_tuned_calibrate requires an rng stream")
     source = scored_view(model, x_source)
     if grid is None:
         grid = UncertaintyGrid.default(source.n_classes)
-    trace = _curve_with_thresholds(model, source, y_source, alpha, grid, rng.substream("tune-source"))
+    probe = _source_probe(model, source, y_source, alpha, rng.substream("tune-source"))
+    trace = _search_curve(probe, grid.values, alpha)
     curve = [(u, c) for u, c, _ in trace]
     u_star = select_u_star(curve, alpha)
     source_threshold = next(thr for u, _, thr in trace if u == u_star)

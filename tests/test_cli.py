@@ -391,7 +391,8 @@ class TestCommandLine:
     def test_selftest_subcommand(self, tmp_path, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 6
+        assert out.count("PASS") >= 7
+        assert "tuned-search-vs-full-curve: PASS" in out
         assert "FAIL" not in out
 
     def test_config_error_exit_code(self, tmp_path):
@@ -519,6 +520,16 @@ EXIT_CASES = {
         3,
     ),
     "replay-tampered": (lambda p: ["replay", "--out", _tampered_run(p)], 4),
+    "methods-repeated": (lambda p: ["sweep", "--config", _tiny_config(p, methods=["source", "source"])], 2),
+    "priors-one-class": (lambda p: ["sweep", "--config", _tiny_config(p, source={"priors": [1, 0, 0]})], 3),
+    "class-means-overflow": (
+        lambda p: [
+            "sweep",
+            "--config",
+            _tiny_config(p, source={"class_means": [[1e200, 0.0], [-1e200, 1e200], [-1e200, -1e200]]}),
+        ],
+        3,
+    ),
 }
 
 
@@ -552,21 +563,41 @@ SEED_DIGESTS = {
     "bounds": {
         "bounds.json": "8fcb423b0fdeb801b2c10d9331201d27c8b5409a5044f29efc245475c678ea8a",
     },
+    "sweep_overlap": {
+        "records.csv": "3c39255a6155ba7f3a461020eaf7fee53912c63abc41fc015945cf970806181c",
+        "aggregate.csv": "b48d19cdb1708733fbbb908bcd34a9808e4e64b594694de42bb896817527e424",
+    },
 }
 # bounds runs at the benchmark's tiny bounds shape, where every class
 # exceeds the assignment limit, so its subsampled solves are pinned too.
-DIGEST_CONFIGS = {"bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]}}
+# sweep_overlap widens the source classes until tuning engages: 4 of its 6
+# source_tuned cells pick a finite cutoff, where the default config picks
+# u = inf everywhere.
+DIGEST_CONFIGS = {
+    "bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]},
+    "sweep_overlap": {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1, "source": {"class_cov_scale": 1.0}},
+}
 
 
 @pytest.mark.filterwarnings("ignore:subsampling:UserWarning")
-@pytest.mark.parametrize("command", sorted(SEED_DIGESTS))
-def test_outputs_match_recorded_digests(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(SEED_DIGESTS))
+def test_outputs_match_recorded_digests(tmp_path, case):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(command, {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1})))
+    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(case, {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1})))
     out = tmp_path / "run"
+    command = case.partition("_")[0]
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[command]}
-    assert got == SEED_DIGESTS[command]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[case]}
+    assert got == SEED_DIGESTS[case]
+
+
+def test_seed_outside_64_bits_is_a_config_error(tmp_path):
+    # RngStream keeps only the low 64 bits, so seed 2**70 would replay seed 0.
+    for seed in (2**64, 2**70, -1):
+        with pytest.raises(ConfigError, match="seed must lie in"):
+            ExperimentConfig.from_dict({"seed": seed})
+    assert main(["sweep", "--config", _tiny_config(tmp_path), "--seed", str(2**70), "--out", str(tmp_path / "o")]) == 2
+    assert ExperimentConfig.from_dict({"seed": 2**64 - 1}).seed == 2**64 - 1
 
 
 def _exit_code(argv) -> int:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcp.conformal import calibrate, coverage
 from shiftcp.pseudo import (
     UncertaintyGrid,
+    _curve_with_thresholds,
     hard_pseudo_label,
     pseudo_calibrate,
     randomized_pseudo_label,
@@ -16,7 +19,7 @@ from shiftcp.pseudo import (
     source_tuned_calibrate,
 )
 from shiftcp.rng import RngStream
-from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, score
+from shiftcp.scores import LinearLogitMap, ScoredView, predict, predictive_entropy, score
 from shiftcp.synthetic import generate_source
 
 
@@ -290,3 +293,57 @@ class TestSourceTunedCalibrate:
             for u in (0.0, 0.3, 0.7):
                 cal = pseudo_calibrate(trained_model, x_tgt, 0.2, u=u, rng=stream.substream("labels"))
                 assert coverage(trained_model, x_test, y_test, cal) >= hard_cov
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        n_classes=st.integers(2, 4),
+        ties=st.booleans(),
+        accuracy=st.sampled_from([0.0, 0.5, 0.8, 0.95, 1.0]),
+        grid_size=st.integers(1, 9),
+        unbounded=st.booleans(),
+        alpha=st.floats(0.02, 0.6),
+        skewed=st.booleans(),
+    )
+    def test_search_matches_the_full_curve(
+        self, seed, n, n_classes, ties, accuracy, grid_size, unbounded, alpha, skewed
+    ):
+        """The searched cutoff, its source threshold and the target threshold equal the full sweep's."""
+        g = np.random.default_rng(seed)
+        if skewed:
+            model = skewed_model()
+            x_src, y_src = skewed_data(n, RngStream(seed).substream("s"))
+            x_tgt, _ = skewed_data(n, RngStream(seed).substream("t"))
+            n_classes = 3
+        else:
+            def draw(size):
+                # Small integer logits make ties (and zero margins) common.
+                return g.integers(-2, 3, size=size).astype(float) if ties else g.normal(size=size)
+
+            model = None
+            x_src = ScoredView(draw((n, n_classes)))
+            x_tgt = ScoredView(draw((int(g.integers(1, 40)), n_classes)))
+            y_src = np.where(g.random(n) < accuracy, x_src.hard, g.integers(1, n_classes + 1, size=n))
+        finite = np.sort(g.choice(np.linspace(0.0, 1.2 * math.log(n_classes), 40), grid_size, replace=False))
+        grid = UncertaintyGrid(np.append(finite[: grid_size - 1], np.inf) if unbounded else finite)
+        rng = RngStream(seed).substream("labels")
+
+        tuning, cal = source_tuned_calibrate(model, x_src, y_src, x_tgt, alpha, grid=grid, rng=rng)
+
+        full = _curve_with_thresholds(model, x_src, y_src, alpha, grid, rng.substream("tune-source"))
+        u_star = select_u_star([(u, c) for u, c, _ in full], alpha)
+        assert tuning.u_star == u_star
+        assert tuning.source_threshold_at_u_star == next(thr for u, _, thr in full if u == u_star)
+        assert cal == pseudo_calibrate(model, x_tgt, alpha, u=u_star, rng=rng.substream("tune-target"))
+        probed = [u for u, _ in tuning.coverage_curve]
+        assert probed == sorted(set(probed))
+        full_c = {u: c for u, c, _ in full}
+        assert all(full_c[u] == c for u, c in tuning.coverage_curve)
+
+    def test_search_probes_once_when_the_unbounded_cutoff_qualifies(self, trained_model, three_class_source):
+        x_src, y_src = generate_source(three_class_source, 300, RngStream(58).substream("s"))
+        x_tgt, _ = generate_source(three_class_source, 300, RngStream(58).substream("t"))
+        tuning, _ = source_tuned_calibrate(trained_model, x_src, y_src, x_tgt, 0.2, rng=RngStream(58).substream("l"))
+        assert math.isinf(tuning.u_star)
+        assert len(tuning.coverage_curve) == 1
