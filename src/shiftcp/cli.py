@@ -11,8 +11,11 @@ emitted thresholds, and ``selftest`` runs the built-in oracle equivalence
 suite.
 
 All outputs are machine-readable (CSV/JSON); a resolved copy of the
-configuration is written next to them so each run is self-describing. Runs
-are deterministic for a fixed config and seed regardless of ``--threads``.
+configuration is written next to them so each run is self-describing.
+``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
+and ``replay`` out to forked worker processes; every cell draws from its own
+stream address, so runs are byte-identical for a fixed config and seed
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import copy
 import csv
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -408,13 +413,24 @@ def _assert_score_invariants(model, x, y) -> None:
             raise InvariantError("score excess exceeded twice the negated margin on a misclassified point")
 
 
-def train_model(cfg: ExperimentConfig):
-    """Train the fixed classifier used by every trial of a run; a failed fit is a data error."""
+def _train(cfg: ExperimentConfig):
+    """The run's training split and the classifier fitted on it: (model, x, y).
+
+    A failed fit is a data error. An overflowing fit raises no numpy warning:
+    its non-finite weights fail the model's own check instead.
+    """
     x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
     try:
-        return train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
     except ValueError as exc:
         raise DataError(f"cannot train the classifier: {exc}") from exc
+    return model, x, y
+
+
+def train_model(cfg: ExperimentConfig):
+    """Train the fixed classifier used by every trial of a run; a failed fit is a data error."""
+    return _train(cfg)[0]
 
 
 def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream):
@@ -525,24 +541,51 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     return _evaluate_cell(cfg, model, data, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
+# Chunks of cells per worker process. Fewer, larger chunks pickle the bound
+# config and model less often; more chunks even out cells of unequal cost.
+_CHUNKS_PER_WORKER = 4
+
+def _workers(threads: int, n_items: int) -> int:
+    """Worker processes for ``n_items`` CPU-bound items: no more than asked for, than items or than usable cores."""
+    return min(threads, n_items, len(os.sched_getaffinity(0)))
+
+
 def _map(fn, items: list, threads: int) -> list:
-    """``[fn(item) for item in items]``, on ``threads`` worker threads when above 1."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(*args) for args in items]``, fanned out to forked worker processes.
+
+    The items go in contiguous chunks to :func:`_workers` processes, so what
+    ``fn`` binds (config, model) is pickled once per chunk, and the results
+    come back in order. Each item draws from its own stream address, so the
+    result is the same for any worker count. Fork starts a worker without
+    re-importing anything, but it is safe only in a single-threaded process:
+    the loop runs in-process at one worker and whenever another thread is
+    alive, for example when a threaded program embeds :func:`run_sweep`. The
+    executor forks all its workers before it starts its own manager thread.
+    A worker's exception is re-raised here with its type, so the exit code
+    does not depend on the worker count.
+    """
+    workers = _workers(threads, len(items))
+    if workers <= 1 or threading.active_count() > 1:
+        return [fn(*args) for args in items]
+    # Imported here: they would add to every ``import shiftcp.cli``.
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    chunksize = math.ceil(len(items) / (_CHUNKS_PER_WORKER * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, *zip(*items), chunksize=chunksize))
 
 
 def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list[TrialRecord]:
     """The records ``worker(sigma_idx, trial)`` returns for every cell, in grid order."""
     cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
-    return [rec for chunk in _map(lambda cell: worker(*cell), cells, threads) for rec in chunk]
+    return [rec for chunk in _map(worker, cells, threads) for rec in chunk]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    records = _parallel_trials(cfg, lambda si, t: run_trial(cfg, model, si, t), threads)
+    records = _parallel_trials(cfg, partial(run_trial, cfg, model), threads)
     records.sort(key=lambda r: (cfg.methods.index(r.method), r.sigma, r.trial))
     return records, aggregate_records(records)
 
@@ -603,6 +646,21 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     return {"sigma": sigma, "ramp_target_oracle": population_ramp_loss(model, target, y_tgt), **design}
 
 
+def _tau_trial(cfg: ExperimentConfig, model, diagnostics: list[dict], si: int, t: int) -> list[TrialRecord]:
+    """The unadjusted and the slack-adjusted record of one (sigma, trial) cell."""
+    diag = diagnostics[si]
+    x_cal, _ = _target_split(cfg, si, t, "target-cal", cfg.n_cal)
+    x_test, y_test = _target_split(cfg, si, t, "target-test", cfg.n_test)
+    test = scored_view(model, x_test)
+    _assert_score_invariants(model, test, y_test)
+    cal = pseudo_calibrate(model, x_cal, cfg.alpha)
+    out = []
+    for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
+        cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
+        out.append(_record(model, test, y_test, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
+    return out
+
+
 def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Hard pseudo-calibration with and without the designed threshold slack.
 
@@ -611,21 +669,7 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
     """
     model = train_model(cfg)
     diagnostics = [tau_diagnostics(cfg, model, si) for si in range(len(cfg.sigma_grid))]
-
-    def worker(si: int, t: int) -> list[TrialRecord]:
-        diag = diagnostics[si]
-        x_cal, _ = _target_split(cfg, si, t, "target-cal", cfg.n_cal)
-        x_test, y_test = _target_split(cfg, si, t, "target-test", cfg.n_test)
-        test = scored_view(model, x_test)
-        _assert_score_invariants(model, test, y_test)
-        cal = pseudo_calibrate(model, x_cal, cfg.alpha)
-        out = []
-        for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
-            cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
-            out.append(_record(model, test, y_test, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
-        return out
-
-    records = _parallel_trials(cfg, worker, threads)
+    records = _parallel_trials(cfg, partial(_tau_trial, cfg, model, diagnostics), threads)
     method_order = {"hard_pseudo": 0, "tau_adjusted": 1}
     records.sort(key=lambda r: (method_order[r.method], r.sigma, r.trial))
     return records, diagnostics
@@ -639,10 +683,14 @@ def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
     """Source-side quantities shared by every entry of a bounds report."""
     source = scored_view(model, x_src)
     src_scores = score(model, source, y_src)
+    try:
+        sup_density = sup_density_estimate(src_scores)
+    except ValueError as exc:
+        raise DataError(f"source_test scores: {exc}") from exc
     return {
         "cal_scores": score(model, x_cal, y_cal),
         "src_scores": src_scores,
-        "sup_density": sup_density_estimate(src_scores),
+        "sup_density": sup_density,
         "ramp_source": population_ramp_loss(model, source, y_src),
         "hinge_source": population_hinge_loss(model, source, y_src),
         "undercoverage_gap": undercoverage_gap_estimate(model, source, y_src, alpha),
@@ -732,6 +780,8 @@ def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> d
     model = logit_table_as_map(table)
     splits = {tag: (table.features(tag), table.labels_for(tag)) for tag in ("source_cal", "source_test", "target_test")}
     for name, (_, y) in splits.items():
+        if y.size == 0:
+            raise DataError(f"split {name} has no rows; bounds need source_cal, source_test and target_test")
         if (np.asarray(y) == 0).any():
             raise DataError(f"split {name} contains MISSING labels; cannot measure losses")
 
@@ -876,6 +926,21 @@ def _replay_records(cfg: ExperimentConfig, model, view: ScoredView, y, group) ->
     return mismatches
 
 
+def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[str, str], group) -> list[str]:
+    """Mismatch messages of one cell's records; ``table_split`` is the scored logit-table split, if any."""
+    if table_split is not None:
+        return _replay_records(cfg, model, *table_split, group)
+    sigma_text, trial_text = cell
+    try:
+        sigma_idx, trial = cfg.sigma_grid.index(float(sigma_text)), int(trial_text)
+    except ValueError:
+        sigma_idx, trial = None, -1
+    if not 0 <= trial < cfg.trials:
+        return [f"{name}: sigma {sigma_text} trial {trial_text} is not a cell of the config grid" for name, _ in group]
+    x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
+    return _replay_records(cfg, model, scored_view(model, x_tt), y_tt, group)
+
+
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     """Recompute every emitted coverage/ESS from the emitted thresholds.
 
@@ -883,9 +948,9 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     evaluation split from its derived streams and scores it once, then checks
     that coverage and ESS, formatted identically, match the cell's records
     byte for byte. A cell's view is dropped once its records are checked;
-    ``threads`` workers audit cells in parallel. A ``seed`` other than the
-    run's recorded seed is a :class:`ConfigError`. Returns the number of
-    audited rows; raises :class:`InvariantError` on any mismatch.
+    up to ``threads`` worker processes audit cells in parallel. A ``seed``
+    other than the run's recorded seed is a :class:`ConfigError`. Returns the
+    number of audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
     config_path = out / "config.json"
@@ -902,6 +967,7 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if not candidates:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
+    table_split = None
     if logits_path is not None:
         table = load_logit_table(logits_path)
         model = logit_table_as_map(table)
@@ -914,19 +980,7 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
         for row in read_records_csv(path):
             cells.setdefault((row["sigma"], row["trial"]), []).append((path.name, row))
 
-    def audit(cell) -> list[str]:
-        (sigma_text, trial_text), group = cell
-        if logits_path is not None:
-            return _replay_records(cfg, model, *table_split, group)
-        try:
-            sigma_idx, trial = cfg.sigma_grid.index(float(sigma_text)), int(trial_text)
-        except ValueError:
-            sigma_idx, trial = None, -1
-        if not 0 <= trial < cfg.trials:
-            return [f"{name}: sigma {sigma_text} trial {trial_text} is not a cell of the config grid" for name, _ in group]
-        x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
-        return _replay_records(cfg, model, scored_view(model, x_tt), y_tt, group)
-
+    audit = partial(_audit_cell, cfg, model, table_split)
     mismatches = [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
     audited = sum(len(group) for group in cells.values())
     for msg in mismatches:
@@ -1071,8 +1125,7 @@ def _cmd_gen(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    model = train_model(cfg)
-    x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
+    model, x, y = _train(cfg)
     acc = float(np.mean(predict(model, x) == y))
     payload = {
         "weights": model.weights.tolist(),
@@ -1190,7 +1243,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "selftest":
             p.add_argument("--out", default="shiftcp-out", help="output directory (replay: the run to audit)")
         if name in ("sweep", "tau", "replay"):
-            p.add_argument("--threads", type=int, default=1, help="worker threads for trial evaluation")
+            p.add_argument("--threads", type=int, default=1, help="worker processes for the trial cells (at least 1)")
         if name in ("sweep", "bounds"):
             p.add_argument("--logits", default=None, help="ingest externally computed logits from this CSV table")
     return parser
@@ -1199,6 +1252,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         # A flag the subcommand does not declare is passed on as None.
         cfg = load_config(args.config, seed_override=args.seed) if "config" in args else None
         out = Path(args.out) if "out" in args else None

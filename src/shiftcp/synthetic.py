@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DataError, InvariantError
+from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
 from .scores import LinearLogitMap, row_max
 
@@ -144,7 +144,11 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
             return eps
         eps[bad] = scale * g.standard_normal((bad.size, d))
         bad = bad[np.linalg.norm(eps[bad], axis=1) > radius]
-    raise InvariantError("clipped-noise rejection sampling did not converge; radius is too small for the noise scale")
+    raise ConfigError(
+        f"shift.clip_radius is too small for shift.noise_scale: rejection sampling of the clipped noise "
+        f"(radius {radius:.4g}, scale {scale:.4g} at this shift strength) did not converge in "
+        f"{_MAX_REJECTION_ROUNDS} rounds; use a larger radius or shift.clip_mode \"project\""
+    )
 
 
 def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:

@@ -30,6 +30,7 @@ from shiftcp.scores import (
     population_ramp_loss,
     predict,
     score,
+    scored_view,
 )
 from shiftcp.shift_bounds import relaxed_coverage_lower_bound, tau_correction, w1_1d, w1_assignment
 from shiftcp.synthetic import apply_shift, generate_source
@@ -181,10 +182,11 @@ def test_c06_relaxed_coverage_bound(default_cfg, default_model):
         for t in range(default_cfg.trials):
             data = make_trial_data(default_cfg, si, t)
             cal = pseudo_calibrate(default_model, data.x_target_cal, default_cfg.alpha)
-            ramp_tgt = population_ramp_loss(default_model, data.x_target_test, data.y_target_test)
-            hinge_tgt = population_hinge_loss(default_model, data.x_target_test, data.y_target_test)
+            test = scored_view(default_model, data.x_target_test)  # scored once for all seven uses
+            ramp_tgt = population_ramp_loss(default_model, test, data.y_target_test)
+            hinge_tgt = population_hinge_loss(default_model, test, data.y_target_test)
             for tau in taus:
-                covs[tau].append(coverage(default_model, data.x_target_test, data.y_target_test, cal, tau))
+                covs[tau].append(coverage(default_model, test, data.y_target_test, cal, tau))
                 bounds[tau].append(relaxed_coverage_lower_bound(default_cfg.alpha, ramp_tgt, hinge_tgt, tau))
         bound_means = []
         for tau in taus:

@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,9 @@ from shiftcp.cli import (
     ExperimentConfig,
     TrialData,
     _calibrate_method,
+    _map,
     _tune_stream,
+    _workers,
     aggregate_records,
     main,
     make_trial_data,
@@ -485,6 +489,19 @@ def _one_source_row_table(tmp_path) -> str:
     return str(path)
 
 
+def _bounds_table(tmp_path, tied_source_test=False, target_test=True) -> str:
+    """A logit table for ``bounds --logits``: tied source_test scores or no target_test rows on request."""
+    rng = np.random.default_rng(6)
+    tags = ["source_cal"] * 20 + ["source_test"] * 20 + ["target_test"] * (20 if target_test else 0)
+    labels = rng.integers(1, 4, size=len(tags))
+    logits = rng.normal(size=(len(tags), 3))
+    if tied_source_test:
+        labels[20:40], logits[20:40] = 1, [2.0, 0.5, 0.0]
+    path = tmp_path / "bounds_table.csv"
+    write_logit_table(path, tags, labels, logits)
+    return str(path)
+
+
 def _tampered_run(tmp_path) -> str:
     out = tmp_path / "run"
     assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
@@ -509,6 +526,20 @@ EXIT_CASES = {
         lambda p: ["sweep", "--config", _tiny_config(p, n_cal=1, tau_policy={"kind": "tau_design"})],
         3,
     ),
+    # With two usable cores each of the two cells goes to its own worker process,
+    # so the error is raised inside a worker.
+    "tau-design-one-cal-point-2-workers": (
+        lambda p: ["sweep", "--config", _tiny_config(p, n_cal=1, tau_policy={"kind": "tau_design"}), "--threads", "2"],
+        3,
+    ),
+    "clip-radius-below-noise": (lambda p: ["sweep", "--config", _tiny_config(p, shift={"clip_radius": 0.0001})], 2),
+    "clip-radius-below-noise-2-workers": (
+        lambda p: ["sweep", "--config", _tiny_config(p, shift={"clip_radius": 0.0001}), "--threads", "2"],
+        2,
+    ),
+    "threads-below-one": (lambda p: ["sweep", "--config", _tiny_config(p), "--threads", "-3"], 2),
+    "bounds-logits-tied-source-test": (lambda p: ["bounds", "--logits", _bounds_table(p, tied_source_test=True)], 3),
+    "bounds-logits-no-target-test": (lambda p: ["bounds", "--logits", _bounds_table(p, target_test=False)], 3),
     "table-tau-design-one-source-row": (
         lambda p: [
             "sweep",
@@ -539,13 +570,18 @@ def test_exit_code_contract(tmp_path, case):
     argv = build(tmp_path)
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
-    assert main(argv) == expected
+    # A failure is reported by its exit code and message alone, never by numpy
+    # warnings on the way there (an overflowing classifier fit, for one).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == expected
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # sha256 of the outputs at this shape and seed 20250809. records.csv and
 # tau_records.csv are the behavioural contract of the CLI: a change that moves
 # these digests must say why. The other files pin the aggregates, the tau
-# diagnostics and the tuning trace that the same run writes.
+# diagnostics, the tuning trace and the fitted classifier.
 SEED_DIGESTS = {
     "sweep": {
         "records.csv": "7f771a8ba5dc844c86284278172e2d79dd7af0f38e43db1a41f66f700f49f0fe",
@@ -566,6 +602,9 @@ SEED_DIGESTS = {
     "sweep_overlap": {
         "records.csv": "3c39255a6155ba7f3a461020eaf7fee53912c63abc41fc015945cf970806181c",
         "aggregate.csv": "b48d19cdb1708733fbbb908bcd34a9808e4e64b594694de42bb896817527e424",
+    },
+    "train": {
+        "classifier.json": "38c5a5e9663d1bdfb7f2b2296162f2e501cc064657ae7c100025f5570ad0f340",
     },
 }
 # bounds runs at the benchmark's tiny bounds shape, where every class
@@ -676,6 +715,57 @@ def test_benchmark_traced_names_resolve():
         if owner is None:
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_cli_import_leaves_process_pool_modules_unloaded():
+    # Only a call that forks workers imports them; every import of the CLI would pay otherwise.
+    src = str(Path(__file__).parents[1] / "src")
+    code = "import sys, shiftcp.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_worker_count_is_capped_by_cores_and_items(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [_workers(threads, 30) for threads in (1, 2, 4)] == [1, 1, 1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert [_workers(threads, 30) for threads in (1, 2, 4)] == [1, 2, 2]
+    assert _workers(4, 1) == 1
+
+
+def _item_and_pid(item: int) -> tuple[int, int]:
+    return item, os.getpid()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable cores")
+def test_map_runs_items_in_forked_workers_in_order():
+    out = _map(_item_and_pid, [(i,) for i in range(7)], 2)
+    assert [item for item, _ in out] == list(range(7))
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+
+def test_map_stays_in_process_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        out = _map(_item_and_pid, [(i,) for i in range(4)], 2)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert out == [(i, os.getpid()) for i in range(4)]
+
+
+def test_tau_deterministic_across_workers(tmp_path):
+    config = _tiny_config(tmp_path)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["tau", "--config", config, "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["tau", "--config", config, "--out", str(out2), "--threads", "2"]) == 0
+    for name in ("tau_records.csv", "tau_aggregate.csv", "tau_diagnostics.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
