@@ -49,10 +49,7 @@ from .scores import (
     scored_view,
 )
 from .shift_bounds import (
-    BoundInputs,
-    BoundReport,
     coverage_gap_bound,
-    evaluate_bounds,
     kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,

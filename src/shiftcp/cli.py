@@ -36,8 +36,7 @@ import numpy as np
 
 from .conformal import CalibrationResult, calibrate, coverage, expected_set_size, integrated_coverage_gap
 from .exceptions import ConfigError, DataError, InvariantError
-from .pseudo import UncertaintyGrid, pseudo_calibrate, select_u_star, source_tuned_calibrate
-from .pseudo import _curve_with_thresholds
+from .pseudo import UncertaintyGrid, _curve_with_thresholds, pseudo_calibrate, select_u_star, source_tuned_calibrate
 from .rng import RngStream
 from .scores import (
     LinearLogitMap,
@@ -161,6 +160,13 @@ class ExperimentConfig:
             raise ConfigError("sigma_grid values must be nonnegative")
         if any(b <= a for a, b in zip(sigma_grid, sigma_grid[1:])):
             raise ConfigError("sigma_grid must be strictly ascending")
+        # The certificate grows with sigma; an overflowing one would feed inf into the bounds.
+        with np.errstate(over="ignore"):
+            rho_max = shift.scaled(sigma_grid[-1]).per_class_rho()
+        if not np.isfinite(rho_max).all():
+            raise ConfigError(
+                f"shift.per_class_translation / shift.clip_radius overflow the certified radius at sigma {sigma_grid[-1]}"
+            )
 
         if not isinstance(merged["methods"], list) or not all(isinstance(m, str) for m in merged["methods"]):
             raise ConfigError("methods must be a list of method names")
@@ -262,8 +268,7 @@ class ExperimentConfig:
 
     def rho_mix_certified(self, sigma: float) -> float:
         """Generator-certified mixture shift bound at strength sigma."""
-        per_class = self.shift_spec.scaled(sigma).per_class_rho()
-        return float(self.source_spec.priors @ per_class)
+        return rho_mix(self.source_spec.priors, self.shift_spec.scaled(sigma).per_class_rho())
 
 
 def _integer(name: str, value) -> int:
@@ -416,12 +421,12 @@ def _assert_score_invariants(model, x, y) -> None:
 def _train(cfg: ExperimentConfig):
     """The run's training split and the classifier fitted on it: (model, x, y).
 
-    A failed fit is a data error. An overflowing fit raises no numpy warning:
-    its non-finite weights fail the model's own check instead.
+    A failed fit is a data error. An overflowing draw or fit raises no numpy
+    warning: its non-finite weights fail the model's own check instead.
     """
-    x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
             model = train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
     except ValueError as exc:
         raise DataError(f"cannot train the classifier: {exc}") from exc
@@ -748,14 +753,10 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
         rho_certified = cfg.shift_spec.scaled(sigma).rho_true
         rho_mix_cert = cfg.rho_mix_certified(sigma)
         w1_bound = score_shift_w1_bound(lip, rho_certified)
-        k = cfg.source_spec.n_classes
-        class_rows = [np.nonzero(yb == c)[0] for c in range(1, k + 1)]
-        per_class_w1 = None
-        rho_mix_measured = None
+        class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
+        per_class_w1 = rho_mix_measured = None
         if all(rows.size >= 2 for rows in class_rows):
-            per_class_w1 = [
-                w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows
-            ]
+            per_class_w1 = [w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows]
             rho_mix_measured = rho_mix(cfg.source_spec.priors, per_class_w1)
 
         entry = _measured_entry(model, cfg.alpha, cfg.tau_grid, src, x_tgt, yb)

@@ -6,14 +6,14 @@ shifts, a histogram plug-in for the score density sup, and the coverage
 lower bounds they feed: the Lipschitz bound on score-distribution shift, the
 density-times-W1 coverage-gap bound, the pseudo-calibration coverage floor,
 its tau-relaxed refinement, and the tau design rule that targets a desired
-coverage level from source-measurable quantities.
+coverage level from source-measurable quantities. Each function checks its
+own inputs; the ``bounds`` subcommand assembles the family into bounds.json.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def sup_density_estimate(scores) -> float:
 
     Uses ``ceil(sqrt(n))`` equal-width bins over the sample range and returns
     the largest ``count / (n * width)``. Undefined (raises) when all scores
-    coincide, since an atom has no density.
+    coincide, since an atom has no density, or span too little to resolve.
     """
     s = _as_sample_1d(scores, "scores")
     lo, hi = float(s.min()), float(s.max())
@@ -178,7 +178,10 @@ def sup_density_estimate(scores) -> float:
     bins = math.ceil(math.sqrt(n))
     counts, _ = np.histogram(s, bins=bins, range=(lo, hi))
     width = (hi - lo) / bins
-    return float(counts.max() / (n * width))
+    density = float(counts.max()) / (n * width) if width > 0 else math.inf
+    if not math.isfinite(density):
+        raise ValueError(f"sup density overflows: the score sample spans only {hi - lo:.3g}")
+    return density
 
 
 def coverage_gap_bound(sup_density: float, w1: float) -> float:
@@ -260,77 +263,3 @@ def kantorovich_rubinstein_holds(f_values_p, f_values_q, lipschitz: float, w1: f
     fp = _as_sample_1d(f_values_p, "f_values_p")
     fq = _as_sample_1d(f_values_q, "f_values_q")
     return abs(fp.mean() - fq.mean()) <= lipschitz * w1 + slack
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Measured and certified quantities feeding the coverage bounds."""
-
-    alpha: float
-    ramp_source: float
-    hinge_source: float
-    lipschitz: float
-    rho: float
-    rho_mix: float
-    sup_density: float
-    ramp_target: float | None = None
-    hinge_target: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("ramp_source", "hinge_source", "lipschitz", "rho", "rho_mix", "sup_density"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("ramp_target", "hinge_target"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Every bound evaluated from one set of inputs.
-
-    ``relaxed_coverage_lower`` tabulates the tau-relaxed floor over a tau
-    grid (monotone non-decreasing); target-loss entries are None when the
-    oracle target losses were not supplied.
-    """
-
-    w1_score_bound: float
-    coverage_gap_bound: float
-    pseudo_coverage_lower: float
-    relaxed_coverage_lower: tuple[tuple[float, float], ...] | None
-    tau_rule: float | None = None
-    undercoverage_gap: float | None = None
-
-
-def evaluate_bounds(
-    inputs: BoundInputs,
-    tau_grid=(0.0, 0.5, 1.0, 2.0, 4.0),
-    undercoverage_gap: float | None = None,
-) -> BoundReport:
-    """Evaluate the full bound family from one :class:`BoundInputs` bundle."""
-    w1_bound = score_shift_w1_bound(inputs.lipschitz, inputs.rho)
-    gap_bound = coverage_gap_bound(inputs.sup_density, w1_bound)
-    floor = pseudo_coverage_lower_bound(inputs.alpha, inputs.ramp_source, inputs.lipschitz, inputs.rho_mix)
-
-    relaxed = None
-    if inputs.ramp_target is not None and inputs.hinge_target is not None:
-        relaxed = tuple(
-            (float(t), relaxed_coverage_lower_bound(inputs.alpha, inputs.ramp_target, inputs.hinge_target, float(t)))
-            for t in tau_grid
-        )
-
-    tau_rule = None
-    if undercoverage_gap is not None and inputs.hinge_target is not None:
-        tau_rule = tau_correction(inputs.hinge_source, inputs.hinge_target, undercoverage_gap)
-
-    return BoundReport(
-        w1_score_bound=w1_bound,
-        coverage_gap_bound=gap_bound,
-        pseudo_coverage_lower=floor,
-        relaxed_coverage_lower=relaxed,
-        tau_rule=tau_rule,
-        undercoverage_gap=undercoverage_gap,
-    )

@@ -32,6 +32,10 @@ MISSING_LABEL = 0
 
 _MAX_REJECTION_ROUNDS = 10_000
 
+#: Largest logit magnitude a table may hold: scores are logit differences and
+#: the bounds take score differences, so both must stay finite.
+_MAX_ABS_LOGIT = np.finfo(float).max / 8
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -128,6 +132,9 @@ def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarra
     return x, y
 
 
+# A draw or norm that overflows lies beyond any radius: resampling rejects it,
+# and projection cannot rescale it.
+@np.errstate(over="ignore")
 def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np.random.Generator) -> np.ndarray:
     if scale == 0.0 or radius == 0.0:
         # radius 0 clips the noise entirely; no rejection loop.
@@ -135,6 +142,8 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
     eps = scale * g.standard_normal((n, d))
     if mode == "project":
         norms = np.linalg.norm(eps, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise ConfigError(f"shift.noise_scale {scale:.4g} at this shift strength overflows the noise norms")
         factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
         return eps * factor
     # An accepted row never changes, so each round re-checks only the rows it redrew.
@@ -300,8 +309,8 @@ def load_logit_table(path) -> LogitTable:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         expected_prefix = ["split", "label"]
-        if header[:2] != expected_prefix or len(header) < 3:
-            raise DataError(f"{path}: line 1: header must start with 'split,label,logit_0,...'")
+        if header[:2] != expected_prefix or len(header) < 4:
+            raise DataError(f"{path}: line 1: header must start with 'split,label,logit_0,logit_1' (K >= 2 classes)")
         k = len(header) - 2
         if header[2:] != [f"logit_{i}" for i in range(k)]:
             raise DataError(f"{path}: line 1: logit columns must be named logit_0..logit_{k - 1}")
@@ -329,8 +338,8 @@ def load_logit_table(path) -> LogitTable:
                 values = [float(v) for v in row[2:]]
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric logit") from None
-            if not all(np.isfinite(values)):
-                raise DataError(f"{path}: line {lineno}: non-finite logit")
+            if not all(abs(v) <= _MAX_ABS_LOGIT for v in values):
+                raise DataError(f"{path}: line {lineno}: logits must be finite and within +-{_MAX_ABS_LOGIT:.4g}")
             splits.append(tag)
             labels.append(label)
             rows.append(values)

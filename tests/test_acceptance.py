@@ -7,8 +7,10 @@ refers to the default sweep.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,8 +348,6 @@ def test_c11_score_relation_invariants(default_cfg, default_model):
 
 def test_c12_thread_determinism(default_cfg, tmp_path):
     """Identical records bytes regardless of the worker thread count."""
-    import json
-
     cfg_path = tmp_path / "config.json"
     small = {**default_cfg.resolved(), "trials": 10, "n_train": 1000, "n_cal": 400, "n_test": 600}
     cfg_path.write_text(json.dumps(small))
@@ -358,4 +358,24 @@ def test_c12_thread_determinism(default_cfg, tmp_path):
     b2 = (out2 / "records.csv").read_bytes()
     ok = b1 == b2 and len(b1) > 0
     _report(12, "thread-determinism", ok, f"bytes={len(b1)} identical={b1 == b2}")
+    assert ok
+
+
+def test_c13_source_tuned_beats_hard_pseudo_on_overlap():
+    """Overlapping classes (configs/overlap.json): source tuning lifts coverage and keeps sets nontrivial."""
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "overlap.json").read_text())
+    cfg = ExperimentConfig.from_dict({**raw, "trials": 20, "methods": ["hard_pseudo", "source_tuned"]})
+    records, _ = run_sweep(cfg, threads=2)
+    by_method = {m: {(r.sigma, r.trial): r for r in records if r.method == m} for m in cfg.methods}
+    hard, tuned = by_method["hard_pseudo"], by_method["source_tuned"]
+    k = cfg.source_spec.n_classes
+    ok, details = True, []
+    for sigma in (s for s in cfg.sigma_grid if s >= 0.8):
+        cells = [(sigma, t) for t in range(cfg.trials)]
+        diff = np.array([tuned[c].coverage - hard[c].coverage for c in cells])
+        se = float(diff.std(ddof=1) / math.sqrt(diff.size))
+        ess = float(np.mean([tuned[c].ess for c in cells]))
+        ok &= diff.mean() >= 3 * se and ess < k
+        details.append(f"sigma={sigma} gain={diff.mean():.3f} se={se:.4f} ess={ess:.2f}")
+    _report(13, "source-tuned-on-overlap", ok, "; ".join(details))
     assert ok

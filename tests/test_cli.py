@@ -489,16 +489,25 @@ def _one_source_row_table(tmp_path) -> str:
     return str(path)
 
 
-def _bounds_table(tmp_path, tied_source_test=False, target_test=True) -> str:
-    """A logit table for ``bounds --logits``: tied source_test scores or no target_test rows on request."""
+def _bounds_table(tmp_path, tied_source_test=False, target_test=True, extreme_logits=False) -> str:
+    """A logit table for ``bounds --logits``, on request with tied source_test scores, no target_test
+    rows or logits near the float limit."""
     rng = np.random.default_rng(6)
     tags = ["source_cal"] * 20 + ["source_test"] * 20 + ["target_test"] * (20 if target_test else 0)
     labels = rng.integers(1, 4, size=len(tags))
     logits = rng.normal(size=(len(tags), 3))
     if tied_source_test:
         labels[20:40], logits[20:40] = 1, [2.0, 0.5, 0.0]
+    if extreme_logits:
+        logits[20] = [1e308, 5.0, -1e308]
     path = tmp_path / "bounds_table.csv"
     write_logit_table(path, tags, labels, logits)
+    return str(path)
+
+
+def _one_class_table(tmp_path) -> str:
+    path = tmp_path / "one_class.csv"
+    write_logit_table(path, ["source_cal", "target_cal", "target_test"], [1, 1, 1], [[0.5], [0.2], [0.1]])
     return str(path)
 
 
@@ -513,6 +522,9 @@ def _tampered_run(tmp_path) -> str:
     records.write_text("\n".join(lines) + "\n")
     return str(out)
 
+
+# Finite translations whose certified radius overflows at sigma 0.8.
+_OVERFLOWING_SHIFT = {"per_class_translation": [[1e160, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
 # Each case builds the argv of one CLI call in a temporary directory.
 EXIT_CASES = {
@@ -537,9 +549,22 @@ EXIT_CASES = {
         lambda p: ["sweep", "--config", _tiny_config(p, shift={"clip_radius": 0.0001}), "--threads", "2"],
         2,
     ),
+    "shift-radius-overflow-bounds": (lambda p: ["bounds", "--config", _tiny_config(p, shift=_OVERFLOWING_SHIFT)], 2),
+    "shift-radius-overflow-sweep": (lambda p: ["sweep", "--config", _tiny_config(p, shift=_OVERFLOWING_SHIFT)], 2),
+    "noise-scale-overflow-resample": (lambda p: ["sweep", "--config", _tiny_config(p, shift={"noise_scale": 1e308})], 2),
+    "noise-scale-overflow-project": (
+        lambda p: ["sweep", "--config", _tiny_config(p, shift={"noise_scale": 1e200, "clip_mode": "project"})],
+        2,
+    ),
     "threads-below-one": (lambda p: ["sweep", "--config", _tiny_config(p), "--threads", "-3"], 2),
+    "bounds-learning-rate-subnormal": (
+        lambda p: ["bounds", "--config", _tiny_config(p, train={"learning_rate": 5e-324})],
+        3,
+    ),
     "bounds-logits-tied-source-test": (lambda p: ["bounds", "--logits", _bounds_table(p, tied_source_test=True)], 3),
+    "bounds-logits-near-float-limit": (lambda p: ["bounds", "--logits", _bounds_table(p, extreme_logits=True)], 3),
     "bounds-logits-no-target-test": (lambda p: ["bounds", "--logits", _bounds_table(p, target_test=False)], 3),
+    "table-one-class": (lambda p: ["sweep", "--logits", _one_class_table(p)], 3),
     "table-tau-design-one-source-row": (
         lambda p: [
             "sweep",
@@ -553,6 +578,7 @@ EXIT_CASES = {
     "replay-tampered": (lambda p: ["replay", "--out", _tampered_run(p)], 4),
     "methods-repeated": (lambda p: ["sweep", "--config", _tiny_config(p, methods=["source", "source"])], 2),
     "priors-one-class": (lambda p: ["sweep", "--config", _tiny_config(p, source={"priors": [1, 0, 0]})], 3),
+    "class-cov-scale-overflow": (lambda p: ["sweep", "--config", _tiny_config(p, source={"class_cov_scale": 1e308})], 3),
     "class-means-overflow": (
         lambda p: [
             "sweep",

@@ -13,9 +13,7 @@ from scipy.stats import wasserstein_distance
 from shiftcp.rng import RngStream
 from shiftcp.scores import predict, score
 from shiftcp.shift_bounds import (
-    BoundInputs,
     coverage_gap_bound,
-    evaluate_bounds,
     kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,
@@ -224,6 +222,10 @@ class TestSupDensity:
         with pytest.raises(ValueError):
             sup_density_estimate([2.0, 2.0, 2.0])
 
+    def test_range_below_float_resolution_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            sup_density_estimate([0.0, 5e-324, 1e-323, 1e-323])
+
 
 class TestCoverageGapBound:
     @pytest.mark.parametrize("sup,w1,expected", [(2.0, 0.0, 0.0), (2.0, 0.1, 0.2)])
@@ -232,6 +234,11 @@ class TestCoverageGapBound:
 
     def test_composition_with_shift_bound(self):
         assert coverage_gap_bound(2.0, score_shift_w1_bound(1.0, 0.3)) == pytest.approx(0.6)
+
+    @pytest.mark.parametrize("sup,w1", [(-1.0, 0.1), (2.0, -0.1)])
+    def test_negative_rejected(self, sup, w1):
+        with pytest.raises(ValueError):
+            coverage_gap_bound(sup, w1)
 
 
 class TestPseudoCoverageLowerBound:
@@ -243,6 +250,16 @@ class TestPseudoCoverageLowerBound:
 
     def test_lossless_no_shift(self):
         assert pseudo_coverage_lower_bound(0.2, 0.0, 2.0, 0.0) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            pseudo_coverage_lower_bound(alpha, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("ramp,lip,rho", [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+    def test_negative_input_rejected(self, ramp, lip, rho):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pseudo_coverage_lower_bound(0.2, ramp, lip, rho)
 
 
 class TestRelaxedCoverageLowerBound:
@@ -355,40 +372,3 @@ class TestProofStepScoreRelations:
         wrong = ~correct
         assert (s_true[wrong] - s_pseudo[wrong] <= 2 * s_true[wrong] + 1e-9).all()
 
-
-class TestEvaluateBounds:
-    def test_report_fields(self):
-        inputs = BoundInputs(
-            alpha=0.2,
-            ramp_source=0.05,
-            hinge_source=0.4,
-            lipschitz=1.5,
-            rho=0.4,
-            rho_mix=0.3,
-            sup_density=2.0,
-            ramp_target=0.1,
-            hinge_target=0.5,
-        )
-        report = evaluate_bounds(inputs, undercoverage_gap=0.02)
-        assert report.w1_score_bound == pytest.approx(0.6)
-        assert report.coverage_gap_bound == pytest.approx(1.2)
-        assert report.pseudo_coverage_lower == pytest.approx(0.8 - 0.05 - 0.45)
-        taus = [t for t, _ in report.relaxed_coverage_lower]
-        vals = [v for _, v in report.relaxed_coverage_lower]
-        assert taus == [0.0, 0.5, 1.0, 2.0, 4.0]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-        assert report.tau_rule == pytest.approx(tau_correction(0.4, 0.5, 0.02))
-
-    def test_bound_ranges(self):
-        inputs = BoundInputs(
-            alpha=0.2, ramp_source=0.5, hinge_source=1.0, lipschitz=2.0, rho=1.0, rho_mix=0.8, sup_density=1.0
-        )
-        report = evaluate_bounds(inputs)
-        assert 0.0 <= report.pseudo_coverage_lower <= 0.8
-        assert report.relaxed_coverage_lower is None
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            BoundInputs(alpha=1.2, ramp_source=0, hinge_source=0, lipschitz=0, rho=0, rho_mix=0, sup_density=0)
-        with pytest.raises(ValueError):
-            BoundInputs(alpha=0.2, ramp_source=-1, hinge_source=0, lipschitz=0, rho=0, rho_mix=0, sup_density=0)
