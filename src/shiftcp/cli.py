@@ -272,9 +272,15 @@ class ExperimentConfig:
 
 
 def _integer(name: str, value) -> int:
-    """A JSON integer; an integral float is accepted, anything else is a config error."""
+    """A JSON integer; an integral float is accepted, anything else is a config error.
+
+    Above 2**53 a float no longer names one integer, so a float that large is
+    a config error too (``1e308`` epochs would otherwise never finish).
+    """
     if isinstance(value, bool) or not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and abs(value) > 2**53:
+        raise ConfigError(f"{name} must be an integer, got {value!r}: a float beyond 2**53 names no single integer")
     return int(value)
 
 
@@ -421,8 +427,10 @@ def _assert_score_invariants(model, x, y) -> None:
 def _train(cfg: ExperimentConfig):
     """The run's training split and the classifier fitted on it: (model, x, y).
 
-    A failed fit is a data error. An overflowing draw or fit raises no numpy
-    warning: its non-finite weights fail the model's own check instead.
+    A failed fit is a data error, and a rising training loss a config error:
+    the learning rate is too large for the data. An overflowing draw or fit
+    raises no numpy warning: its non-finite weights fail the model's own
+    check instead.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -430,6 +438,8 @@ def _train(cfg: ExperimentConfig):
             model = train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
     except ValueError as exc:
         raise DataError(f"cannot train the classifier: {exc}") from exc
+    except InvariantError as exc:
+        raise ConfigError(f"train.learning_rate {cfg.learning_rate!r} is too large for the training data: {exc}") from exc
     return model, x, y
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
-from .scores import LinearLogitMap, row_max
+from .scores import LinearLogitMap
 
 SPLIT_TAGS = ("source_cal", "source_test", "target_cal", "target_test")
 
@@ -183,12 +183,54 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     return out[0] if single else out
 
 
+def _pairwise_class_sum(p: np.ndarray) -> np.ndarray:
+    """Per-column sums of a class-major (K, n) array, added in numpy's pairwise order.
+
+    ``q.sum(axis=1)`` on the row-major (n, K) layout ``q = p.T`` sums each
+    row by numpy's pairwise summation: left to right below 8 terms; from 8 to
+    128 terms, 8 strided accumulators combined as a fixed tree, then the
+    remainder left to right; above 128, the two halves (split at a multiple
+    of 8) separately. This replays that order with whole rows of ``p`` as the
+    terms, so every sum is bit-identical while each add runs along the long axis.
+    """
+    k = p.shape[0]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_class_sum(p[:half]) + _pairwise_class_sum(p[half:])
+    if k < 8:
+        total, rest = p[0].copy(), p[1:]
+    else:
+        acc = p[:8].copy()
+        for i in range(8, k - k % 8, 8):
+            acc += p[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = p[k - k % 8 :]
+    for row in rest:
+        total += row
+    return total
+
+
 def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:
     """Multinomial logistic regression by full-batch gradient descent.
 
     Zero-initialized, so the fit is deterministic. The cross-entropy loss must
     be non-increasing across epochs and an :class:`InvariantError` is raised
     if it is not (a sign the learning rate is too large for the data scale).
+
+    Each epoch works on class-major (K, n) arrays allocated once, so its
+    passes run along the long axis. The weights are bit-identical to the
+    textbook row-major loop (kept as a test oracle), which fixes the order of
+    every floating-point reduction; changing any of these changes the bits:
+
+    - logits are ``w @ x.T`` into the (K, n) buffer, then ``+ b``;
+    - the softmax normalizer sums each column in numpy's pairwise order for
+      a length-K row (:func:`_pairwise_class_sum`; ``(p0 + p1) + p2`` at
+      K = 3, never ``p0 + (p1 + p2)``);
+    - the loss is ``mean((zmax + log(total)) - z_true)``;
+    - the weight gradient is ``grad.T @ x`` with ``grad`` a C-contiguous
+      (n, K) array: a contiguous (K, n) operand changes the BLAS bits;
+    - the bias gradient sums ``grad`` down its rows strictly in sequence
+      (the last row of a cumulative sum), never pairwise.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y)
@@ -207,24 +249,30 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
     n, d = xa.shape
     w = np.zeros((k, d))
     b = np.zeros(k)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), ya - 1] = 1.0
+    true = (ya - 1) * n + np.arange(n)  # flat (K, n) index of each row's true-label entry
+    onehot = np.zeros((k, n))
+    onehot.flat[true] = 1.0
+    z = np.empty((k, n))
+    p = np.empty((k, n))
+    grad = np.empty((n, k))
+    partial = np.empty((n, k))
 
     prev_loss = np.inf
     for _ in range(epochs):
-        z = xa @ w.T + b
-        zmax = row_max(z)[:, None]
-        p = np.exp(z - zmax)
-        total = p.sum(axis=1, keepdims=True)
-        logsumexp = zmax[:, 0] + np.log(total[:, 0])
-        loss = float(np.mean(logsumexp - z[np.arange(n), ya - 1]))
+        np.matmul(w, xa.T, out=z)
+        z += b[:, None]
+        zmax = z.max(axis=0)
+        np.exp(np.subtract(z, zmax, out=p), out=p)
+        total = _pairwise_class_sum(p)
+        loss = float(np.mean(zmax + np.log(total) - z.take(true)))
         if loss > prev_loss + 1e-9:
             raise InvariantError(f"training loss increased ({prev_loss:.6g} -> {loss:.6g}); lower the learning rate")
         prev_loss = loss
         p /= total
-        grad = (p - onehot) / n
+        p -= onehot
+        np.divide(p, n, out=grad.T)
         w -= learning_rate * (grad.T @ xa)
-        b -= learning_rate * grad.sum(axis=0)
+        b -= learning_rate * np.cumsum(grad, axis=0, out=partial)[-1]
     return LinearLogitMap(w, b)
 
 

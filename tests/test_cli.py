@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -576,6 +577,12 @@ EXIT_CASES = {
         3,
     ),
     "replay-tampered": (lambda p: ["replay", "--out", _tampered_run(p)], 4),
+    # A learning rate that makes the training loss rise is a config problem.
+    "learning-rate-too-large-tune": (lambda p: ["tune", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
+    "learning-rate-too-large-sweep": (lambda p: ["sweep", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
+    # Beyond 2**53 a float names no single integer; 1e308 epochs would never finish.
+    "epochs-float-beyond-2-53": (lambda p: ["sweep", "--config", _tiny_config(p, train={"epochs": 1e308})], 2),
+    "seed-float-beyond-2-53": (lambda p: ["sweep", "--config", _tiny_config(p, seed=1e19)], 2),
     "methods-repeated": (lambda p: ["sweep", "--config", _tiny_config(p, methods=["source", "source"])], 2),
     "priors-one-class": (lambda p: ["sweep", "--config", _tiny_config(p, source={"priors": [1, 0, 0]})], 3),
     "class-cov-scale-overflow": (lambda p: ["sweep", "--config", _tiny_config(p, source={"class_cov_scale": 1e308})], 3),
@@ -632,15 +639,20 @@ SEED_DIGESTS = {
     "train": {
         "classifier.json": "38c5a5e9663d1bdfb7f2b2296162f2e501cc064657ae7c100025f5570ad0f340",
     },
+    "train_default": {
+        "classifier.json": "4d7be021ce8b19c393ec4b861534036c21d3480a6b957c8a4291475420ac7e8a",
+    },
 }
 # bounds runs at the benchmark's tiny bounds shape, where every class
 # exceeds the assignment limit, so its subsampled solves are pinned too.
 # sweep_overlap widens the source classes until tuning engages: 4 of its 6
 # source_tuned cells pick a finite cutoff, where the default config picks
-# u = inf everywhere.
+# u = inf everywhere. train_default is the default config (4000 rows, 150
+# epochs): the fit every benchmark workload runs.
 DIGEST_CONFIGS = {
     "bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]},
     "sweep_overlap": {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1, "source": {"class_cov_scale": 1.0}},
+    "train_default": {},
 }
 
 
@@ -654,6 +666,20 @@ def test_outputs_match_recorded_digests(tmp_path, case):
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[case]}
     assert got == SEED_DIGESTS[case]
+
+
+def test_rising_training_loss_names_the_learning_rate(tmp_path, capsys):
+    assert main(["tune", "--config", _tiny_config(tmp_path, train={"learning_rate": 1e3}), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "train.learning_rate 1000.0" in err
+    assert re.search(r"training loss increased \([0-9.e+-]+ -> [0-9.e+-]+\)", err)
+
+
+def test_integral_float_counts_up_to_2_53_are_accepted():
+    cfg = ExperimentConfig.from_dict({"trials": 3.0, "seed": float(2**53)})
+    assert (cfg.trials, cfg.seed) == (3, 2**53)
+    # A JSON integer is exact at any size: a large count is a large run.
+    assert ExperimentConfig.from_dict({"seed": 2**53 + 1}).seed == 2**53 + 1
 
 
 def test_seed_outside_64_bits_is_a_config_error(tmp_path):

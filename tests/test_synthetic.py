@@ -1,16 +1,18 @@
 """Generator, shift transform, classifier training, and logit-table ingestion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from shiftcp.exceptions import DataError
+from shiftcp.exceptions import DataError, InvariantError
 from shiftcp.rng import RngStream
-from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, score
+from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, row_max, score
 from shiftcp.synthetic import (
     ShiftSpec,
     SourceSpec,
+    _pairwise_class_sum,
     apply_shift,
     generate_source,
     load_logit_table,
@@ -165,6 +167,109 @@ class TestTrainClassifier:
         m2 = train_classifier(x, y, epochs=50)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.biases, m2.biases)
+
+
+def _reference_fit(x, y, epochs, learning_rate):
+    """The row-major training loop ``train_classifier`` must reproduce bit for bit: (w, b)."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y)
+    n, d = xa.shape
+    k = int(ya.max())
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), ya - 1] = 1.0
+
+    prev_loss = np.inf
+    for _ in range(epochs):
+        z = xa @ w.T + b
+        zmax = row_max(z)[:, None]
+        p = np.exp(z - zmax)
+        total = p.sum(axis=1, keepdims=True)
+        logsumexp = zmax[:, 0] + np.log(total[:, 0])
+        loss = float(np.mean(logsumexp - z[np.arange(n), ya - 1]))
+        if loss > prev_loss + 1e-9:
+            raise InvariantError(f"training loss increased ({prev_loss:.6g} -> {loss:.6g}); lower the learning rate")
+        prev_loss = loss
+        p /= total
+        grad = (p - onehot) / n
+        w -= learning_rate * (grad.T @ xa)
+        b -= learning_rate * grad.sum(axis=0)
+    return w, b
+
+
+def _clustered(n, k, d, seed):
+    """n rows in k Gaussian clusters, every class present (one row each when n == k)."""
+    g = np.random.default_rng(seed)
+    y = np.concatenate([np.arange(1, k + 1), g.integers(1, k + 1, size=n - k)])
+    x = 2.0 * g.normal(size=(k, d))[y - 1] + g.normal(size=(n, d))
+    return x, y
+
+
+def _fit_outcome(fit, x, y, epochs, learning_rate):
+    """(weights, biases) of a fit, or the message of its loss-increase error."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fit(x, y, epochs, learning_rate)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def _class_major_fit(x, y, epochs, learning_rate):
+    model = train_classifier(x, y, epochs=epochs, learning_rate=learning_rate)
+    return model.weights, model.biases
+
+
+class TestTrainClassifierMatchesReference:
+    # K = 8 and 9 take the 8-accumulator branch of the pairwise softmax sum.
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 5, 17])
+    def test_bit_identical_weights_or_the_same_error(self, k, d):
+        # lr 30 trips the loss check in most of these cases; 0.1 never does.
+        for n in (k, 50, 4000):
+            for learning_rate in (0.1, 30.0):
+                x, y = _clustered(n, k, d, seed=100 * k + d)
+                want = _fit_outcome(_reference_fit, x, y, 60, learning_rate)
+                got = _fit_outcome(_class_major_fit, x, y, 60, learning_rate)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert not isinstance(got, str), got
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, learning_rate)
+
+    def test_default_shape_bit_identical(self, three_class_source):
+        x, y = generate_source(three_class_source, 4000, RngStream(16))
+        want = _reference_fit(x, y, 150, 0.1)
+        model = train_classifier(x, y, epochs=150, learning_rate=0.1)
+        assert np.array_equal(model.weights, want[0]) and np.array_equal(model.biases, want[1])
+
+    def test_loss_increase_raises_the_same_message(self):
+        x, y = _clustered(50, 3, 1, seed=301)
+        with pytest.raises(InvariantError, match="training loss increased") as want:
+            _reference_fit(x, y, 60, 30.0)
+        with pytest.raises(InvariantError) as got:
+            train_classifier(x, y, epochs=60, learning_rate=30.0)
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_fit_ends_in_non_finite_weights_without_warnings(self):
+        spec = SourceSpec(
+            class_means=np.array([[1e200, 0.0], [-1e200, 1e200], [-1e200, -1e200]]),
+            class_cov_scale=0.65,
+            priors=np.full(3, 1 / 3),
+        )
+        x, y = generate_source(spec, 300, RngStream(17))
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("always")
+            w, b = _reference_fit(x, y, 150, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                train_classifier(x, y, epochs=150, learning_rate=0.1)
+        assert not (np.isfinite(w).all() and np.isfinite(b).all())
+        assert [str(c.message) for c in caught if issubclass(c.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_class_sum_matches_numpy_row_sum(self, k):
+        rows = np.exp(3.0 * np.random.default_rng(k).normal(size=(37, k)))
+        assert np.array_equal(_pairwise_class_sum(np.ascontiguousarray(rows.T)), rows.sum(axis=1))
 
 
 class TestLogitTable:
