@@ -71,7 +71,6 @@ from .synthetic import (
     apply_shift,
     generate_source,
     load_logit_table,
-    logit_table_as_map,
     train_classifier,
     write_dataset_csv,
     write_logit_table,

@@ -123,7 +123,7 @@ def _uniform_scores(view: ScoredView, rng: RngStream | None) -> np.ndarray:
     return view.label_scores(rng.generator().integers(1, view.n_classes + 1, size=len(view)))
 
 
-def _pseudo_scores(view: ScoredView, u: float, hard_scores: np.ndarray, uniform_scores) -> np.ndarray:
+def _pseudo_scores(view: ScoredView, u: float, uniform_scores) -> np.ndarray:
     """Randomized pseudo-label scores at cutoff ``u``.
 
     The hard-label score where the predictive entropy is at most ``u``, the
@@ -131,8 +131,8 @@ def _pseudo_scores(view: ScoredView, u: float, hard_scores: np.ndarray, uniform_
     finite cutoff, so ``u = inf`` draws nothing.
     """
     if math.isinf(u) and u > 0:
-        return hard_scores
-    return np.where(view.entropy <= u, hard_scores, uniform_scores())
+        return view.hard_scores
+    return np.where(view.entropy <= u, view.hard_scores, uniform_scores())
 
 
 def pseudo_calibrate(
@@ -151,8 +151,7 @@ def pseudo_calibrate(
     view = scored_view(model, inputs)
     if len(view) == 0:
         raise ValueError("cannot calibrate on an empty input sample")
-    pseudo = _pseudo_scores(view, u, view.label_scores(view.hard), lambda: _uniform_scores(view, rng))
-    return calibrate(pseudo, alpha)
+    return calibrate(_pseudo_scores(view, u, lambda: _uniform_scores(view, rng)), alpha)
 
 
 def source_coverage_curve(
@@ -178,19 +177,18 @@ def source_coverage_curve(
 def _source_probe(model, x_source, y_source, alpha, rng):
     """``probe(u) -> (u, c_hat, threshold)``: pseudo-calibrate the source at one cutoff.
 
-    The hard- and true-label scores are gathered once. The coupled uniform
-    draw is made at the first finite cutoff probed, and the entropy is
-    computed only then, so probing ``u = inf`` alone draws nothing.
+    The true-label scores are gathered once. The coupled uniform draw is made
+    at the first finite cutoff probed, and the entropy is computed only then,
+    so probing ``u = inf`` alone draws nothing.
     """
     view = scored_view(model, x_source)
     if len(view) == 0:
         raise ValueError("source sample must be nonempty")
     true_scores = view.label_scores(y_source)
-    hard_scores = view.label_scores(view.hard)
     uniform_scores = cache(lambda: _uniform_scores(view, rng))
 
     def probe(u):
-        cal = calibrate(_pseudo_scores(view, u, hard_scores, uniform_scores), alpha)
+        cal = calibrate(_pseudo_scores(view, u, uniform_scores), alpha)
         return float(u), float(np.mean(true_scores <= cal.threshold)), cal.threshold
 
     return probe

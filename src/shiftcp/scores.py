@@ -17,13 +17,20 @@ Scored views
 ------------
 :func:`scored_view` makes one ``logit_matrix`` pass over a batch and keeps
 what every downstream quantity is derived from: the (n, K) score matrix
-``S``, the hard labels and the predictive entropy. Scores of any label
-assignment are then the gather ``S[i, y_i - 1]`` (true labels,
-pseudo-labels, randomized labels), and coverage, set sizes, losses and the
-tuning curve are reductions over ``S``. A :class:`ScoredView` can be passed
-wherever a batch of inputs is expected (the model argument is then unused),
-so a caller that scores a split once pays for one logit pass however many
-quantities it derives.
+``S``, the hard labels, their scores and the predictive entropy. Scores of
+any other label assignment are the gather ``S[i, y_i - 1]`` (true labels,
+randomized labels), and coverage, set sizes, losses and the tuning curve are
+reductions over ``S``. A :class:`ScoredView` can be passed wherever a batch
+of inputs is expected (the model argument is then unused), so a caller that
+scores a split once pays for one logit pass however many quantities it
+derives.
+
+The hard labels and their scores are derived with ``S``, never gathered:
+the hard score ``-(top1 - top2) <= 0`` is the row minimum, and any other
+label scores ``top1 - logit >= 0``. So a true-label score is never below the
+hard score, equals it on the prediction and exceeds it by at most twice
+itself elsewhere. These are construction guarantees for any finite logits,
+pinned by a property test in ``tests/test_scores.py``; no caller re-checks them.
 
 The view is the single validation boundary: logits must be finite (a
 non-finite input row raises instead of counting as a miss), and labels are
@@ -93,15 +100,16 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"inputs must be 1-D or 2-D, got ndim={x.ndim}")
 
 
-def _check_labels(y: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_labels(y: np.ndarray, n_classes: int | None) -> np.ndarray:
+    """Integer labels of at least 1 and, when ``n_classes`` is given, at most ``n_classes``."""
     y = np.asarray(y)
     if not np.issubdtype(y.dtype, np.integer):
         yi = y.astype(int)
         if not np.array_equal(yi, y):
             raise ValueError("labels must be integers")
         y = yi
-    if y.size and (y.min() < 1 or y.max() > n_classes):
-        raise ValueError(f"labels must lie in 1..{n_classes}")
+    if y.size and (y.min() < 1 or (n_classes is not None and y.max() > n_classes)):
+        raise ValueError(f"labels must lie in 1..{n_classes or 'K'}")
     return y
 
 
@@ -120,14 +128,16 @@ class ScoredView:
 
     Built from an (n, K) logit matrix, which must be finite. ``scores[i, k]``
     is the nonconformity score of label ``k + 1`` at row ``i``; ``hard``
-    holds the 1-based argmax labels (ties to the smallest index); ``entropy``
-    is the temperature-1 softmax entropy in nats, computed on first use. The
-    arrays are read-only.
+    holds the 1-based argmax labels (ties to the smallest index) and
+    ``hard_scores`` their scores, bit for bit ``label_scores(hard)`` and the
+    row minimum of ``scores``; ``entropy`` is the temperature-1 softmax
+    entropy in nats, computed on first use. The arrays are read-only.
     """
 
     logits: np.ndarray = field(repr=False)
     scores: np.ndarray = field(init=False, repr=False)
     hard: np.ndarray = field(init=False, repr=False)
+    hard_scores: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.array(self.logits, dtype=float)
@@ -143,9 +153,10 @@ class ScoredView:
         top1 = cols.max(axis=0)
         top2 = np.where(is_best, -np.inf, cols).max(axis=0)
         # Negated margin, -(own - best competitor): the sign of a zero matches
-        # the margin route exactly.
+        # the margin route exactly. The argmax label's own logit is top1.
         scores = -(cols - np.where(is_best, top2, top1)).T
-        for name, arr in (("logits", rows), ("scores", scores), ("hard", best + 1)):
+        derived = {"logits": rows, "scores": scores, "hard": best + 1, "hard_scores": -(top1 - top2)}
+        for name, arr in derived.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .conformal import coverage
 from .pseudo import pseudo_calibrate
 from .rng import RngStream
-from .scores import ScoredView
+from .scores import scored_view
 
 #: Largest exact assignment instance; larger samples must be subsampled.
 MAX_ASSIGNMENT_SIZE = 512
@@ -226,16 +226,16 @@ def undercoverage_gap_estimate(model, x_source, y_source, alpha: float) -> float
     Splits the sample in half: the first half calibrates on hard pseudo-labels,
     the second half evaluates coverage against the true labels. Returns
     ``(1 - alpha) - coverage``, unclipped (negative means overcoverage).
-    ``x_source`` may be a :class:`~shiftcp.scores.ScoredView`, whose halves
-    are sliced without rescoring.
+    The sample is scored once and both halves are sliced from its view;
+    ``x_source`` may be a :class:`~shiftcp.scores.ScoredView` already.
     """
-    x = x_source if isinstance(x_source, ScoredView) else np.asarray(x_source, dtype=float)
+    view = scored_view(model, x_source)
     y = np.asarray(y_source)
-    if (isinstance(x, np.ndarray) and x.ndim != 2) or len(x) < 2:
+    if len(view) < 2:
         raise ValueError("need at least two labeled source points")
-    half = len(x) // 2
-    cal = pseudo_calibrate(model, x[:half], alpha)
-    cov = coverage(model, x[half:], y[half:], cal)
+    half = len(view) // 2
+    cal = pseudo_calibrate(model, view[:half], alpha)
+    cov = coverage(model, view[half:], y[half:], cal)
     return (1.0 - alpha) - cov
 
 

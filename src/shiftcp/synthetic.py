@@ -17,13 +17,14 @@ row indices standing in for feature vectors.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
-from .scores import LinearLogitMap
+from .scores import LinearLogitMap, _check_labels
 
 SPLIT_TAGS = ("source_cal", "source_test", "target_cal", "target_test")
 
@@ -139,6 +140,12 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
     if scale == 0.0 or radius == 0.0:
         # radius 0 clips the noise entirely; no rejection loop.
         return np.zeros((n, d))
+    # A draw lands in the ball with chance at most its volume times the density's
+    # peak, (r^2 / 2s^2)^(d/2) / Gamma(d/2 + 1) (in logs: r may be subnormal, s
+    # huge). Below a 1e-6 chance within the rounds, none is tried.
+    log_chance = d * (math.log(radius) - math.log(scale) - math.log(2.0) / 2) - math.lgamma(d / 2 + 1)
+    if mode == "resample" and n and log_chance + math.log(_MAX_REJECTION_ROUNDS) < math.log(1e-6):
+        raise ConfigError(_rejection_failure(radius, scale))
     eps = scale * g.standard_normal((n, d))
     if mode == "project":
         norms = np.linalg.norm(eps, axis=1, keepdims=True)
@@ -153,9 +160,13 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
             return eps
         eps[bad] = scale * g.standard_normal((bad.size, d))
         bad = bad[np.linalg.norm(eps[bad], axis=1) > radius]
-    raise ConfigError(
+    raise ConfigError(_rejection_failure(radius, scale))
+
+
+def _rejection_failure(radius: float, scale: float) -> str:
+    return (
         f"shift.clip_radius is too small for shift.noise_scale: rejection sampling of the clipped noise "
-        f"(radius {radius:.4g}, scale {scale:.4g} at this shift strength) did not converge in "
+        f"(radius {radius:.4g}, scale {scale:.4g} at this shift strength) does not converge in "
         f"{_MAX_REJECTION_ROUNDS} rounds; use a larger radius or shift.clip_mode \"project\""
     )
 
@@ -233,7 +244,7 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
       (the last row of a cumulative sum), never pairwise.
     """
     xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y)
+    ya = _check_labels(y, None)
     if xa.ndim != 2 or xa.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, d) array")
     if epochs < 1 or learning_rate <= 0:
@@ -332,11 +343,6 @@ class LogitTableMap:
         if idx.size and (idx.min() < 0 or idx.max() >= self.logits.shape[0]):
             raise ValueError("row index out of range")
         return self.logits[idx]
-
-
-def logit_table_as_map(table: LogitTable) -> LogitTableMap:
-    """Wrap a logit table so it can be used wherever a classifier is expected."""
-    return LogitTableMap(logits=table.logits)
 
 
 def load_logit_table(path) -> LogitTable:

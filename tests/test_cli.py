@@ -550,6 +550,9 @@ EXIT_CASES = {
         lambda p: ["sweep", "--config", _tiny_config(p, shift={"clip_radius": 0.0001}), "--threads", "2"],
         2,
     ),
+    # No row has a one-in-a-million chance of acceptance within the rejection
+    # rounds: refused before any draw instead of after 10 000 rounds.
+    "clip-radius-infeasible-tau": (lambda p: ["tau", "--config", _tiny_config(p, shift={"clip_radius": 5e-324})], 2),
     "shift-radius-overflow-bounds": (lambda p: ["bounds", "--config", _tiny_config(p, shift=_OVERFLOWING_SHIFT)], 2),
     "shift-radius-overflow-sweep": (lambda p: ["sweep", "--config", _tiny_config(p, shift=_OVERFLOWING_SHIFT)], 2),
     "noise-scale-overflow-resample": (lambda p: ["sweep", "--config", _tiny_config(p, shift={"noise_scale": 1e308})], 2),

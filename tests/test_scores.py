@@ -1,10 +1,10 @@
-"""Scoring primitives: logits, margins, losses, entropy, Lipschitz bound."""
+"""Scoring primitives: logits, margins, losses, entropy, Lipschitz bound, scored views."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,6 +24,7 @@ from shiftcp.scores import (
     score_matrix,
     scored_view,
 )
+from shiftcp.synthetic import _MAX_ABS_LOGIT
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -253,6 +254,8 @@ class TestScoredView:
         view = scored_view(identity_map, np.array([[3.0, 1.0]]))
         with pytest.raises(ValueError):
             view.hard[0] = 2
+        with pytest.raises(ValueError):
+            view.hard_scores[0] = 1.0
 
     def test_non_finite_logits_rejected(self, identity_map):
         with pytest.raises(ValueError, match="finite"):
@@ -267,3 +270,56 @@ class TestScoredView:
                 view.label_scores(np.array(bad))
         with pytest.raises(ValueError, match="one label per scored row"):
             view.label_scores(np.array([1, 2, 1]))
+
+
+@st.composite
+def logits_and_labels(draw):
+    """Finite logits within the table limit, one label per row.
+
+    Entries come from a small pool as often as not, and rows repeat, so ties
+    (signed zeros included) and equal rows are common.
+    """
+    k = draw(st.integers(2, 5))
+    value = st.floats(-_MAX_ABS_LOGIT, _MAX_ABS_LOGIT, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    distinct = draw(arrays(np.float64, (draw(st.integers(1, 4)), k), elements=st.sampled_from(pool) | value))
+    rows = draw(st.lists(st.integers(0, distinct.shape[0] - 1), max_size=8))
+    labels = draw(arrays(np.int64, len(rows), elements=st.integers(1, k)))
+    return distinct[rows], labels
+
+
+def _negated_margin(row: np.ndarray, label: int) -> float:
+    """``-(logit_y - max over k != y of logit_k)``, straight from the definition."""
+    return -(row[label - 1] - np.delete(row, label - 1).max())
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestScoredViewRelations:
+    """Score relations that hold by construction of the view, for any finite logits.
+
+    The experiment loop relies on them without checking them: pseudo-scores
+    never exceed true-label scores, which bounds the excess of a misclassified
+    point and makes the source-tuned cutoff search monotone.
+    """
+
+    @settings(max_examples=400)
+    @given(logits_and_labels())
+    @example((np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]]), np.array([2, 2, 1])))
+    def test_hard_scores_are_the_row_minimum_and_bound_every_label(self, case):
+        rows, y = case
+        view = ScoredView(rows)
+        s_hard, s_true = view.hard_scores, view.label_scores(y)
+        # Derived, not gathered, yet bit for bit the gather, sign of zero included.
+        assert _bits(s_hard) == _bits(view.label_scores(view.hard))
+        assert _bits(s_hard) == _bits([_negated_margin(r, h) for r, h in zip(rows, view.hard)])
+        assert _bits(s_true) == _bits([_negated_margin(r, label) for r, label in zip(rows, y)])
+        assert (view.hard == np.argmax(rows, axis=1) + 1).all()
+        assert (s_hard == view.scores.min(axis=1)).all()
+        assert (s_hard <= 0).all()
+        assert (s_true >= s_hard).all()
+        correct = y == view.hard
+        assert (s_true[correct] == s_hard[correct]).all()
+        assert (s_true[~correct] - s_hard[~correct] <= 2.0 * s_true[~correct]).all()

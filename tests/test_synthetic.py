@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from shiftcp.exceptions import DataError, InvariantError
+from shiftcp.exceptions import ConfigError, DataError, InvariantError
 from shiftcp.rng import RngStream
 from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, row_max, score
 from shiftcp.synthetic import (
+    _MAX_REJECTION_ROUNDS,
+    LogitTableMap,
     ShiftSpec,
     SourceSpec,
+    _clipped_noise,
     _pairwise_class_sum,
     apply_shift,
     generate_source,
     load_logit_table,
-    logit_table_as_map,
     train_classifier,
     write_logit_table,
 )
@@ -136,6 +138,32 @@ class TestApplyShift:
         with pytest.raises(ValueError):
             apply_shift(np.zeros((1, 2)), np.array([3]), shift, RngStream(12))
 
+    def test_infeasible_clip_radius_is_refused_before_any_draw(self):
+        class NoDraws:
+            def standard_normal(self, size):
+                raise AssertionError("drew noise for an infeasible clip radius")
+
+        with pytest.raises(ConfigError, match="clip_radius is too small"):
+            _clipped_noise(100, 2, 0.12, 5e-324, "resample", NoDraws())
+        # An overflowing noise scale is just as hopeless for a finite radius.
+        with pytest.raises(ConfigError, match="clip_radius is too small"):
+            _clipped_noise(100, 2, math.inf, 0.1, "resample", NoDraws())
+
+    def test_unlikely_but_feasible_clip_radius_keeps_its_rejection_loop(self):
+        class CountingDraws:
+            def __init__(self):
+                self.calls, self.g = 0, RngStream(12).generator()
+
+            def standard_normal(self, size):
+                self.calls += 1
+                return self.g.standard_normal(size)
+
+        # The acceptance bound within the rounds is about 3.5e-3: every round is drawn.
+        g = CountingDraws()
+        with pytest.raises(ConfigError, match="clip_radius is too small"):
+            _clipped_noise(80, 2, 0.096, 8e-5, "resample", g)
+        assert g.calls == 1 + _MAX_REJECTION_ROUNDS
+
 
 class TestTrainClassifier:
     def test_separable_two_class_accuracy(self):
@@ -160,6 +188,25 @@ class TestTrainClassifier:
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match="class"):
             train_classifier(x, np.array([1, 1, 3, 3]))
+
+    def test_label_zero_rejected(self):
+        # Label 0 used to wrap onto the last class of a 2-class fit.
+        x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(ValueError, match="labels must lie in 1"):
+            train_classifier(x, [0, 1, 2])
+
+    def test_fractional_float_labels_rejected(self):
+        # A float label array used to fail with numpy's IndexError.
+        x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train_classifier(x, np.array([1.0, 2.5, 3.0]))
+
+    def test_integral_float_labels_fit_like_integers(self):
+        x, y = generate_source(two_class_spec(), 200, RngStream(15))
+        m_int = train_classifier(x, y, epochs=20)
+        m_float = train_classifier(x, y.astype(float), epochs=20)
+        np.testing.assert_array_equal(m_int.weights, m_float.weights)
+        np.testing.assert_array_equal(m_int.biases, m_float.biases)
 
     def test_deterministic_fit(self):
         x, y = generate_source(two_class_spec(), 200, RngStream(15))
@@ -289,7 +336,7 @@ class TestLogitTable:
 
         table = load_logit_table(path)
         np.testing.assert_array_equal(table.logits, rows)
-        tmap = logit_table_as_map(table)
+        tmap = LogitTableMap(table.logits)
         idx = np.arange(30.0)[:, None]
         np.testing.assert_array_equal(score(tmap, idx, y), score(model, x, y))
         np.testing.assert_array_equal(predict(tmap, idx), predict(model, x))
@@ -334,7 +381,7 @@ class TestLogitTable:
             "target_test,3,-1.0,0.5,-2.0\n"
         )
         table = load_logit_table(path)
-        tmap = logit_table_as_map(table)
+        tmap = LogitTableMap(table.logits)
         idx = np.array([[0.0], [1.0], [2.0]])
         got = score(tmap, idx, np.array([1, 2, 3]))
         # Hand arithmetic: margins 2, 0, -2.5 -> scores -2, 0, 2.5.
@@ -351,7 +398,7 @@ class TestLogitTable:
         tags = ["target_cal"] * 30 + ["target_test"] * 30
         path, _ = self._write_round_trip(tmp_path, model, x, y, tags)
         table = load_logit_table(path)
-        tmap = logit_table_as_map(table)
+        tmap = LogitTableMap(table.logits)
         cal = pseudo_calibrate(tmap, table.features("target_cal"), 0.2)
         cov = coverage(tmap, table.features("target_test"), table.labels_for("target_test"), cal)
         assert 0.0 <= cov <= 1.0
