@@ -29,22 +29,23 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import CalibrationResult, calibrate, coverage, expected_set_size, integrated_coverage_gap
+from .conformal import CalibrationResult, _covered_share, calibrate, expected_set_size, integrated_coverage_gap
 from .exceptions import ConfigError, DataError, InvariantError
-from .pseudo import UncertaintyGrid, _curve_with_thresholds, pseudo_calibrate, select_u_star, source_tuned_calibrate
+from .pseudo import UncertaintyGrid, _calibrate_at_cutoff, _curve_with_thresholds, _tune_cutoff, pseudo_calibrate, select_u_star
 from .rng import RngStream
 from .scores import (
     LinearLogitMap,
     ScoredView,
+    _population_loss,
+    hinge_loss,
     lipschitz_bound,
-    population_hinge_loss,
-    population_ramp_loss,
     predict,
+    ramp_loss,
     score,
     scored_view,
 )
@@ -426,37 +427,31 @@ def train_model(cfg: ExperimentConfig):
     return _train(cfg)[0]
 
 
-def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream):
+def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream, hard):
     """Threshold for one calibration strategy; target labels reach only the oracle arm."""
     if method == "source":
         return calibrate(score(model, data.x_source, data.y_source), cfg.alpha), None
     if method == "hard_pseudo":
-        return pseudo_calibrate(model, data.x_target_cal, cfg.alpha), None
+        return hard(), None
     if method == "source_tuned":
-        tuning, cal = source_tuned_calibrate(
-            model,
-            data.x_source,
-            data.y_source,
-            data.x_target_cal,
-            cfg.alpha,
-            grid=cfg.uncertainty_grid(),
-            rng=tune,
-        )
-        return cal, tuning
+        tuning = _tune_cutoff(model, data.x_source, data.y_source, cfg.alpha, cfg.uncertainty_grid(), tune)
+        if math.isinf(tuning.u_star):  # draws nothing: hard() is this cell's hard pseudo-calibration
+            return hard(), tuning
+        return _calibrate_at_cutoff(model, data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
     if method == "oracle":
         return calibrate(score(model, data.x_target_cal, data.y_target_cal_oracle), cfg.alpha), None
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _tau_design(model, alpha: float, source, y_source, target, y_target, where: str) -> dict:
+def _tau_design(model, alpha: float, source, y_source, target_scores, where: str) -> dict:
     """The slack rule's measured ingredients and the slack it designs.
 
-    The target hinge loss is an oracle input. A degenerate rule is a
-    :class:`DataError` whose message starts with ``where``.
+    The target hinge loss (of the target's true-label scores) is an oracle
+    input. A degenerate rule is a :class:`DataError` whose message starts with ``where``.
     """
     design = {
-        "hinge_source": population_hinge_loss(model, source, y_source),
-        "hinge_target_oracle": population_hinge_loss(model, target, y_target),
+        "hinge_source": _population_loss(hinge_loss, source.label_scores(y_source)),
+        "hinge_target_oracle": _population_loss(hinge_loss, target_scores),
     }
     try:
         design["undercoverage_gap"] = undercoverage_gap_estimate(model, source, y_source, alpha)
@@ -470,20 +465,18 @@ def _tau_design(model, alpha: float, source, y_source, target, y_target, where: 
     return design
 
 
-def _trial_tau(cfg: ExperimentConfig, model, data: TrialData) -> float | None:
+def _trial_tau(cfg: ExperimentConfig, model, data: TrialData, test_scores) -> float | None:
     """Slack applied to prediction sets under the configured tau policy."""
     if cfg.tau_policy_kind == "none":
         return None
     if cfg.tau_policy_kind == "fixed":
         return cfg.tau_policy_value
     # tau_design measures the target hinge loss on the evaluation split.
-    design = _tau_design(
-        model, cfg.alpha, data.x_source, data.y_source, data.x_target_test, data.y_target_test, "tau_design policy failed"
-    )
+    design = _tau_design(model, cfg.alpha, data.x_source, data.y_source, test_scores, "tau_design policy failed")
     return design["tau"]
 
 
-def _record(model, test: ScoredView, y_test, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
+def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
     """One method's record: coverage and set size of ``cal`` plus slack ``tau`` on the scored test split."""
     tau_eff = 0.0 if tau is None else tau
     return TrialRecord(
@@ -493,8 +486,8 @@ def _record(model, test: ScoredView, y_test, method: str, sigma, trial: int, cal
         threshold=cal.threshold,
         u_star=u_star,
         tau=tau,
-        coverage=coverage(model, test, y_test, cal, tau_eff),
-        ess=expected_set_size(model, test, cal, tau_eff),
+        coverage=_covered_share(test_scores, cal, tau_eff),
+        ess=expected_set_size(None, test, cal, tau_eff),
         thm2_bound=thm2,
         cor1_bound=cor1,
     )
@@ -502,19 +495,21 @@ def _record(model, test: ScoredView, y_test, method: str, sigma, trial: int, cal
 
 def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, sigma, trial: int, tune: RngStream, thm2):
     """Every method's record for one cell of scored splits (generator cell or logit table)."""
-    test, y_test = data.x_target_test, data.y_target_test
-    tau = _trial_tau(cfg, model, data)
+    test = data.x_target_test
+    test_scores = test.label_scores(data.y_target_test)
+    tau = _trial_tau(cfg, model, data, test_scores)
     # Oracle-flagged target losses back the relaxed bound column.
-    ramp_tgt = population_ramp_loss(model, test, y_test)
-    hinge_tgt = population_hinge_loss(model, test, y_test)
+    ramp_tgt = _population_loss(ramp_loss, test_scores)
+    hinge_tgt = _population_loss(hinge_loss, test_scores)
     cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
 
+    hard = cache(partial(pseudo_calibrate, model, data.x_target_cal, cfg.alpha))
     records = []
     for method in cfg.methods:
-        cal, tuning = _calibrate_method(cfg, model, method, data, tune)
+        cal, tuning = _calibrate_method(cfg, model, method, data, tune, hard)
         bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
         u_star = tuning.u_star if tuning is not None else None
-        records.append(_record(model, test, y_test, method, sigma, trial, cal, tau, u_star, *bounds))
+        records.append(_record(test, test_scores, method, sigma, trial, cal, tau, u_star, *bounds))
     return records
 
 
@@ -528,7 +523,7 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
         x_target_cal=scored_view(model, raw.x_target_cal),
         x_target_test=scored_view(model, raw.x_target_test),
     )
-    ramp_src = population_ramp_loss(model, data.x_source, data.y_source)
+    ramp_src = _population_loss(ramp_loss, data.x_source.label_scores(data.y_source))
     thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
     return _evaluate_cell(cfg, model, data, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
@@ -633,9 +628,9 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     x_src, y_src = generate_source(cfg.source_spec, n_diag, diag.substream("source"))
     n_tgt = max(cfg.n_cal, n_diag // 2)
     x_tgt, y_tgt, _ = _shifted_sample(cfg, sigma, n_tgt, diag.substream("target-base"), diag.substream("target-shift"))
-    source, target = scored_view(model, x_src), scored_view(model, x_tgt)
-    design = _tau_design(model, cfg.alpha, source, y_src, target, y_tgt, f"sigma={sigma}")
-    return {"sigma": sigma, "ramp_target_oracle": population_ramp_loss(model, target, y_tgt), **design}
+    target_scores = scored_view(model, x_tgt).label_scores(y_tgt)
+    design = _tau_design(model, cfg.alpha, scored_view(model, x_src), y_src, target_scores, f"sigma={sigma}")
+    return {"sigma": sigma, "ramp_target_oracle": _population_loss(ramp_loss, target_scores), **design}
 
 
 def _tau_trial(cfg: ExperimentConfig, model, diagnostics: list[dict], si: int, t: int) -> list[TrialRecord]:
@@ -644,11 +639,12 @@ def _tau_trial(cfg: ExperimentConfig, model, diagnostics: list[dict], si: int, t
     x_cal, _ = _target_split(cfg, si, t, "target-cal", cfg.n_cal)
     x_test, y_test = _target_split(cfg, si, t, "target-test", cfg.n_test)
     test = scored_view(model, x_test)
+    test_scores = test.label_scores(y_test)
     cal = pseudo_calibrate(model, x_cal, cfg.alpha)
     out = []
     for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
         cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
-        out.append(_record(model, test, y_test, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
+        out.append(_record(test, test_scores, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
     return out
 
 
@@ -673,7 +669,7 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
 def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
     """Source-side quantities shared by every entry of a bounds report."""
     source = scored_view(model, x_src)
-    src_scores = score(model, source, y_src)
+    src_scores = source.label_scores(y_src)
     try:
         sup_density = sup_density_estimate(src_scores)
     except ValueError as exc:
@@ -682,18 +678,17 @@ def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
         "cal_scores": score(model, x_cal, y_cal),
         "src_scores": src_scores,
         "sup_density": sup_density,
-        "ramp_source": population_ramp_loss(model, source, y_src),
-        "hinge_source": population_hinge_loss(model, source, y_src),
+        "ramp_source": _population_loss(ramp_loss, src_scores),
+        "hinge_source": _population_loss(hinge_loss, src_scores),
         "undercoverage_gap": undercoverage_gap_estimate(model, source, y_src, alpha),
     }
 
 
 def _measured_entry(model, alpha: float, tau_grid, src: dict, x_tgt, y_tgt) -> dict:
     """Measured fields of one bounds-report entry; the target losses are oracle inputs."""
-    target = scored_view(model, x_tgt)
-    tgt_scores = score(model, target, y_tgt)
-    ramp_tgt = population_ramp_loss(model, target, y_tgt)
-    hinge_tgt = population_hinge_loss(model, target, y_tgt)
+    tgt_scores = score(model, x_tgt, y_tgt)
+    ramp_tgt = _population_loss(ramp_loss, tgt_scores)
+    hinge_tgt = _population_loss(hinge_loss, tgt_scores)
     try:
         tau_rule = tau_correction(src["hinge_source"], hinge_tgt, src["undercoverage_gap"])
     except ValueError:
@@ -895,15 +890,16 @@ def read_records_csv(path) -> list[dict]:
         return [dict(zip(RECORD_COLUMNS, row)) for row in reader]
 
 
-def _replay_records(cfg: ExperimentConfig, model, view: ScoredView, y, group) -> list[str]:
+def _replay_records(cfg: ExperimentConfig, view: ScoredView, y, group) -> list[str]:
     """Mismatch messages of one cell's records against its scored evaluation split."""
+    test_scores = view.label_scores(y)
     mismatches = []
     for name, row in group:
         where = f"{name}: {row['method']} sigma={row['sigma']} trial={row['trial']}"
         try:
             tau = float(row["tau"]) if row["tau"] else None
             cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
-            rec = _record(model, view, y, row["method"], row["sigma"], row["trial"], cal, tau)
+            rec = _record(view, test_scores, row["method"], row["sigma"], row["trial"], cal, tau)
         except ValueError as exc:
             mismatches.append(f"{where}: {exc}")
             continue
@@ -916,7 +912,7 @@ def _replay_records(cfg: ExperimentConfig, model, view: ScoredView, y, group) ->
 def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[str, str], group) -> list[str]:
     """Mismatch messages of one cell's records; ``table_split`` is the scored logit-table split, if any."""
     if table_split is not None:
-        return _replay_records(cfg, model, *table_split, group)
+        return _replay_records(cfg, *table_split, group)
     sigma_text, trial_text = cell
     try:
         sigma_idx, trial = cfg.sigma_grid.index(float(sigma_text)), int(trial_text)
@@ -925,7 +921,7 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[str, str]
     if not 0 <= trial < cfg.trials:
         return [f"{name}: sigma {sigma_text} trial {trial_text} is not a cell of the config grid" for name, _ in group]
     x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
-    return _replay_records(cfg, model, scored_view(model, x_tt), y_tt, group)
+    return _replay_records(cfg, scored_view(model, x_tt), y_tt, group)
 
 
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
@@ -1072,7 +1068,8 @@ def run_selftest(seed: int = 7) -> list[tuple[str, bool]]:
     grid = cfg.uncertainty_grid()
     ok, picked = True, []
     for m, x_src, y_src, x_tgt in cases:
-        tuning, cal = source_tuned_calibrate(m, x_src, y_src, x_tgt, cfg.alpha, grid=grid, rng=stream)
+        tuning = _tune_cutoff(m, x_src, y_src, cfg.alpha, grid, stream)
+        cal = _calibrate_at_cutoff(m, x_tgt, cfg.alpha, tuning.u_star, stream)
         full = _curve_with_thresholds(m, x_src, y_src, cfg.alpha, grid, stream.substream("tune-source"))
         u_star = select_u_star([(u, c) for u, c, _ in full], cfg.alpha)
         ok &= tuning.u_star == u_star and set(tuning.coverage_curve) <= {(u, c) for u, c, _ in full}

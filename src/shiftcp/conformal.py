@@ -132,11 +132,15 @@ def coverage(model, x, y, cal: CalibrationResult, tau: float = 0.0) -> float:
 
     ``x`` may be a :class:`~shiftcp.scores.ScoredView` of the test inputs.
     """
+    return _covered_share(scored_view(model, x).label_scores(y), cal, tau)
+
+
+def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) -> float:
+    """Share of the true-label scores at or below ``threshold + tau``: the coverage reduction."""
     _validate_tau(tau)
-    view = scored_view(model, x)
-    if len(view) == 0:
+    if true_scores.size == 0:
         raise ValueError("coverage of an empty sample is undefined")
-    return float(np.mean(view.label_scores(y) <= cal.threshold + tau))
+    return np.count_nonzero(true_scores <= cal.threshold + tau) / true_scores.size
 
 
 def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> float:

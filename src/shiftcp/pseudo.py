@@ -253,6 +253,12 @@ def source_tuned_calibrate(
     substreams of ``rng``. Either sample may be a
     :class:`~shiftcp.scores.ScoredView`.
     """
+    tuning = _tune_cutoff(model, x_source, y_source, alpha, grid, rng)
+    return tuning, _calibrate_at_cutoff(model, x_target, alpha, tuning.u_star, rng)
+
+
+def _tune_cutoff(model, x_source, y_source, alpha, grid, rng) -> TuningResult:
+    """The source half of :func:`source_tuned_calibrate`: search, then select the cutoff."""
     if rng is None:
         raise ValueError("source_tuned_calibrate requires an rng stream")
     source = scored_view(model, x_source)
@@ -263,10 +269,9 @@ def source_tuned_calibrate(
     curve = [(u, c) for u, c, _ in trace]
     u_star = select_u_star(curve, alpha)
     source_threshold = next(thr for u, _, thr in trace if u == u_star)
-    target_cal = pseudo_calibrate(model, x_target, alpha, u=u_star, rng=rng.substream("tune-target"))
-    tuning = TuningResult(
-        u_star=u_star,
-        coverage_curve=tuple(curve),
-        source_threshold_at_u_star=source_threshold,
-    )
-    return tuning, target_cal
+    return TuningResult(u_star=u_star, coverage_curve=tuple(curve), source_threshold_at_u_star=source_threshold)
+
+
+def _calibrate_at_cutoff(model, x_target, alpha, u_star, rng) -> CalibrationResult:
+    """The target half: pseudo-calibrate at ``u_star``; only a finite cutoff draws."""
+    return pseudo_calibrate(model, x_target, alpha, u=u_star, rng=rng.substream("tune-target"))

@@ -16,16 +16,20 @@ classifier; see :class:`LinearLogitMap` and the logit-table map in
 Scored views
 ------------
 :func:`scored_view` makes one ``logit_matrix`` pass over a batch and keeps
-what every downstream quantity is derived from: the (n, K) score matrix
-``S``, the hard labels, their scores and the predictive entropy. Scores of
-any other label assignment are the gather ``S[i, y_i - 1]`` (true labels,
-randomized labels), and coverage, set sizes, losses and the tuning curve are
-reductions over ``S``. A :class:`ScoredView` can be passed wherever a batch
-of inputs is expected (the model argument is then unused), so a caller that
-scores a split once pays for one logit pass however many quantities it
-derives.
+what every downstream quantity is derived from: the score matrix ``S``, the
+hard labels, their scores and the predictive entropy. Scores of any other
+label assignment are the gather ``S[i, y_i - 1]`` (true labels, randomized
+labels), and coverage, set sizes, losses and the tuning curve are reductions
+over ``S`` or over one such gather. A :class:`ScoredView` can be passed
+wherever a batch of inputs is expected (the model argument is then unused),
+so a caller that scores a split once pays for one logit pass however many
+quantities it derives.
 
-The hard labels and their scores are derived with ``S``, never gathered:
+Views work class-major: ``S`` is a (K, n) array exposed as its (n, K)
+transpose, so each pass runs along the n points and a gather is one flat
+``take``; the class-major logits of :class:`LinearLogitMap` are not copied twice.
+
+The hard labels and their scores come with ``S``, not from a label gather:
 the hard score ``-(top1 - top2) <= 0`` is the row minimum, and any other
 label scores ``top1 - logit >= 0``. So a true-label score is never below the
 hard score, equals it on the prediction and exceeds it by at most twice
@@ -84,11 +88,11 @@ class LinearLogitMap:
         return self.weights.shape[1]
 
     def logit_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Class logits for a batch of inputs, shape (n, K)."""
+        """Class logits, shape (n, K): the transpose of ``W @ x.T + b``, bit for bit ``x @ W.T + b`` (tested)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected inputs of shape (n, {self.dim}), got {x.shape}")
-        return x @ self.weights.T + self.biases
+        return (self.weights @ x.T + self.biases[:, None]).T
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -104,22 +108,42 @@ def _check_labels(y: np.ndarray, n_classes: int | None) -> np.ndarray:
     """Integer labels of at least 1 and, when ``n_classes`` is given, at most ``n_classes``."""
     y = np.asarray(y)
     if not np.issubdtype(y.dtype, np.integer):
-        yi = y.astype(int)
+        # NaN, infinite and huge values have no integer to cast to; they fail the round trip.
+        with np.errstate(invalid="ignore"):
+            yi = y.astype(int)
         if not np.array_equal(yi, y):
             raise ValueError("labels must be integers")
         y = yi
     if y.size and (y.min() < 1 or (n_classes is not None and y.max() > n_classes)):
         raise ValueError(f"labels must lie in 1..{n_classes or 'K'}")
-    return y
+    return y.astype(np.intp, copy=False)
 
 
-def row_max(rows: np.ndarray) -> np.ndarray:
-    """Per-row maximum of an (n, K) matrix.
+def _pairwise_class_sum(p: np.ndarray) -> np.ndarray:
+    """Per-column sums of a class-major (K, n) array, added in numpy's pairwise order.
 
-    Reduces a transposed copy: numpy reduces a few long columns far faster
-    than many short rows, and a maximum is exact in any order.
+    ``q.sum(axis=1)`` on the row-major (n, K) layout ``q = p.T`` sums each
+    row by numpy's pairwise summation: left to right below 8 terms; from 8 to
+    128 terms, 8 strided accumulators combined as a fixed tree, then the
+    remainder left to right; above 128, the two halves (split at a multiple
+    of 8) separately. This replays that order with whole rows of ``p`` as the
+    terms, so every sum is bit-identical while each add runs along the long axis.
     """
-    return np.ascontiguousarray(rows.T).max(axis=0)
+    k = p.shape[0]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_class_sum(p[:half]) + _pairwise_class_sum(p[half:])
+    if k < 8:
+        total, rest = p[0].copy(), p[1:]
+    else:
+        acc = p[:8].copy()
+        for i in range(8, k - k % 8, 8):
+            acc += p[i : i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = p[k - k % 8 :]
+    for row in rest:
+        total += row
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +156,15 @@ class ScoredView:
     ``hard_scores`` their scores, bit for bit ``label_scores(hard)`` and the
     row minimum of ``scores``; ``entropy`` is the temperature-1 softmax
     entropy in nats, computed on first use. The arrays are read-only.
+
+    Every pass runs on the (K, n) transpose of the logits, copied only when
+    they are not class-major already, and ``scores`` is the transpose of a
+    (K, n) array. The bits equal the row-major definitions (kept as a test
+    oracle) through these orders: ``top1`` and ``top2`` are ``max(axis=0)``
+    down (K, n) arrays; the argmax takes K - 1 passes in which a class wins a
+    row only by beating every earlier one (ties to the first, as ``np.argmax``);
+    each score is ``-(own - competitor)``, keeping the sign of a zero; and the
+    entropy sums each row in numpy's pairwise order (:func:`_pairwise_class_sum`).
     """
 
     logits: np.ndarray = field(repr=False)
@@ -145,27 +178,31 @@ class ScoredView:
             raise ValueError(f"logits must be an (n, K) matrix with K >= 2, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             raise ValueError("logits must be finite; the inputs contain NaN or infinite values")
-        # Column-major work: the best competitor of a label is the row maximum,
-        # or the runner-up for the argmax label itself.
         cols = np.ascontiguousarray(rows.T)
-        best = np.argmax(rows, axis=1)
-        is_best = np.arange(rows.shape[1])[:, None] == best
+        k, n = cols.shape
+        best, lead = np.zeros(n, dtype=np.intp), cols[0]
+        for c in range(1, k):
+            np.copyto(best, c, where=cols[c] > lead)
+            lead = np.maximum(lead, cols[c])
+        # The best competitor of a label is the row maximum, or the runner-up
+        # for the argmax label itself.
+        is_best = np.arange(k)[:, None] == best
         top1 = cols.max(axis=0)
         top2 = np.where(is_best, -np.inf, cols).max(axis=0)
-        # Negated margin, -(own - best competitor): the sign of a zero matches
-        # the margin route exactly. The argmax label's own logit is top1.
-        scores = -(cols - np.where(is_best, top2, top1)).T
-        derived = {"logits": rows, "scores": scores, "hard": best + 1, "hard_scores": -(top1 - top2)}
+        scores = -(cols - np.where(is_best, top2, top1))
+        hard_scores = scores.take(best * n + np.arange(n))
+        derived = {"logits": rows, "scores": scores.T, "hard": best + 1, "hard_scores": hard_scores}
         for name, arr in derived.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        expz = np.exp(self.logits - row_max(self.logits)[:, None])
-        p = expz / expz.sum(axis=1, keepdims=True)
+        cols = np.ascontiguousarray(self.logits.T)
+        expz = np.exp(cols - cols.max(axis=0))
+        p = expz / _pairwise_class_sum(expz)
         terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        out = -terms.sum(axis=1)
+        out = -_pairwise_class_sum(terms)
         out.flags.writeable = False
         return out
 
@@ -185,7 +222,8 @@ class ScoredView:
         yarr = _check_labels(np.atleast_1d(y), self.n_classes)
         if yarr.shape != (len(self),):
             raise ValueError(f"expected one label per scored row ({len(self)}), got shape {yarr.shape}")
-        return self.scores[np.arange(len(self)), yarr - 1]
+        n = len(self)
+        return self.scores.T.take((yarr - 1) * n + np.arange(n))
 
 
 def scored_view(model, x) -> ScoredView:
@@ -251,21 +289,21 @@ def hinge_loss(gamma):
     return float(out) if g.ndim == 0 else out
 
 
-def _true_margins(model, x, y) -> np.ndarray:
-    view = scored_view(model, x)
-    if len(view) == 0:
+def _population_loss(loss, true_scores: np.ndarray) -> float:
+    """Mean ``loss`` of the true-label margins, the negated true-label scores."""
+    if true_scores.size == 0:
         raise ValueError("population loss of an empty sample is undefined")
-    return -view.label_scores(y)
+    return float(loss(-true_scores).mean())
 
 
 def population_ramp_loss(model, x, y) -> float:
     """Mean ramp loss of the true-label margins over a labeled sample."""
-    return float(ramp_loss(_true_margins(model, x, y)).mean())
+    return _population_loss(ramp_loss, scored_view(model, x).label_scores(y))
 
 
 def population_hinge_loss(model, x, y) -> float:
     """Mean hinge loss of the true-label margins over a labeled sample."""
-    return float(hinge_loss(_true_margins(model, x, y)).mean())
+    return _population_loss(hinge_loss, scored_view(model, x).label_scores(y))
 
 
 def predictive_entropy(model, x):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
-from .scores import LinearLogitMap, _check_labels
+from .scores import LinearLogitMap, _check_labels, _pairwise_class_sum
 
 SPLIT_TAGS = ("source_cal", "source_test", "target_cal", "target_test")
 
@@ -137,8 +137,8 @@ def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarra
 # and projection cannot rescale it.
 @np.errstate(over="ignore")
 def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np.random.Generator) -> np.ndarray:
-    if scale == 0.0 or radius == 0.0:
-        # radius 0 clips the noise entirely; no rejection loop.
+    if scale == 0.0 or radius == 0.0 or d == 0:
+        # radius 0 clips the noise entirely, and d = 0 has none; no rejection loop.
         return np.zeros((n, d))
     # A draw lands in the ball with chance at most its volume times the density's
     # peak, (r^2 / 2s^2)^(d/2) / Gamma(d/2 + 1) (in logs: r may be subnormal, s
@@ -148,19 +148,25 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
         raise ConfigError(_rejection_failure(radius, scale))
     eps = scale * g.standard_normal((n, d))
     if mode == "project":
-        norms = np.linalg.norm(eps, axis=1, keepdims=True)
+        norms = _row_norms(eps)[:, None]
         if not np.isfinite(norms).all():
             raise ConfigError(f"shift.noise_scale {scale:.4g} at this shift strength overflows the noise norms")
         factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
         return eps * factor
-    # An accepted row never changes, so each round re-checks only the rows it redrew.
-    bad = np.flatnonzero(np.linalg.norm(eps, axis=1) > radius)
+    # An accepted row never changes, so each round checks only the block it drew.
+    bad = np.flatnonzero(_row_norms(eps) > radius)
     for _ in range(_MAX_REJECTION_ROUNDS):
         if bad.size == 0:
             return eps
-        eps[bad] = scale * g.standard_normal((bad.size, d))
-        bad = bad[np.linalg.norm(eps[bad], axis=1) > radius]
+        block = scale * g.standard_normal((bad.size, d))
+        eps[bad] = block
+        bad = bad[_row_norms(block) > radius]
     raise ConfigError(_rejection_failure(radius, scale))
+
+
+def _row_norms(e: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(e, axis=1)`` bit for bit: its per-row pairwise sum of squares, run down columns."""
+    return np.sqrt(_pairwise_class_sum((e * e).T))
 
 
 def _rejection_failure(radius: float, scale: float) -> str:
@@ -182,43 +188,13 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     single = xa.ndim == 1
     if single:
         xa = xa[None, :]
-    ya = np.atleast_1d(np.asarray(y))
-    k = shift.per_class_translation.shape[0]
-    if ya.size and (ya.min() < 1 or ya.max() > k):
-        raise ValueError(f"labels must lie in 1..{k}")
+    ya = _check_labels(np.atleast_1d(y), shift.per_class_translation.shape[0])
     if xa.shape[1] != shift.per_class_translation.shape[1]:
         raise ValueError("feature dimension does not match the shift specification")
     g = rng.generator()
     eps = _clipped_noise(xa.shape[0], xa.shape[1], shift.noise_scale, shift.clip_radius, shift.clip_mode, g)
     out = xa + shift.per_class_translation[ya - 1] + eps
     return out[0] if single else out
-
-
-def _pairwise_class_sum(p: np.ndarray) -> np.ndarray:
-    """Per-column sums of a class-major (K, n) array, added in numpy's pairwise order.
-
-    ``q.sum(axis=1)`` on the row-major (n, K) layout ``q = p.T`` sums each
-    row by numpy's pairwise summation: left to right below 8 terms; from 8 to
-    128 terms, 8 strided accumulators combined as a fixed tree, then the
-    remainder left to right; above 128, the two halves (split at a multiple
-    of 8) separately. This replays that order with whole rows of ``p`` as the
-    terms, so every sum is bit-identical while each add runs along the long axis.
-    """
-    k = p.shape[0]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _pairwise_class_sum(p[:half]) + _pairwise_class_sum(p[half:])
-    if k < 8:
-        total, rest = p[0].copy(), p[1:]
-    else:
-        acc = p[:8].copy()
-        for i in range(8, k - k % 8, 8):
-            acc += p[i : i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = p[k - k % 8 :]
-    for row in rest:
-        total += row
-    return total
 
 
 def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:

@@ -12,17 +12,21 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftcp.cli as cli_module
+import shiftcp.pseudo as pseudo_module
 from shiftcp.cli import (
     DEFAULT_CONFIG,
     ExperimentConfig,
     TrialData,
     _calibrate_method,
     _map,
+    _tau_trial,
     _tune_stream,
     _workers,
     aggregate_records,
@@ -34,8 +38,11 @@ from shiftcp.cli import (
     tau_diagnostics,
     train_model,
 )
+from shiftcp.conformal import calibrate, coverage, expected_set_size
 from shiftcp.exceptions import ConfigError
+from shiftcp.pseudo import pseudo_calibrate, source_tuned_calibrate
 from shiftcp.rng import RngStream
+from shiftcp.scores import ScoredView
 from shiftcp.synthetic import write_logit_table
 
 
@@ -143,13 +150,14 @@ class TestTrialMachinery:
             x_target_test=data.x_target_test,
             y_target_test=data.y_target_test,
         )
+
+        def threshold(method, d):
+            hard = partial(pseudo_calibrate, model, d.x_target_cal, cfg.alpha)
+            return _calibrate_method(cfg, model, method, d, _tune_stream(cfg, 1, 0), hard)[0].threshold
+
         for method in ("source", "hard_pseudo", "source_tuned"):
-            cal_a, _ = _calibrate_method(cfg, model, method, data, _tune_stream(cfg, 1, 0))
-            cal_b, _ = _calibrate_method(cfg, model, method, permuted, _tune_stream(cfg, 1, 0))
-            assert cal_a.threshold == cal_b.threshold
-        oracle_a, _ = _calibrate_method(cfg, model, "oracle", data, _tune_stream(cfg, 1, 0))
-        oracle_b, _ = _calibrate_method(cfg, model, "oracle", permuted, _tune_stream(cfg, 1, 0))
-        assert oracle_a.threshold != oracle_b.threshold
+            assert threshold(method, data) == threshold(method, permuted)
+        assert threshold("oracle", data) != threshold("oracle", permuted)
 
     def test_tuned_coverage_at_least_hard_per_trial(self):
         cfg = small_config(trials=6, sigma_grid=[0.0, 1.0, 2.0])
@@ -830,3 +838,61 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class TestOneGatherPerCell:
+    """Coverage, ramp and hinge figures of a cell come from one gather of its test labels."""
+
+    def test_one_test_label_gather_per_cell(self, tmp_path, monkeypatch):
+        cfg = tau_config(trials=2)  # n_test 200 differs from every other split size
+        model = train_model(cfg)
+        diagnostics = [tau_diagnostics(cfg, model, si) for si in range(len(cfg.sigma_grid))]
+        sizes = []
+        gather = ScoredView.label_scores
+
+        def counted(view, y):
+            sizes.append(len(view))
+            return gather(view, y)
+
+        monkeypatch.setattr(ScoredView, "label_scores", counted)
+
+        def test_gathers(run) -> int:
+            sizes.clear()
+            run()
+            return sizes.count(cfg.n_test)
+
+        for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
+            cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
+            assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0)) == 1
+        assert test_gathers(lambda: _tau_trial(cfg, model, diagnostics, 1, 0)) == 1
+
+        raw = {"n_train": 800, "n_cal": 150, "n_test": 200, "trials": 2, "sigma_grid": [0.0, 0.8]}
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        assert test_gathers(lambda: main(["replay", "--out", str(out)])) == 2 * 2
+
+    def test_source_tuned_reuses_the_hard_calibration_at_u_inf(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)
+        model = train_model(cfg)
+        data = make_trial_data(cfg, 0, 0)
+        tuning, tuned = source_tuned_calibrate(
+            model, data.x_source, data.y_source, data.x_target_cal, cfg.alpha, cfg.uncertainty_grid(), _tune_stream(cfg, 0, 0)
+        )
+        assert tuning.u_star == math.inf
+        calls = []
+
+        def counted(scores, alpha):
+            calls.append(alpha)
+            return calibrate(scores, alpha)
+
+        monkeypatch.setattr(cli_module, "calibrate", counted)
+        monkeypatch.setattr(pseudo_module, "calibrate", counted)
+        records = {r.method: r for r in run_trial(cfg, model, 0, 0)}
+        # source, hard_pseudo, the tuning probe at u = inf and oracle; source_tuned reuses hard_pseudo's.
+        assert len(calls) == 4
+        rec = records["source_tuned"]
+        assert (rec.u_star, rec.threshold) == (tuning.u_star, tuned.threshold)
+        test = data.x_target_test
+        assert rec.coverage == coverage(model, test, data.y_target_test, tuned)
+        assert rec.ess == expected_set_size(model, test, tuned)

@@ -1,6 +1,7 @@
 """Scoring primitives: logits, margins, losses, entropy, Lipschitz bound, scored views."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shiftcp.cli import DEFAULT_CONFIG, ExperimentConfig, make_trial_data, train_model
+from shiftcp.rng import RngStream
 from shiftcp.scores import (
     LinearLogitMap,
     ScoredView,
@@ -24,7 +27,7 @@ from shiftcp.scores import (
     score_matrix,
     scored_view,
 )
-from shiftcp.synthetic import _MAX_ABS_LOGIT
+from shiftcp.synthetic import _MAX_ABS_LOGIT, ShiftSpec, apply_shift, train_classifier
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -308,6 +311,7 @@ class TestScoredViewRelations:
     @settings(max_examples=400)
     @given(logits_and_labels())
     @example((np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [0.0, 2.0, 2.0]]), np.array([2, 2, 1])))
+    @example((np.array([[-0.0, 0.0], [0.0, -0.0]]), np.array([2, 1])))
     def test_hard_scores_are_the_row_minimum_and_bound_every_label(self, case):
         rows, y = case
         view = ScoredView(rows)
@@ -323,3 +327,89 @@ class TestScoredViewRelations:
         correct = y == view.hard
         assert (s_true[correct] == s_hard[correct]).all()
         assert (s_true[~correct] - s_hard[~correct] <= 2.0 * s_true[~correct]).all()
+
+
+def _reference_view(logits):
+    """The row-major ``ScoredView`` kernels the class-major view must reproduce bit for bit.
+
+    Kept verbatim: ``__post_init__`` returns ``(rows, scores, hard, hard_scores)``;
+    the entropy is the former ``entropy`` property with its ``row_max`` inlined.
+    """
+    rows = np.array(logits, dtype=float)
+    cols = np.ascontiguousarray(rows.T)
+    best = np.argmax(rows, axis=1)
+    is_best = np.arange(rows.shape[1])[:, None] == best
+    top1 = cols.max(axis=0)
+    top2 = np.where(is_best, -np.inf, cols).max(axis=0)
+    scores = -(cols - np.where(is_best, top2, top1)).T
+    expz = np.exp(rows - np.ascontiguousarray(rows.T).max(axis=0)[:, None])
+    p = expz / expz.sum(axis=1, keepdims=True)
+    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return scores, best + 1, -(top1 - top2), -terms.sum(axis=1)
+
+
+def _awkward_logits(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Row-major logits with exact ties, rounded values, signed zeros and repeated rows."""
+    rows = rng.normal(scale=3.0, size=(n, k))
+    rows[: n // 3] = np.round(rows[: n // 3])  # ties, often at the maximum
+    rows[n // 3 : n // 2] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(n // 2 - n // 3, k))
+    rows[n // 2 : n // 2 + 5] = rows[n // 2 - 1]  # equal rows
+    rows[-1] = 0.0
+    return rows
+
+
+class TestClassMajorKernels:
+    """The class-major view and logits against the row-major kernels they replace."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 130])
+    @pytest.mark.parametrize("n", [1, 7, 301])
+    def test_view_matches_the_row_major_kernels(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        rows = _awkward_logits(rng, n, k)
+        want_scores, want_hard, want_hard_scores, want_entropy = _reference_view(rows)
+        # Row-major (a logit table) and class-major (a linear map) input layouts.
+        for logits in (rows, np.asfortranarray(rows)):
+            view = ScoredView(logits)
+            assert view.scores.shape == (n, k)
+            assert _bits(view.scores) == _bits(want_scores)
+            assert np.array_equal(view.hard, want_hard)
+            assert np.array_equal(view.hard_scores, want_hard_scores)
+            # Bit for bit the score of the argmax label, sign of zero included.
+            assert _bits(view.hard_scores) == _bits(want_scores[np.arange(n), want_hard - 1])
+            assert _bits(view.entropy) == _bits(want_entropy)
+            y = rng.integers(1, k + 1, size=n)
+            assert _bits(view.label_scores(y)) == _bits(want_scores[np.arange(n), y - 1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 17, 33])
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_class_major_logits_equal_the_row_major_product(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        m = random_map(rng, k, d)
+        x = rng.normal(scale=4.0, size=(2000, d))
+        assert _bits(m.logit_matrix(x)) == _bits(x @ m.weights.T + m.biases)
+
+    def test_class_major_logits_of_the_trained_default_model(self):
+        cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)
+        m = train_model(cfg)
+        x = make_trial_data(cfg, 5, 0).x_target_test
+        assert _bits(m.logit_matrix(x)) == _bits(x @ m.weights.T + m.biases)
+
+
+class TestNonFiniteLabels:
+    """A NaN or infinite label is a ValueError, with no numpy cast warning first."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_rejected_without_a_warning(self, identity_map, bad):
+        labels = np.array([1.0, bad, 2.0])
+        x = np.array([[3.0, 1.0], [0.0, 5.0], [2.0, 2.5]])
+        calls = [
+            lambda: ScoredView(x).label_scores(labels),
+            lambda: score(identity_map, x, labels),
+            lambda: train_classifier(x, labels),
+            lambda: apply_shift(x, labels, ShiftSpec(np.zeros((2, 2)), 0.1, 0.2), RngStream(1)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match="labels must be integers"):
+                    call()

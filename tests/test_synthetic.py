@@ -8,7 +8,7 @@ import pytest
 
 from shiftcp.exceptions import ConfigError, DataError, InvariantError
 from shiftcp.rng import RngStream
-from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, row_max, score
+from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, score
 from shiftcp.synthetic import (
     _MAX_REJECTION_ROUNDS,
     LogitTableMap,
@@ -16,6 +16,8 @@ from shiftcp.synthetic import (
     SourceSpec,
     _clipped_noise,
     _pairwise_class_sum,
+    _rejection_failure,
+    _row_norms,
     apply_shift,
     generate_source,
     load_logit_table,
@@ -165,6 +167,70 @@ class TestApplyShift:
         assert g.calls == 1 + _MAX_REJECTION_ROUNDS
 
 
+# A draw or norm that overflows lies beyond any radius: resampling rejects it,
+# and projection cannot rescale it.
+@np.errstate(over="ignore")
+def _reference_clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np.random.Generator) -> np.ndarray:
+    """The row-wise noise clipping ``_clipped_noise`` must reproduce draw for draw and bit for bit."""
+    if scale == 0.0 or radius == 0.0:
+        # radius 0 clips the noise entirely; no rejection loop.
+        return np.zeros((n, d))
+    # A draw lands in the ball with chance at most its volume times the density's
+    # peak, (r^2 / 2s^2)^(d/2) / Gamma(d/2 + 1) (in logs: r may be subnormal, s
+    # huge). Below a 1e-6 chance within the rounds, none is tried.
+    log_chance = d * (math.log(radius) - math.log(scale) - math.log(2.0) / 2) - math.lgamma(d / 2 + 1)
+    if mode == "resample" and n and log_chance + math.log(_MAX_REJECTION_ROUNDS) < math.log(1e-6):
+        raise ConfigError(_rejection_failure(radius, scale))
+    eps = scale * g.standard_normal((n, d))
+    if mode == "project":
+        norms = np.linalg.norm(eps, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise ConfigError(f"shift.noise_scale {scale:.4g} at this shift strength overflows the noise norms")
+        factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+        return eps * factor
+    # An accepted row never changes, so each round re-checks only the rows it redrew.
+    bad = np.flatnonzero(np.linalg.norm(eps, axis=1) > radius)
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        if bad.size == 0:
+            return eps
+        eps[bad] = scale * g.standard_normal((bad.size, d))
+        bad = bad[np.linalg.norm(eps[bad], axis=1) > radius]
+    raise ConfigError(_rejection_failure(radius, scale))
+
+
+def _noise_outcome(fn, n, d, mode, seed):
+    """(noise or error message, generator state after): equal outcomes drew the same values in the same order."""
+    g = RngStream(seed).generator()
+    try:
+        out = fn(n, d, 0.12, 0.15, mode, g)  # the default radius / scale of 1.25
+    except ConfigError as exc:
+        out = str(exc)
+    return out, g.bit_generator.state
+
+
+class TestClippedNoiseMatchesReference:
+    @pytest.mark.parametrize("mode", ["resample", "project"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 130])
+    def test_same_draws_and_bits(self, d, mode):
+        for n, seed in ((1, d), (120, 100 + d), (0, 3)):
+            want, want_state = _noise_outcome(_reference_clipped_noise, n, d, mode, seed)
+            got, state = _noise_outcome(_clipped_noise, n, d, mode, seed)
+            assert state == want_state
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 130, 300])
+    def test_row_norms_match_numpy(self, d):
+        rng = np.random.default_rng(d)
+        e = rng.normal(size=(50, d)) * rng.choice([0.0, 1e-170, 1.0, 1e160], size=(50, 1))
+        e[0] = -0.0
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.linalg.norm(e, axis=1)
+            assert _row_norms(e).tobytes() == want.tobytes()
+
+
 class TestTrainClassifier:
     def test_separable_two_class_accuracy(self):
         x, y = generate_source(two_class_spec(scale=0.6), 800, RngStream(13))
@@ -202,11 +268,13 @@ class TestTrainClassifier:
             train_classifier(x, np.array([1.0, 2.5, 3.0]))
 
     def test_integral_float_labels_fit_like_integers(self):
-        x, y = generate_source(two_class_spec(), 200, RngStream(15))
+        x, y = generate_source(two_class_spec(), 300, RngStream(15))
         m_int = train_classifier(x, y, epochs=20)
-        m_float = train_classifier(x, y.astype(float), epochs=20)
-        np.testing.assert_array_equal(m_int.weights, m_float.weights)
-        np.testing.assert_array_equal(m_int.biases, m_float.biases)
+        # Narrow integer labels too: their flat indices must not wrap or overflow.
+        for dtype in (float, np.uint8, np.int16):
+            m_other = train_classifier(x, y.astype(dtype), epochs=20)
+            np.testing.assert_array_equal(m_int.weights, m_other.weights)
+            np.testing.assert_array_equal(m_int.biases, m_other.biases)
 
     def test_deterministic_fit(self):
         x, y = generate_source(two_class_spec(), 200, RngStream(15))
@@ -230,7 +298,7 @@ def _reference_fit(x, y, epochs, learning_rate):
     prev_loss = np.inf
     for _ in range(epochs):
         z = xa @ w.T + b
-        zmax = row_max(z)[:, None]
+        zmax = np.ascontiguousarray(z.T).max(axis=0)[:, None]
         p = np.exp(z - zmax)
         total = p.sum(axis=1, keepdims=True)
         logsumexp = zmax[:, 0] + np.log(total[:, 0])
