@@ -29,7 +29,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ from .scores import (
     scored_view,
 )
 from .shift_bounds import (
+    _undercoverage_gap,
     coverage_gap_bound,
     kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
@@ -58,7 +59,6 @@ from .shift_bounds import (
     score_shift_w1_bound,
     sup_density_estimate,
     tau_correction,
-    undercoverage_gap_estimate,
     w1_1d,
     w1_assignment,
     w1_assignment_subsampled,
@@ -262,14 +262,24 @@ class ExperimentConfig:
             },
         }
 
-    def uncertainty_grid(self) -> UncertaintyGrid:
+    # Per-run constants, derived on first use and shared by every cell of the run.
+    @cached_property
+    def _grid(self) -> UncertaintyGrid:
         if self.u_grid is not None:
             return UncertaintyGrid(np.asarray(self.u_grid, dtype=float))
         return UncertaintyGrid.default(self.source_spec.n_classes)
 
+    @cached_property
+    def _grid_shifts(self) -> dict[float, ShiftSpec]:
+        return {sigma: self.shift_spec.scaled(sigma) for sigma in self.sigma_grid}
+
+    def uncertainty_grid(self) -> UncertaintyGrid:
+        return self._grid
+
     def rho_mix_certified(self, sigma: float) -> float:
         """Generator-certified mixture shift bound at strength sigma."""
-        return rho_mix(self.source_spec.priors, self.shift_spec.scaled(sigma).per_class_rho())
+        shift = self._grid_shifts.get(sigma) or self.shift_spec.scaled(sigma)
+        return rho_mix(self.source_spec.priors, shift.per_class_rho())
 
 
 def _integer(name: str, value) -> int:
@@ -372,7 +382,7 @@ class TrialRecord:
 def _shifted_sample(cfg: ExperimentConfig, sigma: float, n: int, base: RngStream, shift: RngStream):
     """``n`` source draws from ``base`` shifted at strength ``sigma`` by ``shift``: (shifted x, y, base x)."""
     xb, yb = generate_source(cfg.source_spec, n, base)
-    return apply_shift(xb, yb, cfg.shift_spec.scaled(sigma), shift), yb, xb
+    return apply_shift(xb, yb, cfg._grid_shifts[sigma], shift), yb, xb
 
 
 def _target_split(cfg: ExperimentConfig, sigma_idx: int, trial: int, name: str, n: int):
@@ -427,14 +437,14 @@ def train_model(cfg: ExperimentConfig):
     return _train(cfg)[0]
 
 
-def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, tune: RngStream, hard):
+def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, source_scores, tune: RngStream, hard):
     """Threshold for one calibration strategy; target labels reach only the oracle arm."""
     if method == "source":
-        return calibrate(score(model, data.x_source, data.y_source), cfg.alpha), None
+        return calibrate(source_scores, cfg.alpha), None
     if method == "hard_pseudo":
         return hard(), None
     if method == "source_tuned":
-        tuning = _tune_cutoff(model, data.x_source, data.y_source, cfg.alpha, cfg.uncertainty_grid(), tune)
+        tuning = _tune_cutoff(data.x_source, source_scores, cfg.alpha, cfg.uncertainty_grid(), tune)
         if math.isinf(tuning.u_star):  # draws nothing: hard() is this cell's hard pseudo-calibration
             return hard(), tuning
         return _calibrate_at_cutoff(model, data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
@@ -443,18 +453,18 @@ def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _tau_design(model, alpha: float, source, y_source, target_scores, where: str) -> dict:
+def _tau_design(alpha: float, source: ScoredView, source_scores, target_scores, where: str) -> dict:
     """The slack rule's measured ingredients and the slack it designs.
 
     The target hinge loss (of the target's true-label scores) is an oracle
     input. A degenerate rule is a :class:`DataError` whose message starts with ``where``.
     """
     design = {
-        "hinge_source": _population_loss(hinge_loss, source.label_scores(y_source)),
+        "hinge_source": _population_loss(hinge_loss, source_scores),
         "hinge_target_oracle": _population_loss(hinge_loss, target_scores),
     }
     try:
-        design["undercoverage_gap"] = undercoverage_gap_estimate(model, source, y_source, alpha)
+        design["undercoverage_gap"] = _undercoverage_gap(source, source_scores, alpha)
         design["tau"] = tau_correction(design["hinge_source"], design["hinge_target_oracle"], design["undercoverage_gap"])
     except ValueError as exc:
         measured = ", ".join(f"{name}={value:.4g}" for name, value in design.items())
@@ -465,14 +475,14 @@ def _tau_design(model, alpha: float, source, y_source, target_scores, where: str
     return design
 
 
-def _trial_tau(cfg: ExperimentConfig, model, data: TrialData, test_scores) -> float | None:
+def _trial_tau(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores) -> float | None:
     """Slack applied to prediction sets under the configured tau policy."""
     if cfg.tau_policy_kind == "none":
         return None
     if cfg.tau_policy_kind == "fixed":
         return cfg.tau_policy_value
     # tau_design measures the target hinge loss on the evaluation split.
-    design = _tau_design(model, cfg.alpha, data.x_source, data.y_source, test_scores, "tau_design policy failed")
+    design = _tau_design(cfg.alpha, data.x_source, source_scores, test_scores, "tau_design policy failed")
     return design["tau"]
 
 
@@ -493,11 +503,11 @@ def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, 
     )
 
 
-def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, sigma, trial: int, tune: RngStream, thm2):
-    """Every method's record for one cell of scored splits (generator cell or logit table)."""
+def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, source_scores, sigma, trial: int, tune: RngStream, thm2):
+    """Every method's record for one cell of scored splits (generator cell or logit table) and its source scores."""
     test = data.x_target_test
     test_scores = test.label_scores(data.y_target_test)
-    tau = _trial_tau(cfg, model, data, test_scores)
+    tau = _trial_tau(cfg, data, source_scores, test_scores)
     # Oracle-flagged target losses back the relaxed bound column.
     ramp_tgt = _population_loss(ramp_loss, test_scores)
     hinge_tgt = _population_loss(hinge_loss, test_scores)
@@ -506,7 +516,7 @@ def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, sigma, trial: 
     hard = cache(partial(pseudo_calibrate, model, data.x_target_cal, cfg.alpha))
     records = []
     for method in cfg.methods:
-        cal, tuning = _calibrate_method(cfg, model, method, data, tune, hard)
+        cal, tuning = _calibrate_method(cfg, model, method, data, source_scores, tune, hard)
         bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
         u_star = tuning.u_star if tuning is not None else None
         records.append(_record(test, test_scores, method, sigma, trial, cal, tau, u_star, *bounds))
@@ -523,9 +533,10 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
         x_target_cal=scored_view(model, raw.x_target_cal),
         x_target_test=scored_view(model, raw.x_target_test),
     )
-    ramp_src = _population_loss(ramp_loss, data.x_source.label_scores(data.y_source))
+    source_scores = data.x_source.label_scores(data.y_source)
+    ramp_src = _population_loss(ramp_loss, source_scores)
     thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
-    return _evaluate_cell(cfg, model, data, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
+    return _evaluate_cell(cfg, model, data, source_scores, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
 # Chunks of cells per worker process. Fewer, larger chunks pickle the bound
@@ -629,7 +640,8 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     n_tgt = max(cfg.n_cal, n_diag // 2)
     x_tgt, y_tgt, _ = _shifted_sample(cfg, sigma, n_tgt, diag.substream("target-base"), diag.substream("target-shift"))
     target_scores = scored_view(model, x_tgt).label_scores(y_tgt)
-    design = _tau_design(model, cfg.alpha, scored_view(model, x_src), y_src, target_scores, f"sigma={sigma}")
+    source = scored_view(model, x_src)
+    design = _tau_design(cfg.alpha, source, source.label_scores(y_src), target_scores, f"sigma={sigma}")
     return {"sigma": sigma, "ramp_target_oracle": _population_loss(ramp_loss, target_scores), **design}
 
 
@@ -680,7 +692,7 @@ def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
         "sup_density": sup_density,
         "ramp_source": _population_loss(ramp_loss, src_scores),
         "hinge_source": _population_loss(hinge_loss, src_scores),
-        "undercoverage_gap": undercoverage_gap_estimate(model, source, y_src, alpha),
+        "undercoverage_gap": _undercoverage_gap(source, src_scores, alpha),
     }
 
 
@@ -731,7 +743,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
         stream = root.substream("target", si)
         x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
 
-        rho_certified = cfg.shift_spec.scaled(sigma).rho_true
+        rho_certified = cfg._grid_shifts[sigma].rho_true
         rho_mix_cert = cfg.rho_mix_certified(sigma)
         w1_bound = score_shift_w1_bound(lip, rho_certified)
         class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
@@ -825,7 +837,8 @@ def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list
         x_target_test=scored_view(model, table.features("target_test")),
         y_target_test=y_tt,
     )
-    records = _evaluate_cell(cfg, model, data, None, 0, RngStream(cfg.seed).substream("table-tune"), None)
+    tune = RngStream(cfg.seed).substream("table-tune")
+    records = _evaluate_cell(cfg, model, data, data.x_source.label_scores(y_src), None, 0, tune, None)
     return records, aggregate_records(records)
 
 
@@ -1068,7 +1081,8 @@ def run_selftest(seed: int = 7) -> list[tuple[str, bool]]:
     grid = cfg.uncertainty_grid()
     ok, picked = True, []
     for m, x_src, y_src, x_tgt in cases:
-        tuning = _tune_cutoff(m, x_src, y_src, cfg.alpha, grid, stream)
+        source = scored_view(m, x_src)
+        tuning = _tune_cutoff(source, source.label_scores(y_src), cfg.alpha, grid, stream)
         cal = _calibrate_at_cutoff(m, x_tgt, cfg.alpha, tuning.u_star, stream)
         full = _curve_with_thresholds(m, x_src, y_src, cfg.alpha, grid, stream.substream("tune-source"))
         u_star = select_u_star([(u, c) for u, c, _ in full], cfg.alpha)

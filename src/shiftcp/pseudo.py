@@ -174,17 +174,15 @@ def source_coverage_curve(
     return [(u, c) for u, c, _ in curve]
 
 
-def _source_probe(model, x_source, y_source, alpha, rng):
-    """``probe(u) -> (u, c_hat, threshold)``: pseudo-calibrate the source at one cutoff.
+def _source_probe(view: ScoredView, true_scores, alpha, rng):
+    """``probe(u) -> (u, c_hat, threshold)``: pseudo-calibrate the scored source at one cutoff.
 
-    The true-label scores are gathered once. The coupled uniform draw is made
-    at the first finite cutoff probed, and the entropy is computed only then,
-    so probing ``u = inf`` alone draws nothing.
+    ``true_scores`` is the caller's one gather of the source labels. The
+    coupled uniform draw is made at the first finite cutoff probed, and the
+    entropy is computed only then, so probing ``u = inf`` alone draws nothing.
     """
-    view = scored_view(model, x_source)
     if len(view) == 0:
         raise ValueError("source sample must be nonempty")
-    true_scores = view.label_scores(y_source)
     uniform_scores = cache(lambda: _uniform_scores(view, rng))
 
     def probe(u):
@@ -195,7 +193,8 @@ def _source_probe(model, x_source, y_source, alpha, rng):
 
 
 def _curve_with_thresholds(model, x_source, y_source, alpha, grid, rng):
-    probe = _source_probe(model, x_source, y_source, alpha, rng)
+    view = scored_view(model, x_source)
+    probe = _source_probe(view, view.label_scores(y_source), alpha, rng)
     return [probe(u) for u in grid.values]
 
 
@@ -253,18 +252,18 @@ def source_tuned_calibrate(
     substreams of ``rng``. Either sample may be a
     :class:`~shiftcp.scores.ScoredView`.
     """
-    tuning = _tune_cutoff(model, x_source, y_source, alpha, grid, rng)
+    source = scored_view(model, x_source)
+    tuning = _tune_cutoff(source, source.label_scores(y_source), alpha, grid, rng)
     return tuning, _calibrate_at_cutoff(model, x_target, alpha, tuning.u_star, rng)
 
 
-def _tune_cutoff(model, x_source, y_source, alpha, grid, rng) -> TuningResult:
+def _tune_cutoff(source: ScoredView, true_scores, alpha, grid, rng) -> TuningResult:
     """The source half of :func:`source_tuned_calibrate`: search, then select the cutoff."""
     if rng is None:
         raise ValueError("source_tuned_calibrate requires an rng stream")
-    source = scored_view(model, x_source)
     if grid is None:
         grid = UncertaintyGrid.default(source.n_classes)
-    probe = _source_probe(model, source, y_source, alpha, rng.substream("tune-source"))
+    probe = _source_probe(source, true_scores, alpha, rng.substream("tune-source"))
     trace = _search_curve(probe, grid.values, alpha)
     curve = [(u, c) for u, c, _ in trace]
     u_star = select_u_star(curve, alpha)

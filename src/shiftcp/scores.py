@@ -213,10 +213,6 @@ class ScoredView:
     def __len__(self) -> int:
         return self.scores.shape[0]
 
-    def __getitem__(self, rows) -> "ScoredView":
-        """View of a subset of rows (a slice or an index array)."""
-        return ScoredView(self.logits[rows])
-
     def label_scores(self, y) -> np.ndarray:
         """Scores ``S[i, y_i - 1]`` of one label per row."""
         yarr = _check_labels(np.atleast_1d(y), self.n_classes)

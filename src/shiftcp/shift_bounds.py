@@ -17,10 +17,9 @@ import warnings
 
 import numpy as np
 
-from .conformal import coverage
-from .pseudo import pseudo_calibrate
+from .conformal import _covered_share, calibrate
 from .rng import RngStream
-from .scores import scored_view
+from .scores import ScoredView, scored_view
 
 #: Largest exact assignment instance; larger samples must be subsampled.
 MAX_ASSIGNMENT_SIZE = 512
@@ -226,17 +225,20 @@ def undercoverage_gap_estimate(model, x_source, y_source, alpha: float) -> float
     Splits the sample in half: the first half calibrates on hard pseudo-labels,
     the second half evaluates coverage against the true labels. Returns
     ``(1 - alpha) - coverage``, unclipped (negative means overcoverage).
-    The sample is scored once and both halves are sliced from its view;
-    ``x_source`` may be a :class:`~shiftcp.scores.ScoredView` already.
+    The sample is scored and its labels gathered once; both halves are slices
+    of those arrays. ``x_source`` may be a :class:`~shiftcp.scores.ScoredView`.
     """
     view = scored_view(model, x_source)
-    y = np.asarray(y_source)
+    return _undercoverage_gap(view, view.label_scores(y_source), alpha)
+
+
+def _undercoverage_gap(view: ScoredView, true_scores: np.ndarray, alpha: float) -> float:
+    """:func:`undercoverage_gap_estimate` of a scored sample and its true-label scores."""
     if len(view) < 2:
         raise ValueError("need at least two labeled source points")
     half = len(view) // 2
-    cal = pseudo_calibrate(model, view[:half], alpha)
-    cov = coverage(model, view[half:], y[half:], cal)
-    return (1.0 - alpha) - cov
+    cal = calibrate(view.hard_scores[:half], alpha)
+    return (1.0 - alpha) - _covered_share(true_scores[half:], cal, 0.0)
 
 
 def tau_correction(hinge_source: float, hinge_target: float, undercoverage_gap: float) -> float:

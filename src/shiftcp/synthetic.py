@@ -9,6 +9,10 @@ a single shift-strength knob, keeping the certificate analytic across a
 sweep. A plain multinomial logistic regression trained by full-batch gradient
 descent plays the role of the fixed pre-trained classifier.
 
+Draw order is part of the output contract (see :func:`generate_source` and
+:func:`_clipped_noise`). Rows are gathered with ``take`` and features built in
+place, bit for bit the textbook expressions kept as test oracles.
+
 Externally computed logits can be ingested from a CSV table; the resulting
 table map plugs into every downstream scoring and calibration routine, with
 row indices standing in for feature vectors.
@@ -124,19 +128,30 @@ class ShiftSpec:
 
 
 def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` labeled source points: labels from the priors, features Gaussian."""
+    """Draw ``n`` labeled source points: labels from the priors, features Gaussian.
+
+    Labels search one ``random(n)`` block in the priors' CDF (``Generator.choice``'s path);
+    features are one ``standard_normal((n, d))`` block, scaled and moved in place.
+    """
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     g = rng.generator()
-    y = g.choice(spec.n_classes, size=n, p=spec.priors) + 1
-    x = spec.class_means[y - 1] + spec.class_cov_scale * g.standard_normal((n, spec.dim))
-    return x, y
+    cdf = spec.priors.cumsum()
+    idx = (cdf / cdf[-1]).searchsorted(g.random(n), side="right")
+    x = g.standard_normal((n, spec.dim))
+    x *= spec.class_cov_scale
+    x += spec.class_means.take(idx, axis=0)
+    return x, idx + 1
 
 
 # A draw or norm that overflows lies beyond any radius: resampling rejects it,
 # and projection cannot rescale it.
 @np.errstate(over="ignore")
 def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np.random.Generator) -> np.ndarray:
+    """``scale`` times one ``standard_normal((n, d))`` block, its rows outside ``radius`` projected or redrawn.
+
+    Each resample round draws one ``(m, d)`` block for the ``m`` rows still outside, in row order.
+    """
     if scale == 0.0 or radius == 0.0 or d == 0:
         # radius 0 clips the noise entirely, and d = 0 has none; no rejection loop.
         return np.zeros((n, d))
@@ -193,7 +208,8 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
         raise ValueError("feature dimension does not match the shift specification")
     g = rng.generator()
     eps = _clipped_noise(xa.shape[0], xa.shape[1], shift.noise_scale, shift.clip_radius, shift.clip_mode, g)
-    out = xa + shift.per_class_translation[ya - 1] + eps
+    out = xa + shift.per_class_translation.take(ya - 1, axis=0)
+    out += eps
     return out[0] if single else out
 
 

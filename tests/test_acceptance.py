@@ -17,6 +17,7 @@ import pytest
 
 from shiftcp.cli import (
     ExperimentConfig,
+    _target_split,
     main,
     make_trial_data,
     run_sweep,
@@ -182,13 +183,15 @@ def test_c06_relaxed_coverage_bound(default_cfg, default_model):
         covs = {tau: [] for tau in taus}
         bounds = {tau: [] for tau in taus}
         for t in range(default_cfg.trials):
-            data = make_trial_data(default_cfg, si, t)
-            cal = pseudo_calibrate(default_model, data.x_target_cal, default_cfg.alpha)
-            test = scored_view(default_model, data.x_target_test)  # scored once for all seven uses
-            ramp_tgt = population_ramp_loss(default_model, test, data.y_target_test)
-            hinge_tgt = population_hinge_loss(default_model, test, data.y_target_test)
+            # The two target splits of the cell, from its own streams; its source split is not used.
+            x_cal, _ = _target_split(default_cfg, si, t, "target-cal", default_cfg.n_cal)
+            x_test, y_test = _target_split(default_cfg, si, t, "target-test", default_cfg.n_test)
+            cal = pseudo_calibrate(default_model, x_cal, default_cfg.alpha)
+            test = scored_view(default_model, x_test)  # scored once for all seven uses
+            ramp_tgt = population_ramp_loss(default_model, test, y_test)
+            hinge_tgt = population_hinge_loss(default_model, test, y_test)
             for tau in taus:
-                covs[tau].append(coverage(default_model, test, data.y_target_test, cal, tau))
+                covs[tau].append(coverage(default_model, test, y_test, cal, tau))
                 bounds[tau].append(relaxed_coverage_lower_bound(default_cfg.alpha, ramp_tgt, hinge_tgt, tau))
         bound_means = []
         for tau in taus:

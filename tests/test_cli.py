@@ -42,7 +42,7 @@ from shiftcp.conformal import calibrate, coverage, expected_set_size
 from shiftcp.exceptions import ConfigError
 from shiftcp.pseudo import pseudo_calibrate, source_tuned_calibrate
 from shiftcp.rng import RngStream
-from shiftcp.scores import ScoredView
+from shiftcp.scores import ScoredView, scored_view
 from shiftcp.synthetic import write_logit_table
 
 
@@ -152,8 +152,10 @@ class TestTrialMachinery:
         )
 
         def threshold(method, d):
+            d = replace(d, x_source=scored_view(model, d.x_source))
             hard = partial(pseudo_calibrate, model, d.x_target_cal, cfg.alpha)
-            return _calibrate_method(cfg, model, method, d, _tune_stream(cfg, 1, 0), hard)[0].threshold
+            source_scores = d.x_source.label_scores(d.y_source)
+            return _calibrate_method(cfg, model, method, d, source_scores, _tune_stream(cfg, 1, 0), hard)[0].threshold
 
         for method in ("source", "hard_pseudo", "source_tuned"):
             assert threshold(method, data) == threshold(method, permuted)
@@ -841,7 +843,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 class TestOneGatherPerCell:
-    """Coverage, ramp and hinge figures of a cell come from one gather of its test labels."""
+    """A cell gathers each labeled split's true-label scores once.
+
+    The test split's feed coverage, ramp and hinge; the source split's feed every arm and bound that reads them.
+    """
 
     def test_one_test_label_gather_per_cell(self, tmp_path, monkeypatch):
         cfg = tau_config(trials=2)  # n_test 200 differs from every other split size
@@ -871,6 +876,39 @@ class TestOneGatherPerCell:
         out = tmp_path / "run"
         assert main(["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
         assert test_gathers(lambda: main(["replay", "--out", str(out)])) == 2 * 2
+
+    def test_one_source_label_gather_per_cell(self, monkeypatch):
+        # The oracle arm gathers a split of the source's size, so the source view is told apart by identity.
+        cfg = tau_config(trials=2)
+        model = train_model(cfg)
+        cell, source_gathers = {}, []
+        draw, build, gather = cli_module.make_trial_data, cli_module.scored_view, ScoredView.label_scores
+
+        def drawn(*args):
+            cell["raw"] = draw(*args)
+            return cell["raw"]
+
+        def built(m, x):
+            view = build(m, x)
+            if x is cell["raw"].x_source:
+                cell["source"] = view
+            return view
+
+        def counted(view, y):
+            if view is cell.get("source"):
+                source_gathers.append(y is cell["raw"].y_source)  # False: a tuning draw's uniform labels
+            return gather(view, y)
+
+        monkeypatch.setattr(cli_module, "make_trial_data", drawn)
+        monkeypatch.setattr(cli_module, "scored_view", built)
+        monkeypatch.setattr(ScoredView, "label_scores", counted)
+        for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
+            cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
+            for si in range(len(cfg.sigma_grid)):
+                cell.clear()
+                source_gathers.clear()
+                run_trial(cell_cfg, model, si, 0)
+                assert "source" in cell and source_gathers.count(True) == 1
 
     def test_source_tuned_reuses_the_hard_calibration_at_u_inf(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)

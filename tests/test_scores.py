@@ -246,12 +246,15 @@ class TestScoredView:
         np.testing.assert_array_equal(predict(None, view), predict(identity_map, x))
 
     def test_row_subset_equals_rescoring(self):
+        """Every derived array is row by row: a slice equals the rescored rows, bit for bit."""
         rng = np.random.default_rng(9)
         m = random_map(rng, 3, 2)
         x = rng.normal(size=(30, 2))
-        sub = scored_view(m, x)[10:]
-        np.testing.assert_array_equal(sub.scores, scored_view(m, x[10:]).scores)
-        np.testing.assert_array_equal(sub.entropy, scored_view(m, x[10:]).entropy)
+        y = rng.integers(1, 4, size=30)
+        view, sub = scored_view(m, x), scored_view(m, x[10:])
+        for name in ("scores", "hard", "hard_scores", "entropy"):
+            assert getattr(view, name)[10:].tobytes() == getattr(sub, name).tobytes(), name
+        assert view.label_scores(y)[10:].tobytes() == sub.label_scores(y[10:]).tobytes()
 
     def test_arrays_are_read_only(self, identity_map):
         view = scored_view(identity_map, np.array([[3.0, 1.0]]))

@@ -316,6 +316,33 @@ class TestUndercoverageGap:
         cov = coverage(trained_model, x[250:], y[250:], cal)
         assert gap == pytest.approx((1 - 0.2) - cov, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_two_half_view_formula(self, seed):
+        """Slicing one view and one label gather gives the bits of rescoring each half on its own."""
+        from shiftcp.conformal import coverage
+        from shiftcp.pseudo import pseudo_calibrate
+        from shiftcp.scores import LinearLogitMap, ScoredView, scored_view
+
+        g = np.random.default_rng(seed)
+        n, k = int(g.integers(2, 300)), int(g.integers(2, 6))
+        model = LinearLogitMap(g.normal(size=(k, 3)), g.normal(size=k))
+        x, y = g.normal(size=(n, 3)), g.integers(1, k + 1, size=n)
+        # A tie-heavy sample: rounded logits make equal scores common.
+        for view in (scored_view(model, x), ScoredView(np.round(model.logit_matrix(x)))):
+            for alpha in (0.05, 0.2, 0.5):
+                half = n // 2
+                cal = pseudo_calibrate(None, ScoredView(view.logits[:half]), alpha)
+                want = (1.0 - alpha) - coverage(None, ScoredView(view.logits[half:]), y[half:], cal)
+                assert undercoverage_gap_estimate(None, view, y, alpha) == want
+
+    def test_first_half_labels_are_checked(self, trained_model, three_class_source):
+        x, y = generate_source(three_class_source, 40, RngStream(74).substream("d"))
+        for bad in (0, 4):
+            labels = y.copy()
+            labels[3] = bad  # in the calibration half, which reads no labels
+            with pytest.raises(ValueError, match="labels must lie in 1"):
+                undercoverage_gap_estimate(trained_model, x, labels, 0.2)
+
 
 class TestTauCorrection:
     def test_identity_case(self):

@@ -8,7 +8,7 @@ import pytest
 
 from shiftcp.exceptions import ConfigError, DataError, InvariantError
 from shiftcp.rng import RngStream
-from shiftcp.scores import LinearLogitMap, predict, predictive_entropy, score
+from shiftcp.scores import LinearLogitMap, _check_labels, predict, predictive_entropy, score
 from shiftcp.synthetic import (
     _MAX_REJECTION_ROUNDS,
     LogitTableMap,
@@ -229,6 +229,127 @@ class TestClippedNoiseMatchesReference:
         with np.errstate(over="ignore", under="ignore"):
             want = np.linalg.norm(e, axis=1)
             assert _row_norms(e).tobytes() == want.tobytes()
+
+
+def _reference_generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The ``Generator.choice`` source draw ``generate_source`` must reproduce draw for draw and bit for bit."""
+    if n < 0:
+        raise ValueError("sample size must be nonnegative")
+    g = rng.generator()
+    y = g.choice(spec.n_classes, size=n, p=spec.priors) + 1
+    x = spec.class_means[y - 1] + spec.class_cov_scale * g.standard_normal((n, spec.dim))
+    return x, y
+
+
+def _reference_apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
+    """The fancy-index shift ``apply_shift`` must reproduce, on the row-wise reference noise."""
+    xa = np.asarray(x, dtype=float)
+    single = xa.ndim == 1
+    if single:
+        xa = xa[None, :]
+    ya = _check_labels(np.atleast_1d(y), shift.per_class_translation.shape[0])
+    if xa.shape[1] != shift.per_class_translation.shape[1]:
+        raise ValueError("feature dimension does not match the shift specification")
+    g = rng.generator()
+    eps = _reference_clipped_noise(xa.shape[0], xa.shape[1], shift.noise_scale, shift.clip_radius, shift.clip_mode, g)
+    out = xa + shift.per_class_translation[ya - 1] + eps
+    return out[0] if single else out
+
+
+def _priors(k: int, g: np.random.Generator) -> list[np.ndarray]:
+    """Uniform and random priors, and priors with zero (leading, inner, trailing) and 1e-300 entries."""
+    rand = g.dirichlet(np.ones(k))
+    out = [np.full(k, 1.0 / k), rand]
+    for value in (0.0, 1e-300):
+        p = rand.copy()
+        p[[0, k - 1]] = value
+        p[k // 2] = 0.0
+        p[k // 2] = 1.0 - p.sum()
+        out.append(p)
+    return out
+
+
+def _draw_outcome(monkeypatch, fn, *args):
+    """(what ``fn`` returns or raises, end state of each generator it made): equal outcomes drew alike."""
+    made = []
+    generator = RngStream.generator
+
+    def recorded(self):
+        made.append(generator(self))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(RngStream, "generator", recorded)
+        try:
+            out = fn(*args)
+        except (ConfigError, ValueError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return out, [g.bit_generator.state for g in made]
+
+
+def _assert_same_arrays(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for a, b in zip(got if isinstance(got, tuple) else (got,), want if isinstance(want, tuple) else (want,)):
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+        assert a.tobytes() == b.tobytes()
+
+
+class TestDrawsMatchReference:
+    """``generate_source`` and ``apply_shift`` against the textbook bodies: same draws, order, bits and end state."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    def test_source_and_shift(self, k, d, monkeypatch):
+        g = np.random.default_rng(10 * k + d)
+        means = g.normal(size=(k, d))
+        means[0] = 0.0
+        means[-1] = -0.0  # with a zero scale, the signs of zero sums show
+        translation = g.normal(size=(k, d))
+        translation[k // 2] = -0.0
+        for pi, priors in enumerate(_priors(k, g)):
+            for n in (0, 1, 7, 5000):
+                for scale in (0.0, 0.7):
+                    spec = SourceSpec(means, scale, priors)
+                    stream = RngStream(k * d, 1000 * pi + n)
+                    got, got_states = _draw_outcome(monkeypatch, generate_source, spec, n, stream)
+                    want, want_states = _draw_outcome(monkeypatch, _reference_generate_source, spec, n, stream)
+                    _assert_same_arrays(got, want)
+                    assert got_states == want_states
+                    x, y = want
+                    for shift in (
+                        ShiftSpec(translation, 0.12 * scale, 0.15, "resample"),
+                        ShiftSpec(translation, 0.12, 0.15 * scale, "project"),
+                        ShiftSpec(translation, 0.3, 0.2, "project"),
+                    ):
+                        shifted = [_draw_outcome(monkeypatch, f, x, y, shift, stream.substream("shift"))
+                                   for f in (apply_shift, _reference_apply_shift)]
+                        _assert_same_arrays(shifted[0][0], shifted[1][0])
+                        assert shifted[0][1] == shifted[1][1]
+
+    def test_single_point_shift(self, monkeypatch):
+        shift = ShiftSpec(np.array([[0.5, -0.0], [-0.2, 0.4]]), noise_scale=0.3, clip_radius=0.35)
+        for label in (1, 2):
+            got = _draw_outcome(monkeypatch, apply_shift, np.array([1.0, -0.0]), label, shift, RngStream(5))
+            want = _draw_outcome(monkeypatch, _reference_apply_shift, np.array([1.0, -0.0]), label, shift, RngStream(5))
+            _assert_same_arrays(got[0], want[0])
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9, 40])
+    def test_label_search_is_choice(self, k, monkeypatch):
+        """On zero-width features the source draw is the label draw alone: ``Generator.choice``'s, to the state."""
+        g = np.random.default_rng(k)
+        for pi, priors in enumerate(_priors(k, g)):
+            spec = SourceSpec(np.zeros((k, 0)), 1.0, priors)
+            for n in (0, 1, 7, 5000):
+                stream = RngStream(k, 1000 * pi + n)
+                (_, y), (state,) = _draw_outcome(monkeypatch, generate_source, spec, n, stream)
+                chooser = stream.generator()
+                want = chooser.choice(k, size=n, p=priors)
+                assert y.dtype == want.dtype and (y - 1).tobytes() == want.tobytes()
+                assert state == chooser.bit_generator.state
 
 
 class TestTrainClassifier:
