@@ -6,9 +6,8 @@ calibration strategies over a shift-strength grid, ``tau`` runs the
 threshold-slack correction experiment, ``bounds`` evaluates every coverage
 bound from measured and certified quantities, ``tune`` traces the source
 sweep of the entropy cutoff, ``gen``/``train`` export datasets and the fitted
-classifier, ``replay`` re-derives every emitted coverage/ESS figure from the
-emitted thresholds, and ``selftest`` runs the built-in oracle equivalence
-suite.
+classifier, and ``replay`` re-derives every emitted coverage/ESS figure from
+the emitted thresholds.
 
 All outputs are machine-readable (CSV/JSON); a resolved copy of the
 configuration is written next to them so each run is self-describing.
@@ -39,7 +38,6 @@ from .exceptions import ConfigError, DataError, InvariantError
 from .pseudo import UncertaintyGrid, _calibrate_at_cutoff, _curve_with_thresholds, _tune_cutoff, pseudo_calibrate, select_u_star
 from .rng import RngStream
 from .scores import (
-    LinearLogitMap,
     ScoredView,
     _population_loss,
     hinge_loss,
@@ -52,7 +50,6 @@ from .scores import (
 from .shift_bounds import (
     _undercoverage_gap,
     coverage_gap_bound,
-    kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,
     rho_mix,
@@ -60,10 +57,10 @@ from .shift_bounds import (
     sup_density_estimate,
     tau_correction,
     w1_1d,
-    w1_assignment,
     w1_assignment_subsampled,
 )
 from .synthetic import (
+    _utf8_lines,
     LogitTable,
     LogitTableMap,
     ShiftSpec,
@@ -326,18 +323,22 @@ def _merge_config(base: dict, override: dict) -> dict:
     return merged
 
 
+def _read_config(path) -> dict:
+    """The JSON object in the file at ``path``; any other content, or none, is a config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path}: the document must be a JSON object")
+    return raw
+
+
 def load_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config document must be a JSON object")
+    raw = {} if path is None else _read_config(path)
     if seed_override is not None:
         raw = {**raw, "seed": int(seed_override)}
     return ExperimentConfig.from_dict(raw)
@@ -895,12 +896,16 @@ def _write_json(path, payload) -> None:
 
 
 def read_records_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RECORD_COLUMNS):
-            raise DataError(f"{path}: unexpected records header {header}")
-        return [dict(zip(RECORD_COLUMNS, row)) for row in reader]
+    reader = csv.reader(_utf8_lines(path))
+    header = next(reader, None)
+    if header != list(RECORD_COLUMNS):
+        raise DataError(f"{path}: unexpected records header {header}")
+    rows = []
+    for row in reader:
+        if len(row) != len(RECORD_COLUMNS):
+            raise DataError(f"{path}: line {reader.line_num}: expected {len(RECORD_COLUMNS)} fields, got {len(row)}")
+        rows.append(dict(zip(RECORD_COLUMNS, row)))
+    return rows
 
 
 def _replay_records(cfg: ExperimentConfig, view: ScoredView, y, group) -> list[str]:
@@ -952,9 +957,10 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     config_path = out / "config.json"
     if not config_path.exists():
         raise ConfigError(f"{config_path} not found; replay needs the resolved config of the run")
-    with open(config_path, encoding="utf-8") as fh:
-        resolved = json.load(fh)
+    resolved = _read_config(config_path)
     logits_path = resolved.pop("logits", None)
+    if not isinstance(logits_path, (str, type(None))):
+        raise ConfigError(f"{config_path}: logits must be the path of a logit table, got {logits_path!r}")
     cfg = ExperimentConfig.from_dict(resolved)
     if seed is not None and seed != cfg.seed:
         raise ConfigError(f"seed {seed} differs from the seed {cfg.seed} recorded in {config_path}")
@@ -984,115 +990,6 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if mismatches:
         raise InvariantError(f"{len(mismatches)} of {audited} records failed the replay audit")
     return audited
-
-
-# ---------------------------------------------------------------------------
-# Selftest
-
-
-def run_selftest(seed: int = 7) -> list[tuple[str, bool]]:
-    """Oracle-equivalence suite: independent brute-force routes against the library."""
-    from fractions import Fraction
-    from itertools import combinations_with_replacement, permutations
-
-    results: list[tuple[str, bool]] = []
-    g = RngStream(seed).generator()
-
-    # Quantile definition vs direct scan over the empirical CDF (exact rationals).
-    ok = True
-    from .conformal import calibrate as _calibrate, conformal_level, empirical_quantile, FULL_SET
-
-    for size in range(1, 5):
-        for values in combinations_with_replacement(range(1, 5), size):
-            scores = np.array(values, dtype=float)
-            for alpha in (0.1, 0.25, 0.5, 0.75, 0.9):
-                level = conformal_level(size, alpha)
-                got = empirical_quantile(scores, level)
-                if level > 1:
-                    expected = FULL_SET
-                else:
-                    frac = Fraction(level)
-                    expected = min(t for t in sorted(values) if Fraction(sum(v <= t for v in values), size) >= frac)
-                ok &= got == expected and _calibrate(scores, alpha).threshold == expected
-    results.append(("quantile-vs-cdf-scan", ok))
-
-    # Assignment distance vs exhaustive matching and the 1-D reduction.
-    ok_perm, ok_1d = True, True
-    for _ in range(60):
-        n = int(g.integers(2, 6))
-        d = int(g.integers(1, 4))
-        a = g.normal(size=(n, d))
-        b = g.normal(size=(n, d))
-        got = w1_assignment(a, b)
-        best = min(
-            float(np.mean([np.linalg.norm(a[i] - b[j]) for i, j in enumerate(perm)]))
-            for perm in permutations(range(n))
-        )
-        ok_perm &= abs(got - best) <= 1e-9
-        if d == 1:
-            ok_1d &= abs(got - w1_1d(a[:, 0], b[:, 0])) <= 1e-9
-    a = g.normal(size=(8, 1))
-    b = g.normal(size=(8, 1))
-    ok_1d &= abs(w1_assignment(a, b) - w1_1d(a[:, 0], b[:, 0])) <= 1e-9
-    results.append(("assignment-vs-exhaustive", ok_perm))
-    results.append(("assignment-1d-reduction", ok_1d))
-
-    # Lipschitz mean deviation bound on random 1-Lipschitz test functions.
-    ok = True
-    for _ in range(1000):
-        xa = g.normal(size=40)
-        xb = g.normal(size=40) + g.normal() * 0.5
-        anchor = g.normal()
-        ok &= kantorovich_rubinstein_holds(np.abs(xa - anchor), np.abs(xb - anchor), 1.0, w1_1d(xa, xb))
-    results.append(("lipschitz-mean-bound", ok))
-
-    # Score dominance and coupled threshold monotonicity on one synthetic trial.
-    cfg = ExperimentConfig.from_dict({"n_train": 600, "n_cal": 300, "n_test": 300, "trials": 1})
-    model = train_model(cfg)
-    data = make_trial_data(cfg, min(2, len(cfg.sigma_grid) - 1), 0)
-    view, y = scored_view(model, data.x_target_test), data.y_target_test
-    s_true, s_hard, correct = view.label_scores(y), view.hard_scores, y == view.hard
-    ok = (s_true >= s_hard).all() and (s_true[correct] == s_hard[correct]).all()
-    ok &= (s_true - s_hard <= 2.0 * s_true)[~correct].all()
-    results.append(("score-dominance-invariants", bool(ok)))
-
-    hard = pseudo_calibrate(model, data.x_target_cal, cfg.alpha)
-    stream = RngStream(seed).substream("selftest-labels")
-    grid = UncertaintyGrid.default(model.n_classes, size=8)
-    monotone = True
-    prev = None
-    for u in grid.values[::-1]:
-        cal = pseudo_calibrate(model, data.x_target_cal, cfg.alpha, u=float(u), rng=stream)
-        monotone &= cal.threshold >= hard.threshold
-        if prev is not None:
-            monotone &= cal.threshold >= prev  # thresholds grow as u shrinks
-        prev = cal.threshold
-    results.append(("threshold-monotone-in-randomization", monotone))
-
-    # Cutoff search vs the full source coverage curve. On the synthetic trial
-    # the unbounded cutoff qualifies; a map with confident class-2 errors
-    # makes the search bisect, and the same map reversed makes it fall back.
-    w, b = np.array([[3.0, 0.0], [1.5, 0.0], [0.0, 3.0]]), np.array([0.0, 0.0, -2.0])
-    y_sk = g.integers(1, 4, size=600)
-    x_sk = np.array([[1.5, 0.0], [2.5, 0.0], [0.0, 1.5]])[y_sk - 1] + 0.4 * g.standard_normal((600, 2))
-    cases = [(model, data.x_source, data.y_source, data.x_target_cal)] + [
-        (m, x_sk[:300], y_sk[:300], x_sk[300:]) for m in (LinearLogitMap(w, b), LinearLogitMap(-w, -b))
-    ]
-    grid = cfg.uncertainty_grid()
-    ok, picked = True, []
-    for m, x_src, y_src, x_tgt in cases:
-        source = scored_view(m, x_src)
-        tuning = _tune_cutoff(source, source.label_scores(y_src), cfg.alpha, grid, stream)
-        cal = _calibrate_at_cutoff(m, x_tgt, cfg.alpha, tuning.u_star, stream)
-        full = _curve_with_thresholds(m, x_src, y_src, cfg.alpha, grid, stream.substream("tune-source"))
-        u_star = select_u_star([(u, c) for u, c, _ in full], cfg.alpha)
-        ok &= tuning.u_star == u_star and set(tuning.coverage_curve) <= {(u, c) for u, c, _ in full}
-        ok &= cal == pseudo_calibrate(m, x_tgt, cfg.alpha, u=u_star, rng=stream.substream("tune-target"))
-        picked.append(u_star)
-    # The three cases reach the last grid point, an interior one and the first.
-    ok &= picked[0] == grid.values[-1] and grid.values[0] < picked[1] < grid.values[-1] and picked[2] == grid.values[0]
-    results.append(("tuned-search-vs-full-curve", ok))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1194,16 +1091,6 @@ def _cmd_replay(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: ExperimentConfig, out: Path, args) -> int:
-    results = run_selftest(seed=cfg.seed)
-    failed = [name for name, ok in results if not ok]
-    for name, ok in results:
-        print(f"selftest {name}: {'PASS' if ok else 'FAIL'}")
-    if failed:
-        raise InvariantError(f"selftest failures: {', '.join(failed)}")
-    return 0
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "train": _cmd_train,
@@ -1212,7 +1099,6 @@ _COMMANDS = {
     "bounds": _cmd_bounds,
     "tune": _cmd_tune,
     "replay": _cmd_replay,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -1230,15 +1116,13 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds": "evaluate the coverage bounds into a JSON report",
         "tune": "trace the source sweep of the entropy cutoff",
         "replay": "audit an output directory by recomputing coverage/ESS",
-        "selftest": "run the built-in oracle equivalence suite",
     }
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)
         if name != "replay":  # replay reads the audited run's own config.json
             p.add_argument("--config", default=None, help="JSON config file (defaults are used when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed (replay: must equal the run's)")
-        if name != "selftest":
-            p.add_argument("--out", default="shiftcp-out", help="output directory (replay: the run to audit)")
+        p.add_argument("--out", default="shiftcp-out", help="output directory (replay: the run to audit)")
         if name in ("sweep", "tau", "replay"):
             p.add_argument("--threads", type=int, default=1, help="worker processes for the trial cells (at least 1)")
         if name in ("sweep", "bounds"):
@@ -1253,8 +1137,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         # A flag the subcommand does not declare is passed on as None.
         cfg = load_config(args.config, seed_override=args.seed) if "config" in args else None
-        out = Path(args.out) if "out" in args else None
-        return _COMMANDS[args.command](cfg, out, args)
+        return _COMMANDS[args.command](cfg, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

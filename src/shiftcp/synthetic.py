@@ -21,6 +21,7 @@ row indices standing in for feature vectors.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -337,18 +338,36 @@ class LogitTableMap:
         return self.logits[idx]
 
 
+def _utf8_lines(path) -> io.StringIO:
+    """The text of ``path`` as a file of untranslated lines, for :mod:`csv`.
+
+    A file that cannot be read, or is not UTF-8 text, is a :class:`DataError`
+    that names the path (and the line of the first bad byte).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_logit_table(path) -> LogitTable:
     """Parse a logit-table CSV.
 
     Expected header: ``split,label,logit_0,...,logit_{K-1}``. Labels are
     1-based integers, or the literal ``MISSING`` (accepted only in the
     ``target_cal`` split). Raises :class:`DataError` with the offending line
-    number on any malformed content.
+    number on any malformed content, and on a missing or non-UTF-8 file.
     """
     splits: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_lines(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

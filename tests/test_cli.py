@@ -403,13 +403,6 @@ class TestCommandLine:
         assert np.asarray(model["weights"]).shape == (3, 2)
         assert model["train_accuracy"] > 0.9
 
-    def test_selftest_subcommand(self, tmp_path, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 7
-        assert "tuned-search-vs-full-curve: PASS" in out
-        assert "FAIL" not in out
-
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"alpha": 2.0}')
@@ -522,16 +515,31 @@ def _one_class_table(tmp_path) -> str:
     return str(path)
 
 
-def _tampered_run(tmp_path) -> str:
+def _edited_run(tmp_path, name: str, edit) -> str:
+    """A tiny sweep's output directory with ``edit`` applied to the bytes of its file ``name``."""
     out = tmp_path / "run"
     assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
-    records = out / "records.csv"
-    lines = records.read_text().splitlines()
+    path = out / name
+    path.write_bytes(edit(path.read_bytes()))
+    return str(out)
+
+
+def _tamper_last_ess(records: bytes) -> bytes:
+    lines = records.decode().splitlines()
     fields = lines[-1].split(",")
     fields[7] = "2.5"
     lines[-1] = ",".join(fields)
-    records.write_text("\n".join(lines) + "\n")
-    return str(out)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def _with_logits(value):
+    """An edit of a run's config.json that sets its ``logits`` entry to ``value``."""
+    return lambda config: json.dumps({**json.loads(config), "logits": value}).encode()
 
 
 # Finite translations whose certified radius overflows at sigma 0.8.
@@ -589,7 +597,37 @@ EXIT_CASES = {
         ],
         3,
     ),
-    "replay-tampered": (lambda p: ["replay", "--out", _tampered_run(p)], 4),
+    "replay-tampered": (lambda p: ["replay", "--out", _edited_run(p, "records.csv", _tamper_last_ess)], 4),
+    # Unreadable input files: a config is a config error, a table or a records file a data error.
+    "config-not-utf8": (lambda p: ["sweep", "--config", _written(p / "config.json", b'{"seed": 1}\xff')], 2),
+    "config-nested-too-deep": (
+        lambda p: ["sweep", "--config", _written(p / "config.json", b"[" * 10**5 + b"]" * 10**5)],
+        2,
+    ),
+    "logits-table-missing": (lambda p: ["sweep", "--logits", str(p / "missing.csv")], 3),
+    "logits-table-not-utf8": (
+        lambda p: ["bounds", "--logits", _written(p / "table.csv", b"split,label,logit_0,logit_1\nsource_cal,1,0.5,\xff\n")],
+        3,
+    ),
+    "replay-config-not-json": (lambda p: ["replay", "--out", _edited_run(p, "config.json", lambda b: b[:-5])], 2),
+    "replay-config-not-an-object": (lambda p: ["replay", "--out", _edited_run(p, "config.json", lambda b: b"[1]")], 2),
+    "replay-records-short-row": (
+        lambda p: ["replay", "--out", _edited_run(p, "records.csv", lambda b: b + b"source,0.0\n")],
+        3,
+    ),
+    "replay-records-not-utf8": (
+        lambda p: ["replay", "--out", _edited_run(p, "records.csv", lambda b: b.replace(b"hard_pseudo", b"hard\xff", 1))],
+        3,
+    ),
+    # A non-path entry would be opened as a file descriptor or raise TypeError.
+    "replay-logits-not-a-path": (
+        lambda p: ["replay", "--out", _edited_run(p, "config.json", _with_logits(["t.csv"]))],
+        2,
+    ),
+    "replay-logits-table-missing": (
+        lambda p: ["replay", "--out", _edited_run(p, "config.json", _with_logits(str(p / "gone.csv")))],
+        3,
+    ),
     # A learning rate that makes the training loss rise is a config problem.
     "learning-rate-too-large-tune": (lambda p: ["tune", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
     "learning-rate-too-large-sweep": (lambda p: ["sweep", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
@@ -622,6 +660,21 @@ def test_exit_code_contract(tmp_path, case):
         warnings.simplefilter("always")
         assert main(argv) == expected
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
+    ("case", "message"),
+    [
+        ("logits-table-missing", "cannot read {p}/missing.csv"),
+        ("logits-table-not-utf8", "{p}/table.csv: line 2: not UTF-8 text"),
+        ("replay-records-short-row", "{p}/run/records.csv: line 10: expected 10 fields, got 2"),
+        ("replay-records-not-utf8", "{p}/run/records.csv: line 4: not UTF-8 text"),
+    ],
+)
+def test_an_unreadable_input_file_is_named_with_its_line(tmp_path, capsys, case, message):
+    build, expected = EXIT_CASES[case]
+    assert main(build(tmp_path) + ["--out", str(tmp_path / "run")]) == expected
+    assert message.format(p=tmp_path) in capsys.readouterr().err
 
 
 # sha256 of the outputs at this shape and seed 20250809. records.csv and
@@ -712,30 +765,29 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-# --threads acts only on sweep/tau/replay, --logits only on sweep/bounds,
-# --config everywhere but replay (which reads its run's config.json) and
-# --out everywhere but selftest (which writes nothing); anywhere else the flag
-# is a usage error instead of being silently ignored.
+# --threads acts only on sweep/tau/replay, --logits only on sweep/bounds and
+# --config everywhere but replay (which reads its run's config.json); anywhere
+# else the flag is a usage error instead of being silently ignored. So is a
+# subcommand that does not exist.
 @pytest.mark.parametrize(
     "argv",
     [
         ["gen", "--logits", "missing.csv"],
         ["train", "--logits", "missing.csv"],
         ["replay", "--logits", "missing.csv"],
-        ["selftest", "--logits", "missing.csv"],
         ["tau", "--logits", "missing.csv"],
         ["tune", "--logits", "missing.csv"],
         ["gen", "--threads", "2"],
         ["bounds", "--threads", "2"],
         ["replay", "--config", "missing.json"],
-        ["selftest", "--out", "x"],
+        ["selftest"],
     ],
     ids=" ".join,
 )
 def test_flag_outside_its_subcommands_is_a_usage_error(tmp_path, argv):
     out = tmp_path / "out"
     config = _tiny_config(tmp_path)
-    declared = {"replay": ["--out", str(out)], "selftest": ["--config", config]}
+    declared = {"replay": ["--out", str(out)]}
     with pytest.raises(SystemExit) as exc:
         main(argv + declared.get(argv[0], ["--config", config, "--out", str(out)]))
     assert exc.value.code == 2

@@ -3,7 +3,8 @@
 ``main`` must answer every input with 0 (success), 2 (config error), 3 (data
 error) or 4 (invariant violation), never with a traceback, and must not get
 there through a numpy ``RuntimeWarning``. The inputs are configs mutated from
-``DEFAULT_CONFIG`` at a tiny shape and generated logit tables.
+``DEFAULT_CONFIG`` at a tiny shape, generated logit tables, and the config and
+records of tiny runs mutated before ``replay`` audits them.
 """
 
 import csv
@@ -11,6 +12,7 @@ import json
 import math
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,8 +78,8 @@ def _affordable(raw: dict) -> bool:
     return True
 
 
-def _mutated(mutations) -> dict:
-    raw = json.loads(json.dumps(TINY))
+def _mutated(mutations, base: dict = TINY) -> dict:
+    raw = json.loads(json.dumps(base))
     for key, value in mutations:
         section, _, field = key.partition(".")
         if field:
@@ -150,3 +152,57 @@ def test_generated_logit_table_keeps_the_exit_code_contract(tmp_path, command, k
     config.write_text(json.dumps({**TINY, "tau_policy": {"kind": tau_kind, "value": 0.5}}))
     argv = [command, "--logits", str(table), "--config", str(config), "--out", str(tmp_path / "out")]
     assert _exit_code_without_runtime_warning(argv) in (0, 2, 3, 4)
+
+
+# What replay reads besides the records: a run's config may also name its logit table.
+replay_mutation = mutation | st.tuples(st.just("logits"), json_values)
+RECORDS = {"sweep": "records.csv", "tau": "tau_records.csv"}
+csv_cells = st.sampled_from(["", "nan", "inf", "-inf", "1e999", "-0", "MISSING"]) | numbers.map(repr) | st.text(max_size=4)
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """A tiny sweep's and a tiny tau run's output directories, both of which pass replay."""
+    root = tmp_path_factory.mktemp("runs")
+    (root / "config.json").write_text(json.dumps(TINY))
+    for command in RECORDS:
+        assert main([command, "--config", str(root / "config.json"), "--out", str(root / command)]) == 0
+    return root
+
+
+def _with_byte_replaced(data, raw: bytes) -> bytes:
+    i = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    return raw[:i] + bytes([data.draw(st.integers(min_value=0, max_value=255))]) + raw[i + 1 :]
+
+
+def _json_document(raw: bytes):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return None
+
+
+@FUZZ
+@given(run=st.sampled_from(sorted(RECORDS)), in_config=st.booleans(), as_bytes=st.booleans(), data=st.data())
+def test_mutated_run_keeps_the_replay_exit_code_contract(tmp_path, tiny_runs, run, in_config, as_bytes, data):
+    config = (tiny_runs / run / "config.json").read_bytes()
+    records = (tiny_runs / run / RECORDS[run]).read_bytes()
+    if as_bytes and in_config:
+        config = _with_byte_replaced(data, config)
+    elif as_bytes:
+        records = _with_byte_replaced(data, records)
+    elif in_config:
+        mutations = data.draw(st.lists(replay_mutation, min_size=1, max_size=2))
+        config = json.dumps(_mutated(mutations, json.loads(config))).encode()
+    else:
+        rows = [line.split(",") for line in records.decode().splitlines()]
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(min_value=0, max_value=len(row) - 1))] = data.draw(csv_cells)
+        records = "".join(",".join(row) + "\n" for row in rows).encode()
+    document = _json_document(config)
+    assume(not isinstance(document, dict) or _affordable(document))
+    out = tmp_path / run
+    out.mkdir(exist_ok=True)
+    (out / "config.json").write_bytes(config)
+    (out / RECORDS[run]).write_bytes(records)
+    assert _exit_code_without_runtime_warning(["replay", "--out", str(out)]) in (0, 2, 3, 4)

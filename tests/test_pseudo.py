@@ -341,6 +341,29 @@ class TestSourceTunedCalibrate:
         full_c = {u: c for u, c, _ in full}
         assert all(full_c[u] == c for u, c in tuning.coverage_curve)
 
+    @pytest.mark.parametrize("reversed_map", [False, True], ids=["interior", "fallback"])
+    def test_search_reaches_an_interior_cutoff_and_the_fallback(self, reversed_map):
+        """Confident class-2 errors make the search bisect to an interior cutoff of the default
+        grid; the reversed map qualifies nowhere, so the search falls back to the first cutoff."""
+        model = skewed_model()
+        if reversed_map:
+            model = LinearLogitMap(-model.weights, -model.biases)
+        x_src, y_src = skewed_data(300, RngStream(55).substream("s"))
+        x_tgt, _ = skewed_data(300, RngStream(55).substream("t"))
+        rng = RngStream(55).substream("l")
+        grid = UncertaintyGrid.default(3)
+
+        tuning, cal = source_tuned_calibrate(model, x_src, y_src, x_tgt, 0.2, rng=rng)
+
+        full = _curve_with_thresholds(model, x_src, y_src, 0.2, grid, rng.substream("tune-source"))
+        assert tuning.u_star == select_u_star([(u, c) for u, c, _ in full], 0.2)
+        assert cal == pseudo_calibrate(model, x_tgt, 0.2, u=tuning.u_star, rng=rng.substream("tune-target"))
+        if reversed_map:
+            assert all(c < 0.8 for _, c, _ in full)
+            assert tuning.u_star == grid.values[0]
+        else:
+            assert grid.values[0] < tuning.u_star < grid.values[-1]
+
     def test_search_probes_once_when_the_unbounded_cutoff_qualifies(self, trained_model, three_class_source):
         x_src, y_src = generate_source(three_class_source, 300, RngStream(58).substream("s"))
         x_tgt, _ = generate_source(three_class_source, 300, RngStream(58).substream("t"))
