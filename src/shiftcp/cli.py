@@ -12,9 +12,9 @@ the emitted thresholds.
 All outputs are machine-readable (CSV/JSON); a resolved copy of the
 configuration is written next to them so each run is self-describing.
 ``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
-and ``replay`` out to forked worker processes; every cell draws from its own
-stream address, so runs are byte-identical for a fixed config and seed
-whatever the worker count.
+and ``replay`` out to forked worker processes in interleaved shares while the
+parent waits; every cell draws from its own stream address, so runs are
+byte-identical for a fixed config and seed whatever the worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 from dataclasses import dataclass, replace
@@ -540,39 +541,77 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     return _evaluate_cell(cfg, model, data, source_scores, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
-# Chunks of cells per worker process. Fewer, larger chunks pickle the bound
-# config and model less often; more chunks even out cells of unequal cost.
-_CHUNKS_PER_WORKER = 4
-
 def _workers(threads: int, n_items: int) -> int:
-    """Worker processes for ``n_items`` CPU-bound items: no more than asked for, than items or than usable cores."""
-    return min(threads, n_items, len(os.sched_getaffinity(0)))
+    """Worker processes for ``n_items`` CPU-bound items: at most ``threads``, items and usable cores; 1 without ``os.fork``."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(threads, n_items, cores) if hasattr(os, "fork") else 1
+
+
+def _run_share(fn, items: list, w: int, workers: int, pipe) -> None:
+    """Child ``w`` of :func:`_map`: run items ``w, w + workers, ...`` in order, pickle the outcome to ``pipe``, exit."""
+    outcome, status = (None, []), 1
+    try:
+        for i in range(w, len(items), workers):
+            try:
+                outcome[1].append(fn(*items[i]))
+            except Exception as exc:
+                outcome = (i, exc)
+                break
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # an unpicklable result or exception must still reach the parent
+            unsent = RuntimeError(f"worker process {os.getpid()} cannot send its outcome: {exc!r}")
+            data = pickle.dumps((len(items) if outcome[0] is None else outcome[0], unsent))
+        pipe.write(data)
+        pipe.close()  # the parent sees the end of the outcome before this process is torn down
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _map(fn, items: list, threads: int) -> list:
     """``[fn(*args) for args in items]``, fanned out to forked worker processes.
 
-    The items go in contiguous chunks to :func:`_workers` processes, so what
-    ``fn`` binds (config, model) is pickled once per chunk, and the results
-    come back in order. Each item draws from its own stream address, so the
-    result is the same for any worker count. Fork starts a worker without
-    re-importing anything, but it is safe only in a single-threaded process:
-    the loop runs in-process at one worker and whenever another thread is
-    alive, for example when a threaded program embeds :func:`run_sweep`. The
-    executor forks all its workers before it starts its own manager thread.
-    A worker's exception is re-raised here with its type, so the exit code
-    does not depend on the worker count.
+    Each of the :func:`_workers` children runs an interleaved share
+    (:func:`_run_share`) while the parent only waits; the results come back in
+    item order, or the lowest failing item's exception is re-raised, as at one
+    worker. A child that dies without an outcome is named with its wait
+    status, and the children still running when the parent reaches its pipe
+    are killed. Fork is safe only in a single-threaded process, so the loop
+    runs in-process at one worker and whenever another thread is alive.
     """
     workers = _workers(threads, len(items))
     if workers <= 1 or threading.active_count() > 1:
         return [fn(*args) for args in items]
-    # Imported here: they would add to every ``import shiftcp.cli``.
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    chunksize = math.ceil(len(items) / (_CHUNKS_PER_WORKER * workers))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*items), chunksize=chunksize))
+    pids, readers, outcomes, statuses = [], [], [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with open(write_end, "wb") as pipe:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _run_share(fn, items, w, workers, pipe)
+        for reader in readers:
+            try:
+                outcomes.append(pickle.loads(reader.read()))
+            except Exception as exc:  # empty or truncated if the child died, or an exception that cannot be rebuilt
+                cause = exc
+                break
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if len(outcomes) < len(pids):
+                os.kill(pid, 9)  # SIGKILL; importing signal would cost every CLI start about 1 ms
+            statuses.append(os.waitpid(pid, 0)[1])
+    if len(outcomes) < workers:
+        pid, status = pids[len(outcomes)], statuses[len(outcomes)]
+        raise RuntimeError(f"worker process {pid} sent no readable outcome (wait status {status})") from cause
+    failed = [outcome for outcome in outcomes if outcome[0] is not None]
+    if failed:
+        raise min(failed, key=lambda outcome: outcome[0])[1]
+    return [outcomes[i % workers][1][i // workers] for i in range(len(items))]
 
 
 def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list[TrialRecord]:

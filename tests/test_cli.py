@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -39,7 +40,7 @@ from shiftcp.cli import (
     train_model,
 )
 from shiftcp.conformal import calibrate, coverage, expected_set_size
-from shiftcp.exceptions import ConfigError
+from shiftcp.exceptions import ConfigError, DataError
 from shiftcp.pseudo import pseudo_calibrate, source_tuned_calibrate
 from shiftcp.rng import RngStream
 from shiftcp.scores import ScoredView, scored_view
@@ -835,12 +836,24 @@ def test_benchmark_traced_names_resolve():
 
 
 def test_cli_import_leaves_process_pool_modules_unloaded():
-    # Only a call that forks workers imports them; every import of the CLI would pay otherwise.
+    # Neither importing the CLI nor a call that forks two workers loads them; their import would cost every call.
+    code = (
+        "import os, sys, shiftcp.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "loaded = lambda: sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))\n"
+        "before = loaded()\n"
+        "pids = cli._map(lambda i: os.getpid(), [(i,) for i in range(4)], 2)\n"
+        "print(before, len(set(pids)), os.getpid() in pids, loaded())"
+    )
+    assert _run_python(code).strip() == "[] 2 False []"
+
+
+def _run_python(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter with this checkout's package; a hang fails after 60 s."""
     src = str(Path(__file__).parents[1] / "src")
-    code = "import sys, shiftcp.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
 
 
 def test_worker_count_is_capped_by_cores_and_items(monkeypatch):
@@ -859,8 +872,98 @@ def _item_and_pid(item: int) -> tuple[int, int]:
 def test_map_runs_items_in_forked_workers_in_order():
     out = _map(_item_and_pid, [(i,) for i in range(7)], 2)
     assert [item for item, _ in out] == list(range(7))
-    pids = {pid for _, pid in out}
-    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    pids = [pid for _, pid in out]
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert all(pids[i] == pids[i + 2] for i in range(5))  # interleaved shares: 0, 2, 4, 6 and 1, 3, 5
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_at_three_and_four(item: int) -> int:
+    if item == 3:
+        raise DataError("item 3 is malformed")
+    if item == 4:
+        raise ConfigError("item 4 is misconfigured")
+    return item
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_raises_the_lowest_failing_items_error(monkeypatch, threads):
+    # At 2 workers item 4 fails in the first child's share and item 3 in the second's.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(DataError, match="^item 3 is malformed$"):
+        _map(_raise_at_three_and_four, [(i,) for i in range(8)], threads)
+    _assert_no_child_left()
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+def _unsendable(kind: str, item: int):
+    if item != 1:
+        return item
+    if kind == "result":
+        return lambda: item
+    if kind == "exception":
+        raise ValueError(threading.Lock())
+    raise _TwoArgumentError("pickles, but cannot be rebuilt from its args", "detail")
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("result", r"worker process \d+ cannot send its outcome: "),
+        ("exception", r"worker process \d+ cannot send its outcome: TypeError\(\"cannot pickle '_thread.lock'"),
+        ("unrebuildable", r"worker process \d+ sent no readable outcome \(wait status 0\)"),
+    ],
+)
+def test_map_names_an_outcome_that_cannot_cross_the_pipe(monkeypatch, kind, message):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match=message):
+        _map(partial(_unsendable, kind), [(i,) for i in range(4)], 2)
+    _assert_no_child_left()
+
+
+def test_map_names_a_killed_worker_and_kills_the_others():
+    # The first child kills itself at item 0; the second would sleep at item 1 for 10 minutes unless killed.
+    code = (
+        "import os, signal, time, shiftcp.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def item(i):\n"
+        "    if i == 0:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    time.sleep(600)\n"
+        "try:\n"
+        "    cli._map(item, [(i,) for i in range(4)], 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    print(os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    pid, message, children = _run_python(code).splitlines()
+    assert message == f"worker process {pid} sent no readable outcome (wait status {signal.SIGKILL})"
+    assert children == "no child left"
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_sweep_runs_where_the_platform_lacks(monkeypatch, tmp_path, missing):
+    config = _tiny_config(tmp_path)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "normal")]) == 0
+    monkeypatch.delattr(os, missing)
+    assert _workers(2, 2) == (1 if missing == "fork" else min(2, os.cpu_count()))
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["sweep", "--config", config, "--out", str(out), "--threads", threads]) == 0
+        assert (out / "records.csv").read_bytes() == (tmp_path / "normal" / "records.csv").read_bytes()
 
 
 def test_map_stays_in_process_while_another_thread_runs():
@@ -887,11 +990,7 @@ def test_tau_deterministic_across_workers(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the import time; only the assignment solver loads it.
-    src = str(Path(__file__).parents[1] / "src")
-    code = "import sys, shiftcp.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _run_python("import sys, shiftcp.cli; print('scipy.optimize' in sys.modules)").strip() == "False"
 
 
 class TestOneGatherPerCell:
