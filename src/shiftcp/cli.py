@@ -26,6 +26,7 @@ import json
 import math
 import os
 import pickle
+import select
 import sys
 import threading
 from dataclasses import dataclass, replace
@@ -573,42 +574,50 @@ def _map(fn, items: list, threads: int) -> list:
     """``[fn(*args) for args in items]``, fanned out to forked worker processes.
 
     Each of the :func:`_workers` children runs an interleaved share
-    (:func:`_run_share`) while the parent only waits; the results come back in
-    item order, or the lowest failing item's exception is re-raised, as at one
-    worker. A child that dies without an outcome is named with its wait
-    status, and the children still running when the parent reaches its pipe
-    are killed. Fork is safe only in a single-threaded process, so the loop
-    runs in-process at one worker and whenever another thread is alive.
+    (:func:`_run_share`) while the parent waits on every pipe at once; the
+    results come back in item order, or the lowest failing item's exception
+    is re-raised, as at one worker. A child whose pipe ends without a
+    readable outcome fails the call as soon as the parent sees it: the other
+    children are killed and the dead one is named with its wait status. Fork
+    is safe only in a single-threaded process, so the loop runs in-process at
+    one worker and whenever another thread is alive.
     """
     workers = _workers(threads, len(items))
     if workers <= 1 or threading.active_count() > 1:
         return [fn(*args) for args in items]
-    pids, readers, outcomes, statuses = [], [], [], []
+    pids, fds, outcomes, statuses = [], [], {}, []
+    dead = cause = None
     try:
         for w in range(workers):
             read_end, write_end = os.pipe()
-            readers.append(open(read_end, "rb"))
+            fds.append(read_end)
             with open(write_end, "wb") as pipe:
                 pids.append(os.fork())
                 if pids[-1] == 0:
                     _run_share(fn, items, w, workers, pipe)
-        for reader in readers:
-            try:
-                outcomes.append(pickle.loads(reader.read()))
-            except Exception as exc:  # empty or truncated if the child died, or an exception that cannot be rebuilt
-                cause = exc
-                break
+        chunks = [[] for _ in fds]
+        while dead is None and len(outcomes) < workers:
+            for fd in select.select([fd for w, fd in enumerate(fds) if w not in outcomes], [], [])[0]:
+                w = fds.index(fd)
+                data = os.read(fd, 1 << 16)
+                if data:
+                    chunks[w].append(data)
+                    continue
+                try:
+                    outcomes[w] = pickle.loads(b"".join(chunks[w]))
+                except Exception as exc:  # empty or truncated if the child died, or an exception that cannot be rebuilt
+                    dead, cause = w, exc
+                    break
     finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            if len(outcomes) < len(pids):
+        for fd in fds:
+            os.close(fd)
+        for w, pid in enumerate(pids):
+            if w not in outcomes and w != dead:
                 os.kill(pid, 9)  # SIGKILL; importing signal would cost every CLI start about 1 ms
             statuses.append(os.waitpid(pid, 0)[1])
-    if len(outcomes) < workers:
-        pid, status = pids[len(outcomes)], statuses[len(outcomes)]
-        raise RuntimeError(f"worker process {pid} sent no readable outcome (wait status {status})") from cause
-    failed = [outcome for outcome in outcomes if outcome[0] is not None]
+    if dead is not None:
+        raise RuntimeError(f"worker process {pids[dead]} sent no readable outcome (wait status {statuses[dead]})") from cause
+    failed = [outcome for outcome in outcomes.values() if outcome[0] is not None]
     if failed:
         raise min(failed, key=lambda outcome: outcome[0])[1]
     return [outcomes[i % workers][1][i // workers] for i in range(len(items))]

@@ -195,12 +195,10 @@ def integrated_coverage_gap(cal_scores_p, test_scores_p, test_scores_q, alpha_gr
         raise ValueError("test score samples must be nonempty")
 
     n = cal_p.size
-    gaps = np.empty(grid.size)
-    for i, a in enumerate(grid):
-        k = _quantile_count(n, float(a))
-        q = FULL_SET if k > n else cal_p[k - 1]
-        fp = np.searchsorted(tp, q, side="right") / tp.size
-        fq = np.searchsorted(tq, q, side="right") / tq.size
-        gaps[i] = abs(fp - fq)
+    counts = np.array([_quantile_count(n, a) for a in grid.tolist()])
+    thresholds = np.where(counts > n, FULL_SET, cal_p[np.minimum(counts, n) - 1])
+    fp = np.searchsorted(tp, thresholds, side="right") / tp.size
+    fq = np.searchsorted(tq, thresholds, side="right") / tq.size
+    gaps = np.abs(fp - fq)
     integrated = float(_trapezoid(gaps, grid))
     return GapEstimate(per_alpha=tuple(zip(grid.tolist(), gaps.tolist())), integrated=integrated)

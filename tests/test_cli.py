@@ -954,6 +954,28 @@ def test_map_names_a_killed_worker_and_kills_the_others():
     assert children == "no child left"
 
 
+def test_map_fails_as_soon_as_a_later_worker_dies():
+    # Item 1 kills the second child at once; the first child's share (items 0, 2, 4, 6) would take 2 s.
+    code = (
+        "import os, signal, time, shiftcp.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def item(i):\n"
+        "    if i == 1:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    time.sleep(0.5)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    cli._map(item, [(i,) for i in range(8)], 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    pid, message, elapsed = _run_python(code).splitlines()
+    assert message == f"worker process {pid} sent no readable outcome (wait status {signal.SIGKILL})"
+    assert float(elapsed) < 1.0
+
+
 @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
 def test_sweep_runs_where_the_platform_lacks(monkeypatch, tmp_path, missing):
     config = _tiny_config(tmp_path)
@@ -991,6 +1013,18 @@ def test_tau_deterministic_across_workers(tmp_path):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is most of the import time; only the assignment solver loads it.
     assert _run_python("import sys, shiftcp.cli; print('scipy.optimize' in sys.modules)").strip() == "False"
+
+
+def test_bounds_solves_assignments_without_the_scipy_optimize_and_spatial_packages(tmp_path):
+    # Every class of 1800 target rows exceeds 512 points, and sigma 0.8 is no identity, so the solver runs.
+    config = _tiny_config(tmp_path, n_train=600, n_cal=200, n_test=1800)
+    code = (
+        "import sys, warnings, shiftcp.cli as cli\n"
+        "warnings.simplefilter('ignore')\n"
+        f"assert cli.main(['bounds', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'spatial'])))"
+    )
+    assert _run_python(code).strip().splitlines()[-1] == "['scipy.optimize._lsap']"
 
 
 class TestOneGatherPerCell:

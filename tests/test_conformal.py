@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from shiftcp.conformal import (
     FULL_SET,
+    GapEstimate,
+    _quantile_count,
+    _trapezoid,
     calibrate,
     conformal_level,
     coverage,
@@ -231,6 +234,21 @@ class TestCoverageAndSetSize:
         assert 1 - alpha - 3 * se <= mean <= 1 - alpha + 1 / (n_cal + 1) + 3 * se
 
 
+def _per_alpha_loop(cal_scores_p, test_scores_p, test_scores_q, grid) -> GapEstimate:
+    """Reference for ``integrated_coverage_gap``: one threshold and two CDF searches per alpha."""
+    cal_p, tp, tq = (np.sort(np.asarray(v, dtype=float)) for v in (cal_scores_p, test_scores_p, test_scores_q))
+    n = cal_p.size
+    gaps = np.empty(grid.size)
+    for i, a in enumerate(grid):
+        k = _quantile_count(n, float(a))
+        q = FULL_SET if k > n else cal_p[k - 1]
+        fp = np.searchsorted(tp, q, side="right") / tp.size
+        fq = np.searchsorted(tq, q, side="right") / tq.size
+        gaps[i] = abs(fp - fq)
+    integrated = float(_trapezoid(gaps, grid))
+    return GapEstimate(per_alpha=tuple(zip(grid.tolist(), gaps.tolist())), integrated=integrated)
+
+
 class TestCoverageGaps:
     def test_identical_samples_have_zero_gap(self):
         s = np.linspace(-1, 1, 50)
@@ -299,6 +317,27 @@ class TestCoverageGaps:
             (grid[i + 1] - grid[i]) * (gaps[i] + gaps[i + 1]) / 2 for i in range(len(grid) - 1)
         )
         assert est.integrated == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "ties", "n_cal_3", "custom_grid"],
+    )
+    def test_matches_the_per_alpha_loop_bit_for_bit(self, case):
+        rng = RngStream(6).generator()
+        cal, tp, tq = rng.normal(size=201), rng.normal(size=307), rng.normal(loc=0.4, size=389)
+        grid = None
+        if case == "ties":
+            cal, tp, tq = (np.round(v * 2) / 2 for v in (cal, tp, tq))
+        elif case == "n_cal_3":
+            cal = cal[:3]  # every alpha below 1/4 overflows the quantile count: FULL_SET
+        elif case == "custom_grid":
+            grid = np.sort(rng.uniform(0.001, 0.999, size=17))
+        est = integrated_coverage_gap(cal, tp, tq, grid)
+        oracle = _per_alpha_loop(cal, tp, tq, np.arange(1, 100) / 100.0 if grid is None else grid)
+        assert [(a, g.hex()) for a, g in est.per_alpha] == [(a, g.hex()) for a, g in oracle.per_alpha]
+        assert est.integrated.hex() == oracle.integrated.hex()
+        if case == "n_cal_3":
+            assert dict(est.per_alpha)[0.01] == 0.0
 
     def test_gap_grid_validation(self):
         s = np.linspace(0, 1, 10)

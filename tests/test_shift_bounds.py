@@ -1,15 +1,21 @@
 """Wasserstein metrics, density estimation, and the coverage bound family."""
 
+import importlib.machinery
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
+from shiftcp import shift_bounds
 from shiftcp.rng import RngStream
 from shiftcp.scores import predict, score
 from shiftcp.shift_bounds import (
@@ -24,6 +30,7 @@ from shiftcp.shift_bounds import (
     undercoverage_gap_estimate,
     w1_1d,
     w1_assignment,
+    w1_assignment_subsampled,
     winf_coupled,
 )
 from shiftcp.synthetic import generate_source
@@ -134,9 +141,67 @@ class TestW1Assignment:
         with pytest.raises(ValueError):
             w1_assignment(np.zeros((513, 2)), np.zeros((513, 2)))
 
-    def test_subsampled_variant_warns_and_estimates(self):
-        from shiftcp.shift_bounds import w1_assignment_subsampled
+    def test_identical_samples_skip_the_solver(self, monkeypatch):
+        def refuse(cost):
+            raise AssertionError("solver called")
 
+        monkeypatch.setattr(shift_bounds, "_linear_sum_assignment", lambda: refuse)
+        a = RngStream(6).generator().normal(size=(40, 3))
+        a[7] = a[3]  # a repeated point: the identity is still one optimal matching of cost 0
+        got = w1_assignment(a, a.copy())
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        with pytest.raises(AssertionError, match="solver called"):
+            w1_assignment(a, a[::-1])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 512])
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_blocked_costs_have_the_bits_of_cdist_plus_the_tilt(self, d, n, tilted):
+        g = np.random.default_rng(1000 * d + n)
+        # Dyadic coordinates sum exactly in any order, so a permuted copy has exactly the same mean.
+        a = np.round(g.normal(size=(n, d)) * 64) / 64
+        b = a[g.permutation(n)] + (g.normal(size=d) if tilted else 0.0) + (0.3 * g.normal(size=(n, d)) if tilted else 0.0)
+        shift = b.mean(axis=0) - a.mean(axis=0)
+        assert (np.linalg.norm(shift) > 0) == tilted
+        expected = cdist(a, b)
+        if tilted:
+            theta = shift / np.linalg.norm(shift)
+            expected += (a @ theta)[:, None] - (b @ theta)[None, :]
+        assert np.array_equal(shift_bounds._reduced_costs(a, b).view(np.int64), expected.view(np.int64))
+
+    def test_solver_is_scipys_public_function(self):
+        # This module imported scipy.optimize first; the helper reuses its compiled module.
+        assert shift_bounds._linear_sum_assignment() is linear_sum_assignment
+
+    def test_another_scipy_layout_falls_back_to_the_public_import(self, monkeypatch):
+        g = np.random.default_rng(8)
+        a, b = g.normal(size=(300, 2)), g.normal(size=(300, 2)) + 0.5
+        expected = w1_assignment(a, b)
+        calls = []
+
+        def public(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args, **kwargs: None))
+        shift_bounds._linear_sum_assignment.cache_clear()
+        try:
+            assert w1_assignment(a, b).hex() == expected.hex()
+        finally:
+            shift_bounds._linear_sum_assignment.cache_clear()
+        assert calls == [(300, 300)]
+
+    @pytest.mark.parametrize("max_points", [600, 513, 0, -3, 2.5, 64.0, True, "64", None])
+    def test_subsampled_variant_rejects_max_points_outside_the_solver_range_before_any_draw(self, max_points):
+        a = RngStream(7).generator().normal(size=(700, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^max_points must be an integer in 1..512, got "):
+                w1_assignment_subsampled(a, a + 1.0, max_points=max_points)
+
+    def test_subsampled_variant_warns_and_estimates(self):
         rng = RngStream(5).generator()
         a = rng.normal(size=(700, 2))
         t = np.array([0.8, -0.6])
