@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import CalibrationResult, _covered_share, calibrate, expected_set_size, integrated_coverage_gap
+from .conformal import CalibrationResult, _covered_share, _validate_alpha, calibrate, expected_set_size, integrated_coverage_gap
 from .exceptions import ConfigError, DataError, InvariantError
 from .pseudo import UncertaintyGrid, _calibrate_at_cutoff, _curve_with_thresholds, _tune_cutoff, pseudo_calibrate, select_u_star
 from .rng import RngStream
@@ -46,7 +46,6 @@ from .scores import (
     lipschitz_bound,
     predict,
     ramp_loss,
-    score,
     scored_view,
 )
 from .shift_bounds import (
@@ -64,7 +63,6 @@ from .shift_bounds import (
 from .synthetic import (
     _utf8_lines,
     LogitTable,
-    LogitTableMap,
     ShiftSpec,
     SourceSpec,
     apply_shift,
@@ -200,8 +198,10 @@ class ExperimentConfig:
             raise ConfigError("tau_grid values must be nonnegative")
 
         alpha = _real("alpha", merged["alpha"])
-        if not (0.0 < alpha < 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+        try:
+            _validate_alpha(alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         counts = {name: _integer(name, merged[name]) for name in ("n_train", "n_cal", "n_test", "trials")}
         for name, val in counts.items():
             if val < 1:
@@ -440,7 +440,7 @@ def train_model(cfg: ExperimentConfig):
     return _train(cfg)[0]
 
 
-def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData, source_scores, tune: RngStream, hard):
+def _calibrate_method(cfg: ExperimentConfig, method: str, data: TrialData, source_scores, tune: RngStream, hard):
     """Threshold for one calibration strategy; target labels reach only the oracle arm."""
     if method == "source":
         return calibrate(source_scores, cfg.alpha), None
@@ -450,9 +450,9 @@ def _calibrate_method(cfg: ExperimentConfig, model, method: str, data: TrialData
         tuning = _tune_cutoff(data.x_source, source_scores, cfg.alpha, cfg.uncertainty_grid(), tune)
         if math.isinf(tuning.u_star):  # draws nothing: hard() is this cell's hard pseudo-calibration
             return hard(), tuning
-        return _calibrate_at_cutoff(model, data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
+        return _calibrate_at_cutoff(data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
     if method == "oracle":
-        return calibrate(score(model, data.x_target_cal, data.y_target_cal_oracle), cfg.alpha), None
+        return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -506,7 +506,7 @@ def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, 
     )
 
 
-def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, source_scores, sigma, trial: int, tune: RngStream, thm2):
+def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, sigma, trial: int, tune: RngStream, thm2):
     """Every method's record for one cell of scored splits (generator cell or logit table) and its source scores."""
     test = data.x_target_test
     test_scores = test.label_scores(data.y_target_test)
@@ -516,10 +516,10 @@ def _evaluate_cell(cfg: ExperimentConfig, model, data: TrialData, source_scores,
     hinge_tgt = _population_loss(hinge_loss, test_scores)
     cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
 
-    hard = cache(partial(pseudo_calibrate, model, data.x_target_cal, cfg.alpha))
+    hard = cache(partial(pseudo_calibrate, None, data.x_target_cal, cfg.alpha))
     records = []
     for method in cfg.methods:
-        cal, tuning = _calibrate_method(cfg, model, method, data, source_scores, tune, hard)
+        cal, tuning = _calibrate_method(cfg, method, data, source_scores, tune, hard)
         bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
         u_star = tuning.u_star if tuning is not None else None
         records.append(_record(test, test_scores, method, sigma, trial, cal, tau, u_star, *bounds))
@@ -539,7 +539,7 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     source_scores = data.x_source.label_scores(data.y_source)
     ramp_src = _population_loss(ramp_loss, source_scores)
     thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
-    return _evaluate_cell(cfg, model, data, source_scores, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
+    return _evaluate_cell(cfg, data, source_scores, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
 def _workers(threads: int, n_items: int) -> int:
@@ -727,16 +727,15 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
 # Bounds report
 
 
-def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
+def _source_measures(alpha: float, cal: ScoredView, y_cal, source: ScoredView, y_src) -> dict:
     """Source-side quantities shared by every entry of a bounds report."""
-    source = scored_view(model, x_src)
     src_scores = source.label_scores(y_src)
     try:
         sup_density = sup_density_estimate(src_scores)
     except ValueError as exc:
         raise DataError(f"source_test scores: {exc}") from exc
     return {
-        "cal_scores": score(model, x_cal, y_cal),
+        "cal_scores": cal.label_scores(y_cal),
         "src_scores": src_scores,
         "sup_density": sup_density,
         "ramp_source": _population_loss(ramp_loss, src_scores),
@@ -745,9 +744,9 @@ def _source_measures(model, alpha: float, x_cal, y_cal, x_src, y_src) -> dict:
     }
 
 
-def _measured_entry(model, alpha: float, tau_grid, src: dict, x_tgt, y_tgt) -> dict:
+def _measured_entry(alpha: float, tau_grid, src: dict, target: ScoredView, y_tgt) -> dict:
     """Measured fields of one bounds-report entry; the target losses are oracle inputs."""
-    tgt_scores = score(model, x_tgt, y_tgt)
+    tgt_scores = target.label_scores(y_tgt)
     ramp_tgt = _population_loss(ramp_loss, tgt_scores)
     hinge_tgt = _population_loss(hinge_loss, tgt_scores)
     try:
@@ -785,7 +784,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
     x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
-    src = _source_measures(model, cfg.alpha, x_cal, y_cal, x_src, y_src)
+    src = _source_measures(cfg.alpha, scored_view(model, x_cal), y_cal, scored_view(model, x_src), y_src)
 
     per_sigma = []
     for si, sigma in enumerate(cfg.sigma_grid):
@@ -801,7 +800,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
             per_class_w1 = [w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows]
             rho_mix_measured = rho_mix(cfg.source_spec.priors, per_class_w1)
 
-        entry = _measured_entry(model, cfg.alpha, cfg.tau_grid, src, x_tgt, yb)
+        entry = _measured_entry(cfg.alpha, cfg.tau_grid, src, scored_view(model, x_tgt), yb)
         entry.update(
             {
                 "sigma": sigma,
@@ -820,16 +819,15 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
 def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> dict:
     """Bounds computable from ingested logits alone; shift-certificate terms are null."""
-    model = LogitTableMap(table.logits)
-    splits = {tag: (table.features(tag), table.labels_for(tag)) for tag in ("source_cal", "source_test", "target_test")}
+    splits = {tag: (_table_view(table, tag), table.labels_for(tag)) for tag in ("source_cal", "source_test", "target_test")}
     for name, (_, y) in splits.items():
         if y.size == 0:
             raise DataError(f"split {name} has no rows; bounds need source_cal, source_test and target_test")
-        if (np.asarray(y) == 0).any():
+        if (y == 0).any():
             raise DataError(f"split {name} contains MISSING labels; cannot measure losses")
 
-    src = _source_measures(model, alpha, *splits["source_cal"], *splits["source_test"])
-    entry = _measured_entry(model, alpha, tau_grid, src, *splits["target_test"])
+    src = _source_measures(alpha, *splits["source_cal"], *splits["source_test"])
+    entry = _measured_entry(alpha, tau_grid, src, *splits["target_test"])
     entry.update(
         dict.fromkeys(("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured")),
         w1_score_bound=None,
@@ -867,9 +865,13 @@ def run_tune(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 # Logit-table-backed runs
 
 
+def _table_view(table: LogitTable, tag: str) -> ScoredView:
+    """The scored view of one split's stored logits."""
+    return ScoredView(table.logits[table.rows(tag)])
+
+
 def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
     """One-shot sweep over an ingested logit table (no generator, single trial)."""
-    model = LogitTableMap(table.logits)
     y_src, y_tc, y_tt = (table.labels_for(tag) for tag in ("source_cal", "target_cal", "target_test"))
     if y_src.size == 0 or y_tc.size == 0 or y_tt.size == 0:
         raise DataError("logit table must populate source_cal, target_cal and target_test")
@@ -879,15 +881,15 @@ def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list
         raise DataError("oracle method requested but target_cal contains MISSING labels")
 
     data = TrialData(
-        x_source=scored_view(model, table.features("source_cal")),
+        x_source=_table_view(table, "source_cal"),
         y_source=y_src,
-        x_target_cal=scored_view(model, table.features("target_cal")),
+        x_target_cal=_table_view(table, "target_cal"),
         y_target_cal_oracle=y_tc,
-        x_target_test=scored_view(model, table.features("target_test")),
+        x_target_test=_table_view(table, "target_test"),
         y_target_test=y_tt,
     )
     tune = RngStream(cfg.seed).substream("table-tune")
-    records = _evaluate_cell(cfg, model, data, data.x_source.label_scores(y_src), None, 0, tune, None)
+    records = _evaluate_cell(cfg, data, data.x_source.label_scores(y_src), None, 0, tune, None)
     return records, aggregate_records(records)
 
 
@@ -1017,11 +1019,10 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if not candidates:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
-    table_split = None
+    model = table_split = None
     if logits_path is not None:
         table = load_logit_table(logits_path)
-        model = LogitTableMap(table.logits)
-        table_split = (scored_view(model, table.features("target_test")), table.labels_for("target_test"))
+        table_split = (_table_view(table, "target_test"), table.labels_for("target_test"))
     else:
         model = train_model(cfg)
 
@@ -1112,12 +1113,14 @@ def _cmd_tau(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _cmd_bounds(cfg: ExperimentConfig, out: Path, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
+    resolved = cfg.resolved()
     if args.logits:
         table = load_logit_table(args.logits)
         report = run_bounds_report_from_table(table, cfg.alpha, cfg.tau_grid)
+        resolved["logits"] = str(args.logits)
     else:
         report = run_bounds_report(cfg)
-    _write_json(out / "config.json", cfg.resolved())
+    _write_json(out / "config.json", resolved)
     _write_json(out / "bounds.json", report)
     print(f"wrote {out / 'bounds.json'}")
     return 0
@@ -1139,14 +1142,26 @@ def _cmd_replay(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--config": {"default": None, "help": "JSON config file (defaults are used when omitted)"},
+    "--seed": {"type": int, "default": None, "help": "override the config seed (replay: must equal the run's)"},
+    "--out": {"default": "shiftcp-out", "help": "output directory (replay: the run to audit)"},
+    "--threads": {"type": int, "default": 1, "help": "worker processes for the trial cells (at least 1)"},
+    "--logits": {"default": None, "help": "ingest externally computed logits from this CSV table"},
+}
+
+_RUN_FLAGS = ("--config", "--seed", "--out")
+
+#: Each subcommand's driver, help line and flags, in the order ``--help`` lists them.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "sweep": _cmd_sweep,
-    "tau": _cmd_tau,
-    "bounds": _cmd_bounds,
-    "tune": _cmd_tune,
-    "replay": _cmd_replay,
+    "gen": (_cmd_gen, "emit the synthetic dataset splits as CSV", _RUN_FLAGS),
+    "train": (_cmd_train, "fit the classifier and dump it as JSON", _RUN_FLAGS),
+    "sweep": (_cmd_sweep, "run the full method x shift x trial experiment", (*_RUN_FLAGS, "--threads", "--logits")),
+    "tau": (_cmd_tau, "run the threshold-slack correction experiment", (*_RUN_FLAGS, "--threads")),
+    "bounds": (_cmd_bounds, "evaluate the coverage bounds into a JSON report", (*_RUN_FLAGS, "--logits")),
+    "tune": (_cmd_tune, "trace the source sweep of the entropy cutoff", _RUN_FLAGS),
+    # replay reads the audited run's own config.json, so it takes no --config.
+    "replay": (_cmd_replay, "audit an output directory by recomputing coverage/ESS", ("--seed", "--out", "--threads")),
 }
 
 
@@ -1156,25 +1171,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conformal prediction under bounded covariate shift: experiments, bounds and audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "gen": "emit the synthetic dataset splits as CSV",
-        "train": "fit the classifier and dump it as JSON",
-        "sweep": "run the full method x shift x trial experiment",
-        "tau": "run the threshold-slack correction experiment",
-        "bounds": "evaluate the coverage bounds into a JSON report",
-        "tune": "trace the source sweep of the entropy cutoff",
-        "replay": "audit an output directory by recomputing coverage/ESS",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "replay":  # replay reads the audited run's own config.json
-            p.add_argument("--config", default=None, help="JSON config file (defaults are used when omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed (replay: must equal the run's)")
-        p.add_argument("--out", default="shiftcp-out", help="output directory (replay: the run to audit)")
-        if name in ("sweep", "tau", "replay"):
-            p.add_argument("--threads", type=int, default=1, help="worker processes for the trial cells (at least 1)")
-        if name in ("sweep", "bounds"):
-            p.add_argument("--logits", default=None, help="ingest externally computed logits from this CSV table")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -1185,7 +1185,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         # A flag the subcommand does not declare is passed on as None.
         cfg = load_config(args.config, seed_override=args.seed) if "config" in args else None
-        return _COMMANDS[args.command](cfg, Path(args.out), args)
+        return _COMMANDS[args.command][0](cfg, Path(args.out), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

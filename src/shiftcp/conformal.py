@@ -5,11 +5,13 @@ Quantile convention
 The calibration threshold is the empirical quantile of the calibration scores
 at level ``ceil((1 - alpha) * (n + 1)) / n``, where the quantile at level p is
 the smallest order statistic t with empirical CDF ``F(t) >= p`` and the CDF is
-the right-continuous ``F(t) = #{s_i <= t} / n``. When the level exceeds 1 (too
-few calibration points) the threshold is the :data:`FULL_SET` sentinel and the
-prediction set is all of ``1..K``, which preserves the coverage guarantee
-trivially. Level arithmetic goes through exact rationals so that ceil never
-flips on float rounding.
+the right-continuous ``F(t) = #{s_i <= t} / n``: the
+``ceil((1 - alpha)(n + 1))``-th smallest score, which :func:`calibrate` and
+:func:`empirical_quantile` both take through one helper. When the level
+exceeds 1 (too few calibration points) the threshold is the :data:`FULL_SET`
+sentinel and the prediction set is all of ``1..K``, which preserves the
+coverage guarantee trivially. Level arithmetic goes through exact rationals so
+that ceil never flips on float rounding.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ class CalibrationResult:
     """Conformal threshold with its level arithmetic.
 
     ``threshold`` is one of the calibration scores when ``level <= 1`` and
-    :data:`FULL_SET` otherwise.
+    :data:`FULL_SET` otherwise; ``level`` is the exact :func:`conformal_level`.
     """
 
     threshold: float
     alpha: float
     n: int
-    level: float
+    level: Fraction
 
     @property
     def is_full_set(self) -> bool:
@@ -67,50 +69,60 @@ def _quantile_count(n: int, alpha: float) -> int:
     return math.ceil(Fraction(n + 1) * (1 - Fraction(alpha)))
 
 
-def conformal_level(n: int, alpha: float) -> float:
-    """Quantile level ``ceil((1 - alpha)(n + 1)) / n``; may exceed 1 for small n."""
+def conformal_level(n: int, alpha: float) -> Fraction:
+    """Exact quantile level ``ceil((1 - alpha)(n + 1)) / n``; may exceed 1 for small n.
+
+    ``empirical_quantile(s, conformal_level(len(s), alpha))`` is ``calibrate(s, alpha).threshold``.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"calibration count must be a positive integer, got {n}")
     _validate_alpha(alpha)
-    return _quantile_count(int(n), alpha) / n
+    return Fraction(_quantile_count(int(n), alpha), n)
 
 
-def empirical_quantile(scores, level: float) -> float:
+def _score_sample(scores) -> np.ndarray:
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("scores must be a nonempty 1-D sample")
+    if np.isnan(s).any():
+        raise ValueError("scores must not contain NaN")
+    return s
+
+
+def _order_statistic(s: np.ndarray, k: int) -> float:
+    """The ``k``-th smallest score, or :data:`FULL_SET` when ``k`` exceeds the sample size."""
+    return FULL_SET if k > s.size else float(np.partition(s, k - 1)[k - 1])
+
+
+def empirical_quantile(scores, level) -> float:
     """Smallest order statistic with empirical CDF at least ``level``.
 
     Returns :data:`FULL_SET` when ``level`` exceeds 1. For ``level <= 1`` the
     result is the ``ceil(level * n)``-th smallest score (exact rational
     arithmetic), hence always an element of ``scores``.
     """
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a nonempty 1-D sample")
-    if level > 1.0:
+    s = _score_sample(scores)
+    if level > 1:
         return FULL_SET
-    if level <= 0.0:
+    if not level > 0:
         raise ValueError(f"quantile level must be positive, got {level}")
-    n = s.size
-    k = math.ceil(Fraction(level) * n)
-    return float(np.partition(s, k - 1)[k - 1])
+    return _order_statistic(s, math.ceil(Fraction(level) * s.size))
 
 
-def _validate_tau(tau: float) -> None:
-    if not tau >= 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+def _validate_nonnegative(**values: float) -> None:
+    """Raise unless every named value is at least 0; NaN fails the comparison and raises too."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Split-conformal threshold of a calibration score sample at level alpha."""
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a nonempty 1-D sample")
-    if np.isnan(s).any():
-        raise ValueError("calibration scores must not contain NaN")
+    s = _score_sample(scores)
     _validate_alpha(alpha)
     n = s.size
     k = _quantile_count(n, alpha)
-    threshold = FULL_SET if k > n else float(np.partition(s, k - 1)[k - 1])
-    return CalibrationResult(threshold=threshold, alpha=float(alpha), n=n, level=k / n)
+    return CalibrationResult(threshold=_order_statistic(s, k), alpha=float(alpha), n=n, level=Fraction(k, n))
 
 
 def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozenset[int]:
@@ -118,7 +130,7 @@ def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozen
 
     ``tau = 0`` gives the plain conformal set; ``tau > 0`` relaxes it.
     """
-    _validate_tau(tau)
+    _validate_nonnegative(tau=tau)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("prediction_set expects a single input vector")
@@ -137,7 +149,7 @@ def coverage(model, x, y, cal: CalibrationResult, tau: float = 0.0) -> float:
 
 def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) -> float:
     """Share of the true-label scores at or below ``threshold + tau``: the coverage reduction."""
-    _validate_tau(tau)
+    _validate_nonnegative(tau=tau)
     if true_scores.size == 0:
         raise ValueError("coverage of an empty sample is undefined")
     return np.count_nonzero(true_scores <= cal.threshold + tau) / true_scores.size
@@ -145,7 +157,7 @@ def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) 
 
 def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> float:
     """Mean prediction-set cardinality over a batch of inputs (or a scored view)."""
-    _validate_tau(tau)
+    _validate_nonnegative(tau=tau)
     view = scored_view(model, x)
     if len(view) == 0:
         raise ValueError("expected set size of an empty sample is undefined")

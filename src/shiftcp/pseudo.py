@@ -254,7 +254,7 @@ def source_tuned_calibrate(
     """
     source = scored_view(model, x_source)
     tuning = _tune_cutoff(source, source.label_scores(y_source), alpha, grid, rng)
-    return tuning, _calibrate_at_cutoff(model, x_target, alpha, tuning.u_star, rng)
+    return tuning, _calibrate_at_cutoff(scored_view(model, x_target), alpha, tuning.u_star, rng)
 
 
 def _tune_cutoff(source: ScoredView, true_scores, alpha, grid, rng) -> TuningResult:
@@ -271,6 +271,6 @@ def _tune_cutoff(source: ScoredView, true_scores, alpha, grid, rng) -> TuningRes
     return TuningResult(u_star=u_star, coverage_curve=tuple(curve), source_threshold_at_u_star=source_threshold)
 
 
-def _calibrate_at_cutoff(model, x_target, alpha, u_star, rng) -> CalibrationResult:
-    """The target half: pseudo-calibrate at ``u_star``; only a finite cutoff draws."""
-    return pseudo_calibrate(model, x_target, alpha, u=u_star, rng=rng.substream("tune-target"))
+def _calibrate_at_cutoff(target: ScoredView, alpha, u_star, rng) -> CalibrationResult:
+    """The target half: pseudo-calibrate the scored target at ``u_star``; only a finite cutoff draws."""
+    return pseudo_calibrate(None, target, alpha, u=u_star, rng=rng.substream("tune-target"))

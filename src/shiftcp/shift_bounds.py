@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import _covered_share, calibrate
+from .conformal import _covered_share, _validate_alpha, _validate_nonnegative, calibrate
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
@@ -44,6 +44,14 @@ def _as_points(values, name: str) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def _paired_points(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two finite, nonempty (n, d) point samples of identical shape."""
+    pa, pb = _as_points(a, "a"), _as_points(b, "b")
+    if pa.shape != pb.shape:
+        raise ValueError(f"samples must have identical shape, got {pa.shape} vs {pb.shape}")
+    return pa, pb
 
 
 def w1_1d(a, b) -> float:
@@ -150,10 +158,7 @@ def w1_assignment(a, b) -> float:
     solver. The result is the mean Euclidean length of the matched pairs.
     Identical samples return 0 without a solve.
     """
-    pa = _as_points(a, "a")
-    pb = _as_points(b, "b")
-    if pa.shape != pb.shape:
-        raise ValueError(f"samples must have identical shape, got {pa.shape} vs {pb.shape}")
+    pa, pb = _paired_points(a, b)
     n = pa.shape[0]
     if n > MAX_ASSIGNMENT_SIZE:
         raise ValueError(f"assignment solver limited to {MAX_ASSIGNMENT_SIZE} points, got {n}")
@@ -178,10 +183,7 @@ def w1_assignment_subsampled(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: 
     integral = isinstance(max_points, (int, np.integer)) and not isinstance(max_points, bool)
     if not (integral and 1 <= max_points <= MAX_ASSIGNMENT_SIZE):
         raise ValueError(f"max_points must be an integer in 1..{MAX_ASSIGNMENT_SIZE}, got {max_points!r}")
-    pa = _as_points(a, "a")
-    pb = _as_points(b, "b")
-    if pa.shape != pb.shape:
-        raise ValueError(f"samples must have identical shape, got {pa.shape} vs {pb.shape}")
+    pa, pb = _paired_points(a, b)
     n = pa.shape[0]
     if n > max_points:
         warnings.warn(
@@ -201,10 +203,7 @@ def winf_coupled(a, b) -> float:
     e.g. pre/post-shift pairs), and any explicit coupling is feasible for the
     infimum defining W-infinity.
     """
-    pa = _as_points(a, "a")
-    pb = _as_points(b, "b")
-    if pa.shape != pb.shape:
-        raise ValueError(f"paired samples must have identical shape, got {pa.shape} vs {pb.shape}")
+    pa, pb = _paired_points(a, b)
     return float(np.linalg.norm(pa - pb, axis=1).max())
 
 
@@ -214,7 +213,7 @@ def rho_mix(class_priors, per_class_w1) -> float:
     dists = np.asarray(per_class_w1, dtype=float)
     if priors.shape != dists.shape or priors.ndim != 1 or priors.size == 0:
         raise ValueError("priors and per-class distances must be matching nonempty vectors")
-    if (priors < 0).any() or (dists < 0).any():
+    if not ((priors >= 0).all() and (dists >= 0).all()):
         raise ValueError("priors and distances must be nonnegative")
     if abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError(f"priors must sum to 1, got {priors.sum()}")
@@ -223,8 +222,7 @@ def rho_mix(class_priors, per_class_w1) -> float:
 
 def score_shift_w1_bound(lipschitz: float, rho: float) -> float:
     """W1 bound on the score-distribution shift: margin Lipschitz constant times shift radius."""
-    if lipschitz < 0 or rho < 0:
-        raise ValueError("lipschitz constant and shift radius must be nonnegative")
+    _validate_nonnegative(lipschitz=lipschitz, rho=rho)
     return float(lipschitz * rho)
 
 
@@ -251,8 +249,7 @@ def sup_density_estimate(scores) -> float:
 
 def coverage_gap_bound(sup_density: float, w1: float) -> float:
     """Integrated coverage-gap bound: score-density sup times score W1 shift."""
-    if sup_density < 0 or w1 < 0:
-        raise ValueError("density sup and W1 must be nonnegative")
+    _validate_nonnegative(sup_density=sup_density, w1=w1)
     return float(sup_density * w1)
 
 
@@ -262,10 +259,8 @@ def pseudo_coverage_lower_bound(alpha: float, ramp_source: float, lipschitz: flo
     ``max(0, 1 - alpha - ramp_source - lipschitz * rho_mix)``: nominal level
     minus the source ramp loss minus the shift penalty, clipped at zero.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if ramp_source < 0 or lipschitz < 0 or rho_mix_value < 0:
-        raise ValueError("loss, Lipschitz constant and shift must be nonnegative")
+    _validate_alpha(alpha)
+    _validate_nonnegative(ramp_source=ramp_source, lipschitz=lipschitz, rho_mix_value=rho_mix_value)
     return max(0.0, 1.0 - alpha - ramp_source - lipschitz * rho_mix_value)
 
 
@@ -276,12 +271,8 @@ def relaxed_coverage_lower_bound(alpha: float, ramp_target: float, hinge_target:
     non-decreasing in tau, with the hinge term taking over from the ramp term
     once ``tau > 2 * (hinge/ramp - 1)``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if ramp_target < 0 or hinge_target < 0:
-        raise ValueError("losses must be nonnegative")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _validate_alpha(alpha)
+    _validate_nonnegative(ramp_target=ramp_target, hinge_target=hinge_target, tau=tau)
     return max(0.0, 1.0 - alpha - min(ramp_target, hinge_target / (1.0 + tau / 2.0)))
 
 
@@ -314,10 +305,9 @@ def tau_correction(hinge_source: float, hinge_target: float, undercoverage_gap: 
     below at zero: a negative slack would shrink sets below the hard-pseudo
     baseline, defeating the correction.
     """
-    if hinge_target < 0:
-        raise ValueError("target hinge loss must be nonnegative")
+    _validate_nonnegative(hinge_target=hinge_target)
     denom = hinge_source - undercoverage_gap
-    if denom <= 0:
+    if not denom > 0:
         raise ValueError("degenerate source hinge correction: source hinge loss must exceed the undercoverage gap")
     return max(0.0, 2.0 * (hinge_target / denom - 1.0))
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .conformal import _validate_nonnegative
 from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
 from .scores import LinearLogitMap, _check_labels, _pairwise_class_sum
@@ -65,8 +66,7 @@ class SourceSpec:
             raise ValueError("priors must have one entry per class")
         if (priors < 0).any() or abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("priors must be a probability vector")
-        if self.class_cov_scale < 0:
-            raise ValueError("class_cov_scale must be nonnegative")
+        _validate_nonnegative(class_cov_scale=self.class_cov_scale)
         if not (np.isfinite(means).all() and np.isfinite(priors).all()):
             raise ValueError("spec entries must be finite")
         object.__setattr__(self, "class_means", means)
@@ -101,8 +101,7 @@ class ShiftSpec:
             raise ValueError("per_class_translation must be a (K, d) matrix")
         if not np.isfinite(t).all():
             raise ValueError("translations must be finite")
-        if self.noise_scale < 0 or self.clip_radius < 0:
-            raise ValueError("noise_scale and clip_radius must be nonnegative")
+        _validate_nonnegative(noise_scale=self.noise_scale, clip_radius=self.clip_radius)
         if self.clip_mode not in ("resample", "project"):
             raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
         object.__setattr__(self, "per_class_translation", t)
@@ -118,8 +117,7 @@ class ShiftSpec:
 
     def scaled(self, sigma: float) -> "ShiftSpec":
         """Shift of strength ``sigma``: translations, noise and radius all scale jointly."""
-        if sigma < 0:
-            raise ValueError("shift strength must be nonnegative")
+        _validate_nonnegative(sigma=sigma)
         return replace(
             self,
             per_class_translation=self.per_class_translation * sigma,
@@ -417,35 +415,29 @@ def load_logit_table(path) -> LogitTable:
     )
 
 
+def _write_split_table(path, split, labels, values, prefix: str) -> None:
+    """``split,label,{prefix}0,...`` rows; floats use repr and :data:`MISSING_LABEL` is written as MISSING."""
+    split = list(split)
+    labels = np.asarray(labels, dtype=int)
+    values = np.asarray(values, dtype=float)
+    if not (len(split) == labels.shape[0] == values.shape[0]):
+        raise ValueError("split, labels and values must have matching lengths")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["split", "label"] + [f"{prefix}{i}" for i in range(values.shape[1])])
+        for tag, label, row in zip(split, labels, values):
+            text = "MISSING" if label == MISSING_LABEL else str(int(label))
+            writer.writerow([tag, text] + [repr(float(v)) for v in row])
+
+
 def write_logit_table(path, split, labels, logits) -> None:
     """Write a logit-table CSV; floats use repr so a round-trip is bit-identical.
 
     ``labels`` entries equal to :data:`MISSING_LABEL` are written as MISSING.
     """
-    split = list(split)
-    labels = np.asarray(labels, dtype=int)
-    logits = np.asarray(logits, dtype=float)
-    if not (len(split) == labels.shape[0] == logits.shape[0]):
-        raise ValueError("split, labels and logits must have matching lengths")
-    k = logits.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "label"] + [f"logit_{i}" for i in range(k)])
-        for tag, label, row in zip(split, labels, logits):
-            text = "MISSING" if label == MISSING_LABEL else str(int(label))
-            writer.writerow([tag, text] + [repr(float(v)) for v in row])
+    _write_split_table(path, split, labels, logits, "logit_")
 
 
 def write_dataset_csv(path, split, labels, features) -> None:
     """Export a dataset as ``split,label,x_0,...,x_{d-1}`` for reproducibility audits."""
-    split = list(split)
-    labels = np.asarray(labels, dtype=int)
-    features = np.asarray(features, dtype=float)
-    if not (len(split) == labels.shape[0] == features.shape[0]):
-        raise ValueError("split, labels and features must have matching lengths")
-    d = features.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "label"] + [f"x_{i}" for i in range(d)])
-        for tag, label, row in zip(split, labels, features):
-            writer.writerow([tag, str(int(label))] + [repr(float(v)) for v in row])
+    _write_split_table(path, split, labels, features, "x_")

@@ -153,10 +153,10 @@ class TestTrialMachinery:
         )
 
         def threshold(method, d):
-            d = replace(d, x_source=scored_view(model, d.x_source))
+            d = replace(d, x_source=scored_view(model, d.x_source), x_target_cal=scored_view(model, d.x_target_cal))
             hard = partial(pseudo_calibrate, model, d.x_target_cal, cfg.alpha)
             source_scores = d.x_source.label_scores(d.y_source)
-            return _calibrate_method(cfg, model, method, d, source_scores, _tune_stream(cfg, 1, 0), hard)[0].threshold
+            return _calibrate_method(cfg, method, d, source_scores, _tune_stream(cfg, 1, 0), hard)[0].threshold
 
         for method in ("source", "hard_pseudo", "source_tuned"):
             assert threshold(method, data) == threshold(method, permuted)
@@ -456,6 +456,7 @@ class TestLogitsRoute:
         report = json.loads((out / "bounds.json").read_text())
         assert report["lipschitz"] is None
         assert report["per_sigma"][0]["w1_scores_measured"] > 0
+        assert json.loads((out / "config.json").read_text())["logits"] == str(table_path)
 
     def test_missing_oracle_labels_rejected(self, tmp_path, trained_model, three_class_source):
         from shiftcp.synthetic import generate_source

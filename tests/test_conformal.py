@@ -48,10 +48,20 @@ class TestConformalLevel:
     def test_small_n_exceeds_one(self):
         assert conformal_level(1, 0.4) == 2.0
 
-    @pytest.mark.parametrize("n,alpha", [(0, 0.2), (-1, 0.2), (3, 0.0), (3, 1.0), (3, 1.5)])
+    @pytest.mark.parametrize("n,alpha", [(0, 0.2), (-1, 0.2), (3, 0.0), (3, 1.0), (3, 1.5), (3, math.nan)])
     def test_invalid_arguments(self, n, alpha):
         with pytest.raises(ValueError):
             conformal_level(n, alpha)
+
+    def test_quantile_at_the_level_is_the_calibrated_threshold(self):
+        # Scores 1..10 at the paper's alpha: the ceil(0.8 * 11) = 9th smallest.
+        assert empirical_quantile(np.arange(1.0, 11.0), conformal_level(10, 0.2)) == 9.0
+        for n in range(1, 200):
+            scores = np.arange(n, 0, -1, dtype=float)
+            for alpha in np.arange(1, 100) / 100.0:
+                cal = calibrate(scores, alpha)
+                assert cal.level == conformal_level(n, alpha), (n, alpha)
+                assert empirical_quantile(scores, conformal_level(n, alpha)) == cal.threshold, (n, alpha)
 
 
 class TestEmpiricalQuantile:
@@ -71,6 +81,11 @@ class TestEmpiricalQuantile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_quantile([], 0.5)
+
+    @pytest.mark.parametrize("scores,level", [([1.0, math.nan], 0.5), ([1.0, 2.0], math.nan)])
+    def test_nan_rejected(self, scores, level):
+        with pytest.raises(ValueError, match="NaN|positive"):
+            empirical_quantile(scores, level)
 
     @given(
         scores=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),

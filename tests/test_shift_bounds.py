@@ -259,6 +259,11 @@ class TestRhoMix:
         with pytest.raises(ValueError):
             rho_mix([-0.1, 1.1], [1.0, 1.0])
 
+    @pytest.mark.parametrize("priors,dists", [([math.nan, 1.0], [1.0, 1.0]), ([0.5, 0.5], [1.0, math.nan])])
+    def test_nan_rejected(self, priors, dists):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rho_mix(priors, dists)
+
 
 class TestScoreShiftBound:
     @pytest.mark.parametrize("lip,rho,expected", [(0.0, 3.0, 0.0), (2.0, 0.0, 0.0), (math.sqrt(2), 0.5, math.sqrt(2) / 2)])
@@ -268,6 +273,11 @@ class TestScoreShiftBound:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             score_shift_w1_bound(-1.0, 1.0)
+
+    @pytest.mark.parametrize("lip,rho", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_rejected(self, lip, rho):
+        with pytest.raises(ValueError, match="nonnegative"):
+            score_shift_w1_bound(lip, rho)
 
 
 class TestSupDensity:
@@ -300,9 +310,9 @@ class TestCoverageGapBound:
     def test_composition_with_shift_bound(self):
         assert coverage_gap_bound(2.0, score_shift_w1_bound(1.0, 0.3)) == pytest.approx(0.6)
 
-    @pytest.mark.parametrize("sup,w1", [(-1.0, 0.1), (2.0, -0.1)])
+    @pytest.mark.parametrize("sup,w1", [(-1.0, 0.1), (2.0, -0.1), (math.nan, 0.1), (2.0, math.nan)])
     def test_negative_rejected(self, sup, w1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             coverage_gap_bound(sup, w1)
 
 
@@ -316,12 +326,15 @@ class TestPseudoCoverageLowerBound:
     def test_lossless_no_shift(self):
         assert pseudo_coverage_lower_bound(0.2, 0.0, 2.0, 0.0) == pytest.approx(0.8)
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.2, math.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             pseudo_coverage_lower_bound(alpha, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("ramp,lip,rho", [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+    @pytest.mark.parametrize(
+        "ramp,lip,rho",
+        [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0), (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan)],
+    )
     def test_negative_input_rejected(self, ramp, lip, rho):
         with pytest.raises(ValueError, match="nonnegative"):
             pseudo_coverage_lower_bound(0.2, ramp, lip, rho)
@@ -355,6 +368,13 @@ class TestRelaxedCoverageLowerBound:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             relaxed_coverage_lower_bound(0.2, 0.1, 0.2, -0.5)
+
+    @pytest.mark.parametrize(
+        "alpha,ramp,hinge,tau", [(math.nan, 0.1, 0.3, 0.0), (0.2, math.nan, 0.3, 0.0), (0.2, 0.1, math.nan, 0.0), (0.2, 0.1, 0.3, math.nan)]
+    )
+    def test_nan_input_rejected(self, alpha, ramp, hinge, tau):
+        with pytest.raises(ValueError, match="alpha|nonnegative"):
+            relaxed_coverage_lower_bound(alpha, ramp, hinge, tau)
 
 
 class TestUndercoverageGap:
@@ -424,6 +444,11 @@ class TestTauCorrection:
 
     def test_negative_result_clipped(self):
         assert tau_correction(1.0, 0.2, 0.0) == 0.0
+
+    @pytest.mark.parametrize("hinge_source,hinge_target,gap", [(math.nan, 0.5, 0.1), (0.5, math.nan, 0.1), (0.5, 0.5, math.nan)])
+    def test_nan_input_rejected(self, hinge_source, hinge_target, gap):
+        with pytest.raises(ValueError):
+            tau_correction(hinge_source, hinge_target, gap)
 
 
 class TestKantorovichRubinstein:

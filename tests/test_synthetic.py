@@ -77,6 +77,18 @@ class TestGenerateSource:
         with pytest.raises(ValueError):
             SourceSpec(np.eye(2), -0.1, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SourceSpec(np.eye(2), math.nan, np.array([0.5, 0.5])),
+            lambda: ShiftSpec(np.zeros((2, 2)), math.nan, 0.1),
+            lambda: ShiftSpec(np.zeros((2, 2)), 0.1, math.nan),
+        ],
+    )
+    def test_nan_scale_rejected(self, build):
+        with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+            build()
+
 
 class TestApplyShift:
     def test_identity_shift(self):
