@@ -9,8 +9,11 @@ sweep of the entropy cutoff, ``gen``/``train`` export datasets and the fitted
 classifier, and ``replay`` re-derives every emitted coverage/ESS figure from
 the emitted thresholds.
 
-All outputs are machine-readable (CSV/JSON); a resolved copy of the
-configuration is written next to them so each run is self-describing.
+All outputs are machine-readable (CSV/JSON). Once a subcommand that takes
+``--config`` succeeds, :func:`main` writes the resolved config (and any
+``--logits`` path) to ``<out>/config.json``, so each run is self-describing.
+Records have :class:`TrialRecord`'s fields as columns, in method, sigma,
+trial order; ``replay`` finds each record's cell by the text :func:`_fmt` wrote.
 ``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
 and ``replay`` out to forked worker processes in interleaved shares while the
 parent waits; every cell draws from its own stream address, so runs are
@@ -29,7 +32,8 @@ import pickle
 import select
 import sys
 import threading
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 from pathlib import Path
 
@@ -62,6 +66,7 @@ from .shift_bounds import (
 )
 from .synthetic import (
     _utf8_lines,
+    SPLIT_TAGS,
     LogitTable,
     ShiftSpec,
     SourceSpec,
@@ -74,7 +79,8 @@ from .synthetic import (
 
 METHODS = ("source", "hard_pseudo", "source_tuned", "oracle")
 
-RECORD_COLUMNS = ("method", "sigma", "trial", "threshold", "u_star", "tau", "coverage", "ess", "thm2_bound", "cor1_bound")
+#: The methods of a ``tau`` run, in the order of its records.
+TAU_METHODS = ("hard_pseudo", "tau_adjusted")
 
 DEFAULT_CONFIG: dict = {
     "seed": 20250809,
@@ -158,6 +164,10 @@ class ExperimentConfig:
             raise ConfigError("sigma_grid values must be nonnegative")
         if any(b <= a for a, b in zip(sigma_grid, sigma_grid[1:])):
             raise ConfigError("sigma_grid must be strictly ascending")
+        # Records name a cell's sigma by its _fmt text; rounding is monotone, so only neighbours can share it.
+        for a, b in zip(sigma_grid, sigma_grid[1:]):
+            if _fmt(a) == _fmt(b):
+                raise ConfigError(f"sigma_grid values {a!r} and {b!r} both print as {_fmt(a)}; replay cannot tell them apart")
         # The certificate grows with sigma; an overflowing one would feed inf into the bounds.
         with np.errstate(over="ignore"):
             rho_max = shift.scaled(sigma_grid[-1]).per_class_rho()
@@ -382,6 +392,9 @@ class TrialRecord:
     cor1_bound: float | None
 
 
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+
 def _shifted_sample(cfg: ExperimentConfig, sigma: float, n: int, base: RngStream, shift: RngStream):
     """``n`` source draws from ``base`` shifted at strength ``sigma`` by ``shift``: (shifted x, y, base x)."""
     xb, yb = generate_source(cfg.source_spec, n, base)
@@ -451,9 +464,7 @@ def _calibrate_method(cfg: ExperimentConfig, method: str, data: TrialData, sourc
         if math.isinf(tuning.u_star):  # draws nothing: hard() is this cell's hard pseudo-calibration
             return hard(), tuning
         return _calibrate_at_cutoff(data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
-    if method == "oracle":
-        return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None
-    raise ConfigError(f"unknown method {method!r}")
+    return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None  # oracle
 
 
 def _tau_design(alpha: float, source: ScoredView, source_scores, target_scores, where: str) -> dict:
@@ -623,17 +634,17 @@ def _map(fn, items: list, threads: int) -> list:
     return [outcomes[i % workers][1][i // workers] for i in range(len(items))]
 
 
-def _parallel_trials(cfg: ExperimentConfig, worker, threads: int) -> list[TrialRecord]:
-    """The records ``worker(sigma_idx, trial)`` returns for every cell, in grid order."""
+def _parallel_trials(cfg: ExperimentConfig, worker, threads: int, methods: tuple[str, ...]) -> list[TrialRecord]:
+    """The records ``worker(sigma_idx, trial)`` returns for every cell, ordered by method, sigma and trial."""
     cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
-    return [rec for chunk in _map(worker, cells, threads) for rec in chunk]
+    records = [rec for chunk in _map(worker, cells, threads) for rec in chunk]
+    return sorted(records, key=lambda r: (methods.index(r.method), r.sigma, r.trial))
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    records = _parallel_trials(cfg, partial(run_trial, cfg, model), threads)
-    records.sort(key=lambda r: (cfg.methods.index(r.method), r.sigma, r.trial))
+    records = _parallel_trials(cfg, partial(run_trial, cfg, model), threads, cfg.methods)
     return records, aggregate_records(records)
 
 
@@ -703,7 +714,7 @@ def _tau_trial(cfg: ExperimentConfig, model, diagnostics: list[dict], si: int, t
     test_scores = test.label_scores(y_test)
     cal = pseudo_calibrate(model, x_cal, cfg.alpha)
     out = []
-    for method, tau in (("hard_pseudo", 0.0), ("tau_adjusted", diag["tau"])):
+    for method, tau in zip(TAU_METHODS, (0.0, diag["tau"])):
         cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
         out.append(_record(test, test_scores, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
     return out
@@ -717,10 +728,7 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
     """
     model = train_model(cfg)
     diagnostics = [tau_diagnostics(cfg, model, si) for si in range(len(cfg.sigma_grid))]
-    records = _parallel_trials(cfg, partial(_tau_trial, cfg, model, diagnostics), threads)
-    method_order = {"hard_pseudo": 0, "tau_adjusted": 1}
-    records.sort(key=lambda r: (method_order[r.method], r.sigma, r.trial))
-    return records, diagnostics
+    return _parallel_trials(cfg, partial(_tau_trial, cfg, model, diagnostics), threads, TAU_METHODS), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +915,9 @@ def _fmt(value) -> str:
     return f"{float(value):.9g}"
 
 
-def _write_csv(path, columns, rows) -> None:
-    """One header line, then each row's ``columns`` formatted by :func:`_fmt`."""
+def _write_csv(path, rows: list[dict]) -> None:
+    """A header line of the first row's keys, then each row's values under them formatted by :func:`_fmt`."""
+    columns = list(rows[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -916,23 +925,11 @@ def _write_csv(path, columns, rows) -> None:
 
 
 def write_records_csv(path, records: list[TrialRecord]) -> None:
-    _write_csv(path, RECORD_COLUMNS, (vars(r) for r in records))
+    _write_csv(path, [vars(r) for r in records])
 
 
 def write_aggregate_csv(path, aggregates: list[dict]) -> None:
-    columns = (
-        "method",
-        "sigma",
-        "trials",
-        "mean_coverage",
-        "se_coverage",
-        "mean_ess",
-        "se_ess",
-        "mean_threshold",
-        "mean_thm2_bound",
-        "mean_cor1_bound",
-    )
-    _write_csv(path, columns, aggregates)
+    _write_csv(path, aggregates)
 
 
 def _write_json(path, payload) -> None:
@@ -958,12 +955,22 @@ def read_records_csv(path) -> list[dict]:
     return rows
 
 
-def _replay_records(cfg: ExperimentConfig, view: ScoredView, y, group) -> list[str]:
-    """Mismatch messages of one cell's records against its scored evaluation split."""
+def _where(name: str, method: str, sigma: str, trial: str) -> str:
+    """A record as a mismatch line names it: its file, method and cell, in the records' own text."""
+    return f"{name}: {method} sigma={sigma} trial={trial}"
+
+
+def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[int, int], group) -> list[str]:
+    """Mismatch messages of one (sigma index, trial) cell's records; ``table_split`` is the logit-table split, if any."""
+    if table_split is None:
+        x_tt, y = _target_split(cfg, *cell, "target-test", cfg.n_test)
+        view = scored_view(model, x_tt)
+    else:
+        view, y = table_split
     test_scores = view.label_scores(y)
     mismatches = []
     for name, row in group:
-        where = f"{name}: {row['method']} sigma={row['sigma']} trial={row['trial']}"
+        where = _where(name, row["method"], row["sigma"], row["trial"])
         try:
             tau = float(row["tau"]) if row["tau"] else None
             cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
@@ -977,31 +984,17 @@ def _replay_records(cfg: ExperimentConfig, view: ScoredView, y, group) -> list[s
     return mismatches
 
 
-def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[str, str], group) -> list[str]:
-    """Mismatch messages of one cell's records; ``table_split`` is the scored logit-table split, if any."""
-    if table_split is not None:
-        return _replay_records(cfg, *table_split, group)
-    sigma_text, trial_text = cell
-    try:
-        sigma_idx, trial = cfg.sigma_grid.index(float(sigma_text)), int(trial_text)
-    except ValueError:
-        sigma_idx, trial = None, -1
-    if not 0 <= trial < cfg.trials:
-        return [f"{name}: sigma {sigma_text} trial {trial_text} is not a cell of the config grid" for name, _ in group]
-    x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
-    return _replay_records(cfg, scored_view(model, x_tt), y_tt, group)
-
-
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     """Recompute every emitted coverage/ESS from the emitted thresholds.
 
-    Groups the records by (sigma, trial) cell, regenerates only each cell's
-    evaluation split from its derived streams and scores it once, then checks
-    that coverage and ESS, formatted identically, match the cell's records
-    byte for byte. A cell's view is dropped once its records are checked;
-    up to ``threads`` worker processes audit cells in parallel. A ``seed``
-    other than the run's recorded seed is a :class:`ConfigError`. Returns the
-    number of audited rows; raises :class:`InvariantError` on any mismatch.
+    A records file must hold one row per method of the file and cell of the
+    config's grid (the one cell of a logit-table run), named by the text the
+    writer printed; a missing, extra or repeated row is a mismatch. Each cell's
+    evaluation split is regenerated from its derived streams and scored once,
+    and its records' coverage and ESS, formatted identically, must match byte
+    for byte; up to ``threads`` worker processes audit cells in parallel. A
+    ``seed`` other than the run's recorded seed is a :class:`ConfigError`.
+    Returns the number of audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
     config_path = out / "config.json"
@@ -1015,59 +1008,57 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if seed is not None and seed != cfg.seed:
         raise ConfigError(f"seed {seed} differs from the seed {cfg.seed} recorded in {config_path}")
 
-    candidates = [p for p in (out / "records.csv", out / "tau_records.csv") if p.exists()]
-    if not candidates:
+    layout = (("records.csv", cfg.methods), ("tau_records.csv", TAU_METHODS))  # each records file, its rows' methods
+    files = {name: methods for name, methods in layout if (out / name).exists()}
+    if not files:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
     model = table_split = None
     if logits_path is not None:
         table = load_logit_table(logits_path)
         table_split = (_table_view(table, "target_test"), table.labels_for("target_test"))
+        grid = {(_fmt(None), _fmt(0)): (None, 0)}
     else:
         model = train_model(cfg)
+        grid = {(sigma, _fmt(t)): (si, t) for si, sigma in enumerate(map(_fmt, cfg.sigma_grid)) for t in range(cfg.trials)}
 
-    cells: dict[tuple[str, str], list[tuple[str, dict]]] = {}
-    for path in candidates:
-        for row in read_records_csv(path):
-            cells.setdefault((row["sigma"], row["trial"]), []).append((path.name, row))
+    rows = [(name, row) for name in files for row in read_records_csv(out / name)]
+    counts = Counter((name, row["method"], row["sigma"], row["trial"]) for name, row in rows)
+    expected = {(name, method, *cell) for name, methods in files.items() for method in methods for cell in grid}
+    mismatches = [f"{_where(*key)}: missing" for key in sorted(expected - counts.keys())]
+    mismatches += [f"{_where(*key)}: not in the config's grid" for key in sorted(counts.keys() - expected)]
+    mismatches += [f"{_where(*key)}: repeated {n} times" for key, n in counts.items() if n > 1]
 
+    cells: dict[tuple, list[tuple[str, dict]]] = {}
+    for name, row in rows:
+        if (cell := grid.get((row["sigma"], row["trial"]))) is not None:
+            cells.setdefault(cell, []).append((name, row))
     audit = partial(_audit_cell, cfg, model, table_split)
-    mismatches = [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
-    audited = sum(len(group) for group in cells.values())
+    mismatches += [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
     for msg in mismatches:
         print(f"replay mismatch: {msg}", file=sys.stderr)
     if mismatches:
-        raise InvariantError(f"{len(mismatches)} of {audited} records failed the replay audit")
-    return audited
+        raise InvariantError(f"{len(mismatches)} of {len(rows)} records failed the replay audit")
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand drivers
 
 
-def _cmd_gen(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg.resolved())
-    for si, sigma in enumerate(cfg.sigma_grid):
+def _cmd_gen(cfg: ExperimentConfig, out: Path, args) -> None:
+    for si in range(len(cfg.sigma_grid)):
         data = make_trial_data(cfg, si, 0)
-        stream = RngStream(cfg.seed).substream("gen-source-test", si)
-        x_st, y_st = generate_source(cfg.source_spec, cfg.n_test, stream)
-        split = (
-            ["source_cal"] * cfg.n_cal
-            + ["source_test"] * cfg.n_test
-            + ["target_cal"] * cfg.n_cal
-            + ["target_test"] * cfg.n_test
-        )
-        labels = np.concatenate([data.y_source, y_st, data.y_target_cal_oracle, data.y_target_test])
-        feats = np.vstack([data.x_source, x_st, data.x_target_cal, data.x_target_test])
+        x_st, y_st = generate_source(cfg.source_spec, cfg.n_test, RngStream(cfg.seed).substream("gen-source-test", si))
+        xs = (data.x_source, x_st, data.x_target_cal, data.x_target_test)  # one split per tag of SPLIT_TAGS
+        ys = (data.y_source, y_st, data.y_target_cal_oracle, data.y_target_test)
+        tags = [tag for tag, y in zip(SPLIT_TAGS, ys) for _ in range(y.size)]
         path = out / f"dataset_sigma_{si}.csv"
-        write_dataset_csv(path, split, labels, feats)
+        write_dataset_csv(path, tags, np.concatenate(ys), np.vstack(xs))
         print(f"wrote {path}")
-    return 0
 
 
-def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> None:
     model, x, y = _train(cfg)
     acc = float(np.mean(predict(model, x) == y))
     payload = {
@@ -1081,65 +1072,45 @@ def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> int:
     }
     _write_json(out / "classifier.json", payload)
     print(f"wrote {out / 'classifier.json'} (train accuracy {acc:.4f})")
-    return 0
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.resolved()
+def _cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> None:
     if args.logits:
-        table = load_logit_table(args.logits)
-        records, aggregates = run_sweep_from_table(table, cfg)
-        resolved["logits"] = str(args.logits)
+        records, aggregates = run_sweep_from_table(load_logit_table(args.logits), cfg)
     else:
         records, aggregates = run_sweep(cfg, threads=args.threads)
-    _write_json(out / "config.json", resolved)
     write_records_csv(out / "records.csv", records)
     write_aggregate_csv(out / "aggregate.csv", aggregates)
     print(f"wrote {out / 'records.csv'} ({len(records)} records)")
-    return 0
 
 
-def _cmd_tau(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_tau(cfg: ExperimentConfig, out: Path, args) -> None:
     records, diagnostics = run_tau_experiment(cfg, threads=args.threads)
-    _write_json(out / "config.json", cfg.resolved())
     write_records_csv(out / "tau_records.csv", records)
     _write_json(out / "tau_diagnostics.json", diagnostics)
     write_aggregate_csv(out / "tau_aggregate.csv", aggregate_records(records))
     print(f"wrote {out / 'tau_records.csv'} ({len(records)} records)")
-    return 0
 
 
-def _cmd_bounds(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = cfg.resolved()
+def _cmd_bounds(cfg: ExperimentConfig, out: Path, args) -> None:
     if args.logits:
-        table = load_logit_table(args.logits)
-        report = run_bounds_report_from_table(table, cfg.alpha, cfg.tau_grid)
-        resolved["logits"] = str(args.logits)
+        report = run_bounds_report_from_table(load_logit_table(args.logits), cfg.alpha, cfg.tau_grid)
     else:
         report = run_bounds_report(cfg)
-    _write_json(out / "config.json", resolved)
     _write_json(out / "bounds.json", report)
     print(f"wrote {out / 'bounds.json'}")
-    return 0
 
 
-def _cmd_tune(cfg: ExperimentConfig, out: Path, args) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_tune(cfg: ExperimentConfig, out: Path, args) -> None:
     rows, result = run_tune(cfg)
-    _write_json(out / "config.json", cfg.resolved())
-    _write_csv(out / "tune_trace.csv", ("u", "c_hat", "source_threshold"), rows)
+    _write_csv(out / "tune_trace.csv", rows)
     _write_json(out / "tune_result.json", result)
     print(f"wrote {out / 'tune_trace.csv'} (u_star = {_fmt(result['u_star'])})")
-    return 0
 
 
-def _cmd_replay(cfg: ExperimentConfig, out: Path, args) -> int:
+def _cmd_replay(cfg: None, out: Path, args) -> None:
     audited = replay_audit(out, threads=args.threads, seed=args.seed)
     print(f"replay audit passed: {audited} records verified")
-    return 0
 
 
 _FLAGS = {
@@ -1179,13 +1150,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its outputs, and the ``config.json`` of a run that took ``--config``, go to ``--out``."""
     args = build_parser().parse_args(argv)
+    run, out = _COMMANDS[args.command][0], Path(args.out)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        # A flag the subcommand does not declare is passed on as None.
-        cfg = load_config(args.config, seed_override=args.seed) if "config" in args else None
-        return _COMMANDS[args.command][0](cfg, Path(args.out), args)
+        if "config" not in args:  # replay: --out is the run it audits, and it writes nothing there
+            run(None, out, args)
+            return 0
+        cfg = load_config(args.config, seed_override=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
+        run(cfg, out, args)
+        logits = vars(args).get("logits")
+        _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(logits)} if logits else {})})
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

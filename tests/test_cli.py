@@ -101,6 +101,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"tau_policy": {"kind": "sometimes"}})
 
+    def test_sigmas_that_print_alike_in_records_are_rejected(self):
+        with pytest.raises(ConfigError, match=r"values 0\.1 and 0\.10000000001 both print as 0\.1;"):
+            ExperimentConfig.from_dict({"sigma_grid": [0.0, 0.1, 0.10000000001]})
+        assert ExperimentConfig.from_dict({"sigma_grid": [0.1, 0.100000001]}).sigma_grid == (0.1, 0.100000001)
+
     def test_rho_mix_certificate_scales_linearly(self):
         cfg = ExperimentConfig.from_dict({})
         assert cfg.rho_mix_certified(0.0) == 0.0
@@ -553,6 +558,8 @@ EXIT_CASES = {
     "seed-not-an-integer": (lambda p: ["sweep", "--config", _tiny_config(p, seed="abc")], 2),
     "trials-fractional": (lambda p: ["sweep", "--config", _tiny_config(p, trials=2.7)], 2),
     "sigma-grid-nan": (lambda p: ["sweep", "--config", _tiny_config(p, sigma_grid=[0.0, math.nan])], 2),
+    # Records print 9 significant digits, so replay could not tell these two cells apart.
+    "sigma-grid-same-text": (lambda p: ["sweep", "--config", _tiny_config(p, sigma_grid=[0.1, 0.10000000001])], 2),
     "section-not-an-object": (lambda p: ["sweep", "--config", _tiny_config(p, train=5)], 2),
     "tau-grid-negative": (lambda p: ["bounds", "--config", _tiny_config(p, tau_grid=[0.0, -1.0])], 2),
     "tau-design-one-cal-point": (
@@ -734,6 +741,78 @@ def test_outputs_match_recorded_digests(tmp_path, case):
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[case]}
     assert got == SEED_DIGESTS[case]
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "tau", "bounds", "tune"])
+def test_every_run_leaves_the_config_it_ran(tmp_path, command):
+    config = _tiny_config(tmp_path, trials=2)
+    out = tmp_path / "run"
+    assert main([command, "--config", config, "--seed", "11", "--out", str(out)]) == 0
+    ran = ExperimentConfig.from_dict({**json.loads(Path(config).read_text()), "seed": 11})
+    written = json.loads((out / "config.json").read_text())
+    assert ExperimentConfig.from_dict(written).resolved() == ran.resolved() == written
+
+
+def test_replay_finds_a_cell_by_the_text_its_sigma_was_written_as(tmp_path):
+    # 0.1234567891 is written as 0.123456789, which float() does not read back as the grid value.
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", _tiny_config(tmp_path, sigma_grid=[0.0, 0.1234567891]), "--out", str(out)]) == 0
+    assert main(["replay", "--out", str(out)]) == 0
+
+
+def _table_run(tmp_path, out) -> list[str]:
+    """The argv of a ``sweep --logits`` over a small random logit table, writing to ``out``."""
+    rng = np.random.default_rng(8)
+    tags = ["source_cal"] * 30 + ["target_cal"] * 30 + ["target_test"] * 30
+    path = tmp_path / "table.csv"
+    write_logit_table(path, tags, rng.integers(1, 4, size=90), rng.normal(size=(90, 3)))
+    return ["sweep", "--logits", str(path), "--out", str(out)]
+
+
+# Each case: the run (sigma grid [0, 0.8], 2 trials), its records file, an edit
+# of the file's data rows, and the mismatch lines replay must print. Records run
+# method by method, then by sigma and trial.
+INCOMPLETE_RECORDS = {
+    "sweep-missing-cell": (
+        "sweep",
+        "records.csv",
+        lambda rows: [row for row in rows if row.split(",")[1:3] != ["0.8", "1"]],
+        [f"records.csv: {method} sigma=0.8 trial=1: missing" for method in ("hard_pseudo", "oracle", "source", "source_tuned")],
+    ),
+    "sweep-missing-method-row": (
+        "sweep",
+        "records.csv",
+        lambda rows: rows[:2] + rows[3:],
+        ["records.csv: source sigma=0.8 trial=0: missing"],
+    ),
+    "sweep-repeated-row": ("sweep", "records.csv", lambda rows: rows + rows[:1], ["records.csv: source sigma=0 trial=0: repeated 2 times"]),
+    "tau-missing-method-row": ("tau", "tau_records.csv", lambda rows: rows[:-1], ["tau_records.csv: tau_adjusted sigma=0.8 trial=1: missing"]),
+    "tau-repeated-row": ("tau", "tau_records.csv", lambda rows: rows[:1] + rows, ["tau_records.csv: hard_pseudo sigma=0 trial=0: repeated 2 times"]),
+    "table-missing-method-row": ("table", "records.csv", lambda rows: rows[1:], ["records.csv: source sigma= trial=0: missing"]),
+    "table-repeated-row": ("table", "records.csv", lambda rows: rows + rows[-1:], ["records.csv: oracle sigma= trial=0: repeated 2 times"]),
+    "table-row-outside-its-cell": (
+        "table",
+        "records.csv",
+        lambda rows: rows[:-1] + [rows[-1].replace("oracle,,0,", "oracle,,1,")],
+        ["records.csv: oracle sigma= trial=0: missing", "records.csv: oracle sigma= trial=1: not in the config's grid"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCOMPLETE_RECORDS))
+def test_replay_rejects_records_that_miss_or_repeat_a_row(tmp_path, capsys, case):
+    run, name, edit, expected = INCOMPLETE_RECORDS[case]
+    out = tmp_path / "run"
+    argv = _table_run(tmp_path, out) if run == "table" else [run, "--config", _tiny_config(tmp_path, trials=2), "--out", str(out)]
+    assert main(argv) == 0
+    header, *rows = (out / name).read_text().splitlines()
+    (out / name).write_text("\n".join([header, *edit(rows)]) + "\n")
+    capsys.readouterr()
+    for threads in ("1", "2"):
+        assert main(["replay", "--out", str(out), "--threads", threads]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(line.removeprefix("replay mismatch: ") for line in lines[:-1]) == sorted(expected)
+        assert lines[-1].startswith(f"invariant violation: {len(expected)} of ")
 
 
 def test_rising_training_loss_names_the_learning_rate(tmp_path, capsys):
