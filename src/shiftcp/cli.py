@@ -2,15 +2,16 @@
 
 Subcommands reproduce the evaluation protocol end to end on synthetic data
 with analytically certified shift sizes: ``sweep`` compares the four
-calibration strategies over a shift-strength grid, ``tau`` runs the
-threshold-slack correction experiment, ``bounds`` evaluates every coverage
-bound from measured and certified quantities, ``tune`` traces the source
-sweep of the entropy cutoff, ``gen``/``train`` export datasets and the fitted
-classifier, and ``replay`` re-derives every emitted coverage/ESS figure from
-the emitted thresholds.
+calibration strategies over a shift-strength grid, ``tau`` designs a
+threshold slack per shift strength and evaluates it (``sweep``'s
+``tau_design`` policy adds that same slack; a logit table designs it on its
+own splits), ``bounds`` evaluates every coverage bound from measured and
+certified quantities, ``tune`` traces the source sweep of the entropy cutoff,
+``gen``/``train`` export datasets and the fitted classifier, and ``replay``
+re-derives every emitted coverage/ESS figure from the emitted thresholds.
 
 All outputs are machine-readable (CSV/JSON). Once a subcommand that takes
-``--config`` succeeds, :func:`main` writes the resolved config (and any
+``--config`` succeeds, :func:`main` writes the resolved config (and the absolute
 ``--logits`` path) to ``<out>/config.json``, so each run is self-describing.
 Records have :class:`TrialRecord`'s fields as columns, in method, sigma,
 trial order; ``replay`` finds each record's cell by the text :func:`_fmt` wrote.
@@ -66,6 +67,7 @@ from .shift_bounds import (
 )
 from .synthetic import (
     _utf8_lines,
+    MISSING_LABEL,
     SPLIT_TAGS,
     LogitTable,
     ShiftSpec,
@@ -489,15 +491,11 @@ def _tau_design(alpha: float, source: ScoredView, source_scores, target_scores, 
     return design
 
 
-def _trial_tau(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores) -> float | None:
-    """Slack applied to prediction sets under the configured tau policy."""
+def _policy_tau(cfg: ExperimentConfig, design) -> float | None:
+    """Slack the tau policy adds to prediction sets: none, the fixed value, or ``design()["tau"]`` under ``tau_design``."""
     if cfg.tau_policy_kind == "none":
         return None
-    if cfg.tau_policy_kind == "fixed":
-        return cfg.tau_policy_value
-    # tau_design measures the target hinge loss on the evaluation split.
-    design = _tau_design(cfg.alpha, data.x_source, source_scores, test_scores, "tau_design policy failed")
-    return design["tau"]
+    return cfg.tau_policy_value if cfg.tau_policy_kind == "fixed" else design()["tau"]
 
 
 def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
@@ -517,11 +515,9 @@ def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, 
     )
 
 
-def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, sigma, trial: int, tune: RngStream, thm2):
-    """Every method's record for one cell of scored splits (generator cell or logit table) and its source scores."""
+def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, tau, sigma, trial: int, tune, thm2):
+    """Every method's record, with slack ``tau``, for one cell of scored splits (generator cell or logit table)."""
     test = data.x_target_test
-    test_scores = test.label_scores(data.y_target_test)
-    tau = _trial_tau(cfg, data, source_scores, test_scores)
     # Oracle-flagged target losses back the relaxed bound column.
     ramp_tgt = _population_loss(ramp_loss, test_scores)
     hinge_tgt = _population_loss(hinge_loss, test_scores)
@@ -537,8 +533,8 @@ def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, sigma,
     return records
 
 
-def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[TrialRecord]:
-    """All method records of one (sigma, trial) cell, sharing the same scored data."""
+def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, taus=None) -> list[TrialRecord]:
+    """All method records of one (sigma, trial) cell with slack ``taus[sigma_idx]``, or its own sigma's without ``taus``."""
     sigma = cfg.sigma_grid[sigma_idx]
     raw = make_trial_data(cfg, sigma_idx, trial)
     data = replace(
@@ -550,7 +546,9 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int) -> list[
     source_scores = data.x_source.label_scores(data.y_source)
     ramp_src = _population_loss(ramp_loss, source_scores)
     thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
-    return _evaluate_cell(cfg, data, source_scores, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
+    tau = _policy_tau(cfg, partial(tau_diagnostics, cfg, model, sigma_idx)) if taus is None else taus[sigma_idx]
+    test_scores = data.x_target_test.label_scores(data.y_target_test)
+    return _evaluate_cell(cfg, data, source_scores, test_scores, tau, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
 
 
 def _workers(threads: int, n_items: int) -> int:
@@ -644,7 +642,8 @@ def _parallel_trials(cfg: ExperimentConfig, worker, threads: int, methods: tuple
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    records = _parallel_trials(cfg, partial(run_trial, cfg, model), threads, cfg.methods)
+    taus = [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
+    records = _parallel_trials(cfg, partial(run_trial, cfg, model, taus=taus), threads, cfg.methods)
     return records, aggregate_records(records)
 
 
@@ -827,15 +826,10 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
 def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> dict:
     """Bounds computable from ingested logits alone; shift-certificate terms are null."""
-    splits = {tag: (_table_view(table, tag), table.labels_for(tag)) for tag in ("source_cal", "source_test", "target_test")}
-    for name, (_, y) in splits.items():
-        if y.size == 0:
-            raise DataError(f"split {name} has no rows; bounds need source_cal, source_test and target_test")
-        if (y == 0).any():
-            raise DataError(f"split {name} contains MISSING labels; cannot measure losses")
-
-    src = _source_measures(alpha, *splits["source_cal"], *splits["source_test"])
-    entry = _measured_entry(alpha, tau_grid, src, *splits["target_test"])
+    tags = ("source_cal", "source_test", "target_test")
+    cal, source, target = _table_splits(table, tags, labeled=tags)
+    src = _source_measures(alpha, *cal, *source)
+    entry = _measured_entry(alpha, tau_grid, src, *target)
     entry.update(
         dict.fromkeys(("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured")),
         w1_score_bound=None,
@@ -873,31 +867,28 @@ def run_tune(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
 # Logit-table-backed runs
 
 
-def _table_view(table: LogitTable, tag: str) -> ScoredView:
-    """The scored view of one split's stored logits."""
-    return ScoredView(table.logits[table.rows(tag)])
+def _table_splits(table: LogitTable, tags, labeled) -> list[tuple[ScoredView, np.ndarray]]:
+    """Each split's scored view and labels; no rows, or a MISSING label in a ``labeled`` split, is a :class:`DataError`."""
+    splits = []
+    for tag in tags:
+        rows = table.rows(tag)
+        y = table.labels[rows]
+        if y.size == 0:
+            raise DataError(f"logit table split {tag} has no rows; this run needs {', '.join(tags)}")
+        if tag in labeled and (y == MISSING_LABEL).any():
+            raise DataError(f"logit table split {tag} has MISSING labels; this run needs them in {', '.join(labeled)}")
+        splits.append((ScoredView(table.logits[rows]), y))
+    return splits
 
 
 def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
-    """One-shot sweep over an ingested logit table (no generator, single trial)."""
-    y_src, y_tc, y_tt = (table.labels_for(tag) for tag in ("source_cal", "target_cal", "target_test"))
-    if y_src.size == 0 or y_tc.size == 0 or y_tt.size == 0:
-        raise DataError("logit table must populate source_cal, target_cal and target_test")
-    if (y_src == 0).any() or (y_tt == 0).any():
-        raise DataError("source_cal and target_test splits must be fully labeled")
-    if "oracle" in cfg.methods and (y_tc == 0).any():
-        raise DataError("oracle method requested but target_cal contains MISSING labels")
-
-    data = TrialData(
-        x_source=_table_view(table, "source_cal"),
-        y_source=y_src,
-        x_target_cal=_table_view(table, "target_cal"),
-        y_target_cal_oracle=y_tc,
-        x_target_test=_table_view(table, "target_test"),
-        y_target_test=y_tt,
-    )
-    tune = RngStream(cfg.seed).substream("table-tune")
-    records = _evaluate_cell(cfg, data, data.x_source.label_scores(y_src), None, 0, tune, None)
+    """One-shot sweep over an ingested logit table, its only batch: ``tau_design`` designs the slack on its splits."""
+    labeled = ("source_cal", "target_test", *(("target_cal",) if "oracle" in cfg.methods else ()))
+    (source, y_src), (cal, y_tc), (test, y_tt) = _table_splits(table, ("source_cal", "target_cal", "target_test"), labeled)
+    source_scores, test_scores = source.label_scores(y_src), test.label_scores(y_tt)
+    tau = _policy_tau(cfg, partial(_tau_design, cfg.alpha, source, source_scores, test_scores, "tau_design policy failed"))
+    data, tune = TrialData(source, y_src, cal, y_tc, test, y_tt), RngStream(cfg.seed).substream("table-tune")
+    records = _evaluate_cell(cfg, data, source_scores, test_scores, tau, None, 0, tune, None)
     return records, aggregate_records(records)
 
 
@@ -1015,8 +1006,7 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
 
     model = table_split = None
     if logits_path is not None:
-        table = load_logit_table(logits_path)
-        table_split = (_table_view(table, "target_test"), table.labels_for("target_test"))
+        (table_split,) = _table_splits(load_logit_table(logits_path), ("target_test",), labeled=("target_test",))
         grid = {(_fmt(None), _fmt(0)): (None, 0)}
     else:
         model = train_model(cfg)
@@ -1163,7 +1153,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         run(cfg, out, args)
         logits = vars(args).get("logits")
-        _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(logits)} if logits else {})})
+        _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(Path(logits).resolve())} if logits else {})})
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

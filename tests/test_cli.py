@@ -33,6 +33,7 @@ from shiftcp.cli import (
     aggregate_records,
     main,
     make_trial_data,
+    read_records_csv,
     run_sweep,
     run_tau_experiment,
     run_trial,
@@ -283,6 +284,46 @@ class TestTauExperiment:
         assert main(["tau", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
 
 
+class TestSweepTauDesign:
+    """A ``tau_design`` sweep adds the slack ``tau`` designs at each sigma, designed once per sigma."""
+
+    def test_hard_pseudo_rows_match_the_tau_adjusted_rows(self, tmp_path):
+        config = _tiny_config(tmp_path, trials=6, tau_policy={"kind": "tau_design"})
+        for command in ("sweep", "tau"):
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+
+        def rows(path, method):
+            columns = ("threshold", "tau", "coverage", "ess")
+            return {(r["sigma"], r["trial"]): [r[c] for c in columns] for r in read_records_csv(path) if r["method"] == method}
+
+        swept = rows(tmp_path / "sweep" / "records.csv", "hard_pseudo")
+        assert len(swept) == 12
+        assert swept == rows(tmp_path / "tau" / "tau_records.csv", "tau_adjusted")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("policy", "designs"), [({"kind": "none"}, 0), ({"kind": "fixed", "value": 0.5}, 0), ({"kind": "tau_design"}, 2)]
+    )
+    def test_the_parent_designs_each_sigmas_slack_once(self, tmp_path, monkeypatch, threads, policy, designs):
+        # A design run in a worker process would not reach this counter.
+        calls = []
+        design = cli_module.tau_diagnostics
+
+        def counted(cfg, model, sigma_idx):
+            calls.append(sigma_idx)
+            return design(cfg, model, sigma_idx)
+
+        monkeypatch.setattr(cli_module, "tau_diagnostics", counted)
+        config = _tiny_config(tmp_path, trials=3, tau_policy=policy)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "run"), "--threads", threads]) == 0
+        assert calls == list(range(designs))
+
+    def test_replay_passes(self, tmp_path):
+        out, config = tmp_path / "run", _tiny_config(tmp_path, trials=2, tau_policy={"kind": "tau_design"})
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert main(["replay", "--out", str(out)]) == 0
+
+
 class TestCommandLine:
     def _write_config(self, tmp_path, **overrides):
         raw = {
@@ -463,6 +504,18 @@ class TestLogitsRoute:
         assert report["per_sigma"][0]["w1_scores_measured"] > 0
         assert json.loads((out / "config.json").read_text())["logits"] == str(table_path)
 
+    def test_replay_reads_the_recorded_table_from_another_directory(self, tmp_path, table_path, monkeypatch):
+        # config.json holds the table's absolute path, so a replay elsewhere neither misses it nor audits a namesake.
+        monkeypatch.chdir(table_path.parent)
+        assert main(["sweep", "--logits", table_path.name, "--out", "run"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        rng = np.random.default_rng(9)
+        tags = ["source_cal"] * 10 + ["target_cal"] * 10 + ["target_test"] * 10
+        write_logit_table(elsewhere / table_path.name, tags, rng.integers(1, 4, size=30), rng.normal(size=(30, 3)))
+        monkeypatch.chdir(elsewhere)
+        assert main(["replay", "--out", str(table_path.parent / "run")]) == 0
+
     def test_missing_oracle_labels_rejected(self, tmp_path, trained_model, three_class_source):
         from shiftcp.synthetic import generate_source
 
@@ -549,6 +602,16 @@ def _with_logits(value):
     return lambda config: json.dumps({**json.loads(config), "logits": value}).encode()
 
 
+def _table_run_without_target_test(tmp_path) -> str:
+    """A ``sweep --logits`` run (:func:`_table_run`) whose table has since lost its target_test rows."""
+    out, table = tmp_path / "run", tmp_path / "table.csv"
+    assert main(_table_run(tmp_path, out)) == 0
+    table.write_text("".join(line for line in table.read_text().splitlines(True) if not line.startswith("target_test")))
+    return str(out)
+
+
+_DEGENERATE_TAU_DESIGN = {"source": {"class_cov_scale": 0.05}, "tau_policy": {"kind": "tau_design"}}
+
 # Finite translations whose certified radius overflows at sigma 0.8.
 _OVERFLOWING_SHIFT = {"per_class_translation": [[1e160, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
@@ -562,15 +625,17 @@ EXIT_CASES = {
     "sigma-grid-same-text": (lambda p: ["sweep", "--config", _tiny_config(p, sigma_grid=[0.1, 0.10000000001])], 2),
     "section-not-an-object": (lambda p: ["sweep", "--config", _tiny_config(p, train=5)], 2),
     "tau-grid-negative": (lambda p: ["bounds", "--config", _tiny_config(p, tau_grid=[0.0, -1.0])], 2),
-    "tau-design-one-cal-point": (
-        lambda p: ["sweep", "--config", _tiny_config(p, n_cal=1, tau_policy={"kind": "tau_design"})],
+    # Classes this tight leave a source hinge loss below the undercoverage gap, so no slack can be designed.
+    "tau-design-degenerate": (lambda p: ["sweep", "--config", _tiny_config(p, **_DEGENERATE_TAU_DESIGN)], 3),
+    # The slack is designed per sigma in the parent, before the cells go to worker processes.
+    "tau-design-degenerate-2-workers": (
+        lambda p: ["sweep", "--config", _tiny_config(p, **_DEGENERATE_TAU_DESIGN), "--threads", "2"],
         3,
     ),
-    # With two usable cores each of the two cells goes to its own worker process,
-    # so the error is raised inside a worker.
-    "tau-design-one-cal-point-2-workers": (
-        lambda p: ["sweep", "--config", _tiny_config(p, n_cal=1, tau_policy={"kind": "tau_design"}), "--threads", "2"],
-        3,
+    # The default config's slack is designed on tau's per-sigma batches, not on one cell's splits.
+    "tau-design-default-config": (
+        lambda p: ["sweep", "--config", _written(p / "config.json", b'{"trials": 2, "tau_policy": {"kind": "tau_design"}}')],
+        0,
     ),
     "clip-radius-below-noise": (lambda p: ["sweep", "--config", _tiny_config(p, shift={"clip_radius": 0.0001})], 2),
     "clip-radius-below-noise-2-workers": (
@@ -637,6 +702,7 @@ EXIT_CASES = {
         lambda p: ["replay", "--out", _edited_run(p, "config.json", _with_logits(str(p / "gone.csv")))],
         3,
     ),
+    "replay-logits-table-no-target-test": (lambda p: ["replay", "--out", _table_run_without_target_test(p)], 3),
     # A learning rate that makes the training loss rise is a config problem.
     "learning-rate-too-large-tune": (lambda p: ["tune", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
     "learning-rate-too-large-sweep": (lambda p: ["sweep", "--config", _tiny_config(p, train={"learning_rate": 1e3})], 2),
@@ -684,6 +750,11 @@ def test_an_unreadable_input_file_is_named_with_its_line(tmp_path, capsys, case,
     build, expected = EXIT_CASES[case]
     assert main(build(tmp_path) + ["--out", str(tmp_path / "run")]) == expected
     assert message.format(p=tmp_path) in capsys.readouterr().err
+
+
+def test_replay_names_the_table_split_it_lacks(tmp_path, capsys):
+    assert main(["replay", "--out", _table_run_without_target_test(tmp_path)]) == 3
+    assert "logit table split target_test has no rows" in capsys.readouterr().err
 
 
 # sha256 of the outputs at this shape and seed 20250809. records.csv and
