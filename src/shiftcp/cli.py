@@ -35,7 +35,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,7 @@ from .shift_bounds import (
     w1_assignment_subsampled,
 )
 from .synthetic import (
+    _output_file,
     _utf8_lines,
     MISSING_LABEL,
     SPLIT_TAGS,
@@ -417,14 +418,7 @@ def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> TrialD
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("source-cal"))
     x_tc, y_tc = _target_split(cfg, sigma_idx, trial, "target-cal", cfg.n_cal)
     x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
-    return TrialData(
-        x_source=x_src,
-        y_source=y_src,
-        x_target_cal=x_tc,
-        y_target_cal_oracle=y_tc,
-        x_target_test=x_tt,
-        y_target_test=y_tt,
-    )
+    return TrialData(x_src, y_src, x_tc, y_tc, x_tt, y_tt)
 
 
 def _tune_stream(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> RngStream:
@@ -455,17 +449,15 @@ def train_model(cfg: ExperimentConfig):
     return _train(cfg)[0]
 
 
-def _calibrate_method(cfg: ExperimentConfig, method: str, data: TrialData, source_scores, tune: RngStream, hard):
-    """Threshold for one calibration strategy; target labels reach only the oracle arm."""
+def _calibrate_method(cfg: ExperimentConfig, method: str, data: TrialData, source_scores, tune: RngStream):
+    """One arm's threshold and cutoff u* (None but for source_tuned); target labels reach only the oracle arm."""
     if method == "source":
         return calibrate(source_scores, cfg.alpha), None
     if method == "hard_pseudo":
-        return hard(), None
-    if method == "source_tuned":
-        tuning = _tune_cutoff(data.x_source, source_scores, cfg.alpha, cfg.uncertainty_grid(), tune)
-        if math.isinf(tuning.u_star):  # draws nothing: hard() is this cell's hard pseudo-calibration
-            return hard(), tuning
-        return _calibrate_at_cutoff(data.x_target_cal, cfg.alpha, tuning.u_star, tune), tuning
+        return pseudo_calibrate(None, data.x_target_cal, cfg.alpha), None
+    if method == "source_tuned":  # at u* = inf this is the hard pseudo-calibration, and nothing is drawn
+        u_star = _tune_cutoff(data.x_source, source_scores, cfg.alpha, cfg.uncertainty_grid(), tune).u_star
+        return _calibrate_at_cutoff(data.x_target_cal, cfg.alpha, u_star, tune), u_star
     return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None  # oracle
 
 
@@ -523,18 +515,16 @@ def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_s
     hinge_tgt = _population_loss(hinge_loss, test_scores)
     cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
 
-    hard = cache(partial(pseudo_calibrate, None, data.x_target_cal, cfg.alpha))
     records = []
     for method in cfg.methods:
-        cal, tuning = _calibrate_method(cfg, method, data, source_scores, tune, hard)
+        cal, u_star = _calibrate_method(cfg, method, data, source_scores, tune)
         bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
-        u_star = tuning.u_star if tuning is not None else None
         records.append(_record(test, test_scores, method, sigma, trial, cal, tau, u_star, *bounds))
     return records
 
 
-def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, taus=None) -> list[TrialRecord]:
-    """All method records of one (sigma, trial) cell with slack ``taus[sigma_idx]``, or its own sigma's without ``taus``."""
+def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, taus) -> list[TrialRecord]:
+    """All method records of one (sigma, trial) cell with its run's slack ``taus[sigma_idx]``."""
     sigma = cfg.sigma_grid[sigma_idx]
     raw = make_trial_data(cfg, sigma_idx, trial)
     data = replace(
@@ -546,9 +536,9 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, taus=Non
     source_scores = data.x_source.label_scores(data.y_source)
     ramp_src = _population_loss(ramp_loss, source_scores)
     thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
-    tau = _policy_tau(cfg, partial(tau_diagnostics, cfg, model, sigma_idx)) if taus is None else taus[sigma_idx]
     test_scores = data.x_target_test.label_scores(data.y_target_test)
-    return _evaluate_cell(cfg, data, source_scores, test_scores, tau, sigma, trial, _tune_stream(cfg, sigma_idx, trial), thm2)
+    tune = _tune_stream(cfg, sigma_idx, trial)
+    return _evaluate_cell(cfg, data, source_scores, test_scores, taus[sigma_idx], sigma, trial, tune, thm2)
 
 
 def _workers(threads: int, n_items: int) -> int:
@@ -909,7 +899,7 @@ def _fmt(value) -> str:
 def _write_csv(path, rows: list[dict]) -> None:
     """A header line of the first row's keys, then each row's values under them formatted by :func:`_fmt`."""
     columns = list(rows[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
@@ -924,7 +914,7 @@ def write_aggregate_csv(path, aggregates: list[dict]) -> None:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -1150,7 +1140,10 @@ def main(argv=None) -> int:
             run(None, out, args)
             return 0
         cfg = load_config(args.config, seed_override=args.seed)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
         run(cfg, out, args)
         logits = vars(args).get("logits")
         _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(Path(logits).resolve())} if logits else {})})

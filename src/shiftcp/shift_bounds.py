@@ -28,19 +28,11 @@ from .scores import ScoredView, scored_view
 MAX_ASSIGNMENT_SIZE = 512
 
 
-def _as_sample_1d(values, name: str) -> np.ndarray:
+def _finite_sample(values, name: str, ndim: int = 1) -> np.ndarray:
+    """A nonempty, finite 1-D sample of values, or with ``ndim`` 2 an (n, d) sample of points."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D sample")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
-def _as_points(values, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty (n, d) array")
+    if v.ndim != ndim or v.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty {'1-D sample' if ndim == 1 else '(n, d) array'}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
@@ -48,7 +40,7 @@ def _as_points(values, name: str) -> np.ndarray:
 
 def _paired_points(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Two finite, nonempty (n, d) point samples of identical shape."""
-    pa, pb = _as_points(a, "a"), _as_points(b, "b")
+    pa, pb = _finite_sample(a, "a", 2), _finite_sample(b, "b", 2)
     if pa.shape != pb.shape:
         raise ValueError(f"samples must have identical shape, got {pa.shape} vs {pb.shape}")
     return pa, pb
@@ -61,8 +53,8 @@ def w1_1d(a, b) -> float:
     unequal sizes integrate the piecewise-constant quantile functions over the
     merged probability breakpoints.
     """
-    sa = np.sort(_as_sample_1d(a, "a"))
-    sb = np.sort(_as_sample_1d(b, "b"))
+    sa = np.sort(_finite_sample(a, "a"))
+    sb = np.sort(_finite_sample(b, "b"))
     n, m = sa.size, sb.size
     if n == m:
         return float(np.abs(sa - sb).mean())
@@ -233,7 +225,7 @@ def sup_density_estimate(scores) -> float:
     the largest ``count / (n * width)``. Undefined (raises) when all scores
     coincide, since an atom has no density, or span too little to resolve.
     """
-    s = _as_sample_1d(scores, "scores")
+    s = _finite_sample(scores, "scores")
     lo, hi = float(s.min()), float(s.max())
     if lo == hi:
         raise ValueError("sup density undefined for a point-mass score sample")
@@ -318,6 +310,6 @@ def kantorovich_rubinstein_holds(f_values_p, f_values_q, lipschitz: float, w1: f
     Test oracle for Lipschitz test functions; not intended as a user-facing
     estimate.
     """
-    fp = _as_sample_1d(f_values_p, "f_values_p")
-    fq = _as_sample_1d(f_values_q, "f_values_q")
+    fp = _finite_sample(f_values_p, "f_values_p")
+    fq = _finite_sample(f_values_q, "f_values_q")
     return abs(fp.mean() - fq.mean()) <= lipschitz * w1 + slack

@@ -354,6 +354,14 @@ def _utf8_lines(path) -> io.StringIO:
         raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _output_file(path, newline: str | None = None):
+    """``path`` opened for writing UTF-8 text; a path that cannot be written is a :class:`ConfigError` naming it."""
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def load_logit_table(path) -> LogitTable:
     """Parse a logit-table CSV.
 
@@ -422,7 +430,7 @@ def _write_split_table(path, split, labels, values, prefix: str) -> None:
     values = np.asarray(values, dtype=float)
     if not (len(split) == labels.shape[0] == values.shape[0]):
         raise ValueError("split, labels and values must have matching lengths")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output_file(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["split", "label"] + [f"{prefix}{i}" for i in range(values.shape[1])])
         for tag, label, row in zip(split, labels, values):

@@ -27,6 +27,7 @@ from shiftcp.cli import (
     TrialData,
     _calibrate_method,
     _map,
+    _policy_tau,
     _tau_trial,
     _tune_stream,
     _workers,
@@ -42,7 +43,7 @@ from shiftcp.cli import (
 )
 from shiftcp.conformal import calibrate, coverage, expected_set_size
 from shiftcp.exceptions import ConfigError, DataError
-from shiftcp.pseudo import pseudo_calibrate, source_tuned_calibrate
+from shiftcp.pseudo import source_tuned_calibrate
 from shiftcp.rng import RngStream
 from shiftcp.scores import ScoredView, scored_view
 from shiftcp.synthetic import write_logit_table
@@ -58,6 +59,11 @@ def small_config(**overrides) -> ExperimentConfig:
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+def sweep_taus(cfg: ExperimentConfig, model) -> list:
+    """The per-sigma slacks :func:`run_sweep` resolves for ``cfg`` before its cells run."""
+    return [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
 
 
 def crisp_config(**overrides) -> ExperimentConfig:
@@ -133,8 +139,9 @@ class TestTrialMachinery:
     def test_single_method_matches_run_trial(self):
         cfg = small_config()
         model = train_model(cfg)
-        (rec,) = run_trial(replace(cfg, methods=("hard_pseudo",)), model, 1, 2)
-        full = {r.method: r for r in run_trial(cfg, model, 1, 2)}
+        taus = sweep_taus(cfg, model)
+        (rec,) = run_trial(replace(cfg, methods=("hard_pseudo",)), model, 1, 2, taus)
+        full = {r.method: r for r in run_trial(cfg, model, 1, 2, taus)}
         assert rec == full["hard_pseudo"]
 
     def test_trial_data_deterministic(self):
@@ -160,9 +167,8 @@ class TestTrialMachinery:
 
         def threshold(method, d):
             d = replace(d, x_source=scored_view(model, d.x_source), x_target_cal=scored_view(model, d.x_target_cal))
-            hard = partial(pseudo_calibrate, model, d.x_target_cal, cfg.alpha)
             source_scores = d.x_source.label_scores(d.y_source)
-            return _calibrate_method(cfg, method, d, source_scores, _tune_stream(cfg, 1, 0), hard)[0].threshold
+            return _calibrate_method(cfg, method, d, source_scores, _tune_stream(cfg, 1, 0))[0].threshold
 
         for method in ("source", "hard_pseudo", "source_tuned"):
             assert threshold(method, data) == threshold(method, permuted)
@@ -322,6 +328,25 @@ class TestSweepTauDesign:
         out, config = tmp_path / "run", _tiny_config(tmp_path, trials=2, tau_policy={"kind": "tau_design"})
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
         assert main(["replay", "--out", str(out)]) == 0
+
+    def test_run_trial_designs_no_slack(self, monkeypatch):
+        # A cell evaluates at the slack its run resolved; without one it has nothing to evaluate at.
+        cfg = tau_config(trials=1)
+        model = train_model(cfg)
+
+        def refuse(*args):
+            raise AssertionError("run_trial designed a slack")
+
+        for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
+            cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
+            taus = sweep_taus(cell_cfg, model)
+            with monkeypatch.context() as m:
+                m.setattr(cli_module, "tau_diagnostics", refuse)
+                m.setattr(cli_module, "_policy_tau", refuse)
+                for si in range(len(cfg.sigma_grid)):
+                    assert {r.tau for r in run_trial(cell_cfg, model, si, 0, taus)} == {taus[si]}
+                with pytest.raises(TypeError):
+                    run_trial(cell_cfg, model, 0, 0)
 
 
 class TestCommandLine:
@@ -610,6 +635,12 @@ def _table_run_without_target_test(tmp_path) -> str:
     return str(out)
 
 
+def _run_dir_holding_directory(tmp_path, name: str) -> str:
+    """An output directory in which the output file ``name`` is already taken by a directory."""
+    (tmp_path / "run" / name).mkdir(parents=True)
+    return str(tmp_path / "run")
+
+
 _DEGENERATE_TAU_DESIGN = {"source": {"class_cov_scale": 0.05}, "tau_policy": {"kind": "tau_design"}}
 
 # Finite translations whose certified radius overflows at sigma 0.8.
@@ -672,6 +703,21 @@ EXIT_CASES = {
         3,
     ),
     "replay-tampered": (lambda p: ["replay", "--out", _edited_run(p, "records.csv", _tamper_last_ess)], 4),
+    # An --out that cannot hold the outputs is a config error, whichever writer meets it.
+    "out-is-a-file": (lambda p: ["sweep", "--config", _tiny_config(p), "--out", _written(p / "taken", b"")], 2),
+    "out-under-a-file": (lambda p: ["sweep", "--config", _tiny_config(p), "--out", _written(p / "taken", b"") + "/run"], 2),
+    "out-records-csv-is-a-directory": (
+        lambda p: ["sweep", "--config", _tiny_config(p), "--out", _run_dir_holding_directory(p, "records.csv")],
+        2,
+    ),
+    "out-bounds-json-is-a-directory": (
+        lambda p: ["bounds", "--config", _tiny_config(p), "--out", _run_dir_holding_directory(p, "bounds.json")],
+        2,
+    ),
+    "out-dataset-csv-is-a-directory": (
+        lambda p: ["gen", "--config", _tiny_config(p), "--out", _run_dir_holding_directory(p, "dataset_sigma_0.csv")],
+        2,
+    ),
     # Unreadable input files: a config is a config error, a table or a records file a data error.
     "config-not-utf8": (lambda p: ["sweep", "--config", _written(p / "config.json", b'{"seed": 1}\xff')], 2),
     "config-nested-too-deep": (
@@ -749,6 +795,22 @@ def test_exit_code_contract(tmp_path, case):
 def test_an_unreadable_input_file_is_named_with_its_line(tmp_path, capsys, case, message):
     build, expected = EXIT_CASES[case]
     assert main(build(tmp_path) + ["--out", str(tmp_path / "run")]) == expected
+    assert message.format(p=tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("case", "message"),
+    [
+        ("out-is-a-file", "config error: cannot create the output directory {p}/taken: "),
+        ("out-under-a-file", "config error: cannot create the output directory {p}/taken/run: "),
+        ("out-records-csv-is-a-directory", "config error: cannot write {p}/run/records.csv: "),
+        ("out-bounds-json-is-a-directory", "config error: cannot write {p}/run/bounds.json: "),
+        ("out-dataset-csv-is-a-directory", "config error: cannot write {p}/run/dataset_sigma_0.csv: "),
+    ],
+)
+def test_an_unusable_output_path_is_named(tmp_path, capsys, case, message):
+    build, expected = EXIT_CASES[case]
+    assert main(build(tmp_path)) == expected == 2
     assert message.format(p=tmp_path) in capsys.readouterr().err
 
 
@@ -1204,7 +1266,8 @@ class TestOneGatherPerCell:
 
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0)) == 1
+            taus = sweep_taus(cell_cfg, model)
+            assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0, taus)) == 1
         assert test_gathers(lambda: _tau_trial(cfg, model, diagnostics, 1, 0)) == 1
 
         raw = {"n_train": 800, "n_cal": 150, "n_test": 200, "trials": 2, "sigma_grid": [0.0, 0.8]}
@@ -1235,20 +1298,24 @@ class TestOneGatherPerCell:
                 source_gathers.append(y is cell["raw"].y_source)  # False: a tuning draw's uniform labels
             return gather(view, y)
 
+        runs = []
+        for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
+            cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
+            runs.append((cell_cfg, sweep_taus(cell_cfg, model)))  # resolved before the counters go in
         monkeypatch.setattr(cli_module, "make_trial_data", drawn)
         monkeypatch.setattr(cli_module, "scored_view", built)
         monkeypatch.setattr(ScoredView, "label_scores", counted)
-        for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
-            cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
+        for cell_cfg, taus in runs:
             for si in range(len(cfg.sigma_grid)):
                 cell.clear()
                 source_gathers.clear()
-                run_trial(cell_cfg, model, si, 0)
+                run_trial(cell_cfg, model, si, 0, taus)
                 assert "source" in cell and source_gathers.count(True) == 1
 
-    def test_source_tuned_reuses_the_hard_calibration_at_u_inf(self, monkeypatch):
+    def test_source_tuned_calibrates_by_its_own_rule_at_u_inf(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)
         model = train_model(cfg)
+        taus = sweep_taus(cfg, model)
         data = make_trial_data(cfg, 0, 0)
         tuning, tuned = source_tuned_calibrate(
             model, data.x_source, data.y_source, data.x_target_cal, cfg.alpha, cfg.uncertainty_grid(), _tune_stream(cfg, 0, 0)
@@ -1262,9 +1329,9 @@ class TestOneGatherPerCell:
 
         monkeypatch.setattr(cli_module, "calibrate", counted)
         monkeypatch.setattr(pseudo_module, "calibrate", counted)
-        records = {r.method: r for r in run_trial(cfg, model, 0, 0)}
-        # source, hard_pseudo, the tuning probe at u = inf and oracle; source_tuned reuses hard_pseudo's.
-        assert len(calls) == 4
+        records = {r.method: r for r in run_trial(cfg, model, 0, 0, taus)}
+        # source, hard_pseudo, the tuning probe at u = inf, source_tuned's own target calibration and oracle.
+        assert len(calls) == 5
         rec = records["source_tuned"]
         assert (rec.u_star, rec.threshold) == (tuning.u_star, tuned.threshold)
         test = data.x_target_test
