@@ -13,7 +13,6 @@ from .conformal import (
     calibrate,
     conformal_level,
     coverage,
-    coverage_gap_at_alpha,
     empirical_cdf,
     empirical_quantile,
     expected_set_size,
@@ -26,7 +25,6 @@ from .pseudo import (
     UncertaintyGrid,
     hard_pseudo_label,
     pseudo_calibrate,
-    randomized_pseudo_label,
     select_u_star,
     source_coverage_curve,
     source_tuned_calibrate,
@@ -50,7 +48,6 @@ from .scores import (
 )
 from .shift_bounds import (
     coverage_gap_bound,
-    kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,
     rho_mix,
@@ -61,7 +58,6 @@ from .shift_bounds import (
     w1_1d,
     w1_assignment,
     w1_assignment_subsampled,
-    winf_coupled,
 )
 from .synthetic import (
     LogitTable,
@@ -73,7 +69,6 @@ from .synthetic import (
     load_logit_table,
     train_classifier,
     write_dataset_csv,
-    write_logit_table,
 )
 
 __version__ = "0.1.0"

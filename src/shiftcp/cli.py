@@ -8,7 +8,7 @@ threshold slack per shift strength and evaluates it (``sweep``'s
 own splits), ``bounds`` evaluates every coverage bound from measured and
 certified quantities, ``tune`` traces the source sweep of the entropy cutoff,
 ``gen``/``train`` export datasets and the fitted classifier, and ``replay``
-re-derives every emitted coverage/ESS figure from the emitted thresholds.
+re-derives every emitted figure that needs no new draws (:func:`replay_audit`).
 
 All outputs are machine-readable (CSV/JSON). Once a subcommand that takes
 ``--config`` succeeds, :func:`main` writes the resolved config (and the absolute
@@ -507,14 +507,17 @@ def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, 
     )
 
 
+def _cell_cor1(alpha: float, test_scores, tau) -> float:
+    """A cell's ``cor1_bound`` at slack ``tau``, from its oracle-flagged target losses on the test split."""
+    ramp_tgt = _population_loss(ramp_loss, test_scores)
+    hinge_tgt = _population_loss(hinge_loss, test_scores)
+    return relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
+
+
 def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, tau, sigma, trial: int, tune, thm2):
     """Every method's record, with slack ``tau``, for one cell of scored splits (generator cell or logit table)."""
     test = data.x_target_test
-    # Oracle-flagged target losses back the relaxed bound column.
-    ramp_tgt = _population_loss(ramp_loss, test_scores)
-    hinge_tgt = _population_loss(hinge_loss, test_scores)
-    cor1 = relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
-
+    cor1 = _cell_cor1(cfg.alpha, test_scores, tau)
     records = []
     for method in cfg.methods:
         cal, u_star = _calibrate_method(cfg, method, data, source_scores, tune)
@@ -951,30 +954,37 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[int, int]
     test_scores = view.label_scores(y)
     mismatches = []
     for name, row in group:
-        where = _where(name, row["method"], row["sigma"], row["trial"])
+        method, sweep = row["method"], name == "records.csv"
+        where = _where(name, method, row["sigma"], row["trial"])
         try:
-            tau = float(row["tau"]) if row["tau"] else None
+            derived_tau = sweep and cfg.tau_policy_kind != "tau_design"  # none or fixed: the config sets the slack
+            tau = _policy_tau(cfg, None) if derived_tau else float(row["tau"]) if row["tau"] else None
             cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
-            rec = _record(view, test_scores, row["method"], row["sigma"], row["trial"], cal, tau)
+            # u*, thm2 and tau_records.csv's cor1 need other draws or the slack designs: where written, they keep their text.
+            u_star = row["u_star"] if sweep and method == "source_tuned" else None
+            thm2 = row["thm2_bound"] if sweep and method == "hard_pseudo" and table_split is None else None
+            cor1 = (_cell_cor1(cfg.alpha, test_scores, tau) if method == "hard_pseudo" else None) if sweep else row["cor1_bound"]
+            rec = _record(view, test_scores, method, row["sigma"], row["trial"], cal, tau, u_star, thm2, cor1)
         except ValueError as exc:
             mismatches.append(f"{where}: {exc}")
             continue
-        cov, ess = _fmt(rec.coverage), _fmt(rec.ess)
-        if cov != row["coverage"] or ess != row["ess"]:
-            mismatches.append(f"{where}: coverage {row['coverage']} -> {cov}, ess {row['ess']} -> {ess}")
+        texts = zip(RECORD_COLUMNS, map(_fmt, vars(rec).values()))
+        wrong = [f"{col} {row[col] or '(empty)'} -> {text or '(empty)'}" for col, text in texts if text != row[col]]
+        if wrong:
+            mismatches.append(f"{where}: {', '.join(wrong)}")
     return mismatches
 
 
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
-    """Recompute every emitted coverage/ESS from the emitted thresholds.
+    """Rebuild each record from its threshold, its run's config and its cell's regenerated test split.
 
     A records file must hold one row per method of the file and cell of the
     config's grid (the one cell of a logit-table run), named by the text the
-    writer printed; a missing, extra or repeated row is a mismatch. Each cell's
-    evaluation split is regenerated from its derived streams and scored once,
-    and its records' coverage and ESS, formatted identically, must match byte
-    for byte; up to ``threads`` worker processes audit cells in parallel. A
-    ``seed`` other than the run's recorded seed is a :class:`ConfigError`.
+    writer printed; a missing, extra or repeated row is a mismatch. Each row,
+    rebuilt by :func:`_record` and formatted as written, must match byte for
+    byte; a column that needs new draws or slack designs keeps its own text.
+    Up to ``threads`` worker processes audit cells in parallel; a ``seed``
+    other than the run's recorded one is a :class:`ConfigError`.
     Returns the number of audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
@@ -1133,21 +1143,27 @@ def main(argv=None) -> int:
     """Run one subcommand; its outputs, and the ``config.json`` of a run that took ``--config``, go to ``--out``."""
     args = build_parser().parse_args(argv)
     run, out = _COMMANDS[args.command][0], Path(args.out)
+    cfg = None  # replay takes no --config: --out is the run it audits, and it writes nothing there
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        if "config" not in args:  # replay: --out is the run it audits, and it writes nothing there
-            run(None, out, args)
-            return 0
-        cfg = load_config(args.config, seed_override=args.seed)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
+        if "config" in args:
+            cfg = load_config(args.config, seed_override=args.seed)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
         run(cfg, out, args)
-        logits = vars(args).get("logits")
-        _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(Path(logits).resolve())} if logits else {})})
+        if cfg is not None:
+            logits = vars(args).get("logits")
+            _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(Path(logits).resolve())} if logits else {})})
         return 0
+    except MemoryError as exc:
+        counts = f"the counts in {out / 'config.json'}"
+        if cfg is not None:
+            counts = f"n_train {cfg.n_train}, n_cal {cfg.n_cal}, n_test {cfg.n_test} and trials {cfg.trials}"
+        print(f"config error: {counts} need more memory than this process can allocate: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

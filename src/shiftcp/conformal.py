@@ -172,16 +172,6 @@ def empirical_cdf(scores, t: float) -> float:
     return float(np.mean(s <= t))
 
 
-def coverage_gap_at_alpha(cal_scores_p, test_scores_p, test_scores_q, alpha: float) -> float:
-    """Absolute CDF gap between two held-out score samples at the source threshold.
-
-    The threshold is calibrated from ``cal_scores_p`` at ``alpha``; the gap is
-    ``|F_P(q) - F_Q(q)|`` with both CDFs estimated from the test samples.
-    """
-    cal = calibrate(cal_scores_p, alpha)
-    return abs(empirical_cdf(test_scores_p, cal.threshold) - empirical_cdf(test_scores_q, cal.threshold))
-
-
 def integrated_coverage_gap(cal_scores_p, test_scores_p, test_scores_q, alpha_grid=None) -> GapEstimate:
     """Trapezoidal aggregate of the pointwise gaps over an alpha grid.
 

@@ -47,7 +47,6 @@ __all__ = [
     "UncertaintyGrid",
     "TuningResult",
     "hard_pseudo_label",
-    "randomized_pseudo_label",
     "pseudo_calibrate",
     "source_coverage_curve",
     "select_u_star",
@@ -103,17 +102,6 @@ class TuningResult:
 def hard_pseudo_label(model, x):
     """Deterministic pseudo-label: the classifier's prediction."""
     return predict(model, x)
-
-
-def randomized_pseudo_label(model, h_value: float, u: float, x, rng: RngStream) -> int:
-    """Prediction when ``h_value <= u``, otherwise a uniform class from ``rng``.
-
-    Repeated calls with the same stream replay the same uniform draw; give
-    each data point its own substream for independent draws.
-    """
-    if h_value <= u:
-        return int(predict(model, x))
-    return int(rng.generator().integers(1, model.n_classes + 1))
 
 
 def _uniform_scores(view: ScoredView, rng: RngStream | None) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Wasserstein shift metrics and coverage lower bounds.
 
-Exact 1-D and assignment-based W1 between empirical measures, the coupled
-sup-displacement bound on W-infinity, the class-prior mixture of per-class
-shifts, a histogram plug-in for the score density sup, and the coverage
-lower bounds they feed: the Lipschitz bound on score-distribution shift, the
-density-times-W1 coverage-gap bound, the pseudo-calibration coverage floor,
-its tau-relaxed refinement, and the tau design rule that targets a desired
-coverage level from source-measurable quantities. Each function checks its
-own inputs; the ``bounds`` subcommand assembles the family into bounds.json.
+Exact 1-D and assignment-based W1 between empirical measures, the
+class-prior mixture of per-class shifts, a histogram plug-in for the score
+density sup, and the coverage lower bounds they feed: the Lipschitz bound on
+score-distribution shift, the density-times-W1 coverage-gap bound, the
+pseudo-calibration coverage floor, its tau-relaxed refinement, and the tau
+design rule that targets a desired coverage level from source-measurable
+quantities. Each function checks its own inputs; the ``bounds`` subcommand
+assembles the family into bounds.json.
 """
 
 from __future__ import annotations
@@ -188,17 +188,6 @@ def w1_assignment_subsampled(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: 
     return w1_assignment(pa, pb)
 
 
-def winf_coupled(a, b) -> float:
-    """Sup displacement of an explicit pairing; upper-bounds W-infinity.
-
-    The rows of ``a`` and ``b`` are matched positionally (a known coupling,
-    e.g. pre/post-shift pairs), and any explicit coupling is feasible for the
-    infimum defining W-infinity.
-    """
-    pa, pb = _paired_points(a, b)
-    return float(np.linalg.norm(pa - pb, axis=1).max())
-
-
 def rho_mix(class_priors, per_class_w1) -> float:
     """Class-prior-weighted mean of per-class W1 shifts."""
     priors = np.asarray(class_priors, dtype=float)
@@ -302,14 +291,3 @@ def tau_correction(hinge_source: float, hinge_target: float, undercoverage_gap: 
     if not denom > 0:
         raise ValueError("degenerate source hinge correction: source hinge loss must exceed the undercoverage gap")
     return max(0.0, 2.0 * (hinge_target / denom - 1.0))
-
-
-def kantorovich_rubinstein_holds(f_values_p, f_values_q, lipschitz: float, w1: float, slack: float = 1e-9) -> bool:
-    """Whether ``|mean_P f - mean_Q f| <= lipschitz * w1`` holds (with rounding slack).
-
-    Test oracle for Lipschitz test functions; not intended as a user-facing
-    estimate.
-    """
-    fp = _finite_sample(f_values_p, "f_values_p")
-    fq = _finite_sample(f_values_q, "f_values_q")
-    return abs(fp.mean() - fq.mean()) <= lipschitz * w1 + slack

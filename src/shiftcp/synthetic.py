@@ -438,14 +438,6 @@ def _write_split_table(path, split, labels, values, prefix: str) -> None:
             writer.writerow([tag, text] + [repr(float(v)) for v in row])
 
 
-def write_logit_table(path, split, labels, logits) -> None:
-    """Write a logit-table CSV; floats use repr so a round-trip is bit-identical.
-
-    ``labels`` entries equal to :data:`MISSING_LABEL` are written as MISSING.
-    """
-    _write_split_table(path, split, labels, logits, "logit_")
-
-
 def write_dataset_csv(path, split, labels, features) -> None:
     """Export a dataset as ``split,label,x_0,...,x_{d-1}`` for reproducibility audits."""
     _write_split_table(path, split, labels, features, "x_")

@@ -46,7 +46,8 @@ from shiftcp.exceptions import ConfigError, DataError
 from shiftcp.pseudo import source_tuned_calibrate
 from shiftcp.rng import RngStream
 from shiftcp.scores import ScoredView, scored_view
-from shiftcp.synthetic import write_logit_table
+
+from oracles import write_logit_table
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -948,6 +949,58 @@ def test_replay_rejects_records_that_miss_or_repeat_a_row(tmp_path, capsys, case
         assert lines[-1].startswith(f"invariant violation: {len(expected)} of ")
 
 
+# Each case: the run and its config overrides, its records file, the row
+# (method, sigma, trial) and column edited, and the text written there. Replay
+# re-derives the slack of a none or fixed policy and each sweep's cor1_bound,
+# and finds u_star and thm2_bound filled where the writer leaves them empty.
+TAMPERED_COLUMNS = {
+    "hard-pseudo-cor1-raised": ("sweep", {}, "records.csv", ("hard_pseudo", "0", "0"), "cor1_bound", "0.99"),
+    "cor1-on-a-source-row": ("sweep", {}, "records.csv", ("source", "0", "0"), "cor1_bound", "0.78"),
+    "tau-zero-under-no-policy": ("sweep", {}, "records.csv", ("source_tuned", "0.8", "1"), "tau", "0"),
+    "tau-respelled-under-a-fixed-policy": (
+        "sweep",
+        {"tau_policy": {"kind": "fixed", "value": 0.5}},
+        "records.csv",
+        ("oracle", "0.8", "0"),
+        "tau",
+        "0.50",
+    ),
+    "tau-design-cor1-raised": (
+        "sweep",
+        {"tau_policy": {"kind": "tau_design"}},
+        "records.csv",
+        ("hard_pseudo", "0.8", "1"),
+        "cor1_bound",
+        "0.99",
+    ),
+    "u-star-on-a-hard-pseudo-row": ("sweep", {}, "records.csv", ("hard_pseudo", "0.8", "1"), "u_star", "inf"),
+    "thm2-on-a-tau-row": ("tau", {}, "tau_records.csv", ("tau_adjusted", "0", "1"), "thm2_bound", "0.8"),
+    "thm2-on-a-table-hard-pseudo-row": ("table", {}, "records.csv", ("hard_pseudo", "", "0"), "thm2_bound", "0.8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_COLUMNS))
+def test_replay_names_a_column_it_can_rederive(tmp_path, capsys, case):
+    run, overrides, name, key, column, text = TAMPERED_COLUMNS[case]
+    out = tmp_path / "run"
+    config = _tiny_config(tmp_path, n_train=600, n_cal=200, n_test=500, trials=2, **overrides)
+    assert main(_table_run(tmp_path, out) if run == "table" else [run, "--config", config, "--out", str(out)]) == 0
+    header, *rows = (out / name).read_text().splitlines()
+    at = header.split(",").index(column)
+    for i, row in enumerate(rows):
+        if tuple(row.split(",")[:3]) == key:
+            fields = row.split(",")
+            faithful, fields[at] = fields[at], text
+            rows[i] = ",".join(fields)
+    (out / name).write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--out", str(out)]) == 4
+    method, sigma, trial = key
+    assert capsys.readouterr().err.splitlines()[:-1] == [
+        f"replay mismatch: {name}: {method} sigma={sigma} trial={trial}: {column} {text} -> {faithful or '(empty)'}"
+    ]
+
+
 def test_rising_training_loss_names_the_learning_rate(tmp_path, capsys):
     assert main(["tune", "--config", _tiny_config(tmp_path, train={"learning_rate": 1e3}), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -1067,6 +1120,36 @@ def _run_python(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# main in a child process whose address space is capped at 4 GiB: on a host
+# that always overcommits, an uncapped run this large would start filling the
+# memory instead of failing its first allocation.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from shiftcp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("argv", [["sweep"], ["sweep", "--threads", "2"], ["bounds"], ["replay"]], ids=" ".join)
+def test_an_oversized_count_is_a_config_error(tmp_path, argv):
+    out = tmp_path / "run"
+    if argv == ["replay"]:
+        assert main(["sweep", "--config", _tiny_config(tmp_path), "--out", str(out)]) == 0
+        config = json.loads((out / "config.json").read_text())
+        (out / "config.json").write_text(json.dumps({**config, "n_test": 10**13}))
+        counts = f"the counts in {out}/config.json"
+    else:
+        argv = argv + ["--config", _written(tmp_path / "big.json", b'{"n_test": 10000000000000}')]
+        counts = "n_train 4000, n_cal 2000, n_test 10000000000000 and trials 200"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-c", _CAPPED_MAIN, *argv, "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: {counts} need more memory than this process can allocate: "), proc.stderr
 
 
 def test_worker_count_is_capped_by_cores_and_items(monkeypatch):

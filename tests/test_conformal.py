@@ -17,7 +17,6 @@ from shiftcp.conformal import (
     calibrate,
     conformal_level,
     coverage,
-    coverage_gap_at_alpha,
     empirical_cdf,
     empirical_quantile,
     expected_set_size,
@@ -267,17 +266,17 @@ def _per_alpha_loop(cal_scores_p, test_scores_p, test_scores_q, grid) -> GapEsti
 class TestCoverageGaps:
     def test_identical_samples_have_zero_gap(self):
         s = np.linspace(-1, 1, 50)
-        assert coverage_gap_at_alpha(s, s, s, 0.2) == 0.0
+        assert dict(integrated_coverage_gap(s, s, s).per_alpha)[0.2] == 0.0
 
     def test_fully_separated_samples(self):
         cal = np.linspace(0, 1, 20)
         below = np.full(30, -5.0)
         above = np.full(30, 5.0)
-        assert coverage_gap_at_alpha(cal, below, above, 0.2) == 1.0
+        assert dict(integrated_coverage_gap(cal, below, above).per_alpha)[0.2] == 1.0
 
     def test_hand_counted_gap(self):
         # Threshold 1 from constant calibration scores; F_P(1) = 1, F_Q(1) = 0.
-        assert coverage_gap_at_alpha([1.0, 1.0, 1.0, 1.0], [0.0, 1.0], [2.0, 3.0], 0.2) == 1.0
+        assert dict(integrated_coverage_gap([1.0, 1.0, 1.0, 1.0], [0.0, 1.0], [2.0, 3.0]).per_alpha)[0.2] == 1.0
 
     def test_empirical_cdf_convention(self):
         assert empirical_cdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)

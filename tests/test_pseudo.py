@@ -13,7 +13,6 @@ from shiftcp.pseudo import (
     _curve_with_thresholds,
     hard_pseudo_label,
     pseudo_calibrate,
-    randomized_pseudo_label,
     select_u_star,
     source_coverage_curve,
     source_tuned_calibrate,
@@ -21,6 +20,8 @@ from shiftcp.pseudo import (
 from shiftcp.rng import RngStream
 from shiftcp.scores import LinearLogitMap, ScoredView, predict, predictive_entropy, score
 from shiftcp.synthetic import generate_source
+
+from oracles import randomized_pseudo_label
 
 
 class TestRngStream:

@@ -20,7 +20,6 @@ from shiftcp.rng import RngStream
 from shiftcp.scores import predict, score
 from shiftcp.shift_bounds import (
     coverage_gap_bound,
-    kantorovich_rubinstein_holds,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,
     rho_mix,
@@ -31,9 +30,10 @@ from shiftcp.shift_bounds import (
     w1_1d,
     w1_assignment,
     w1_assignment_subsampled,
-    winf_coupled,
 )
 from shiftcp.synthetic import generate_source
+
+from oracles import kantorovich_rubinstein_holds, winf_coupled
 
 samples_1d = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False),

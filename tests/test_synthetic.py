@@ -22,8 +22,9 @@ from shiftcp.synthetic import (
     generate_source,
     load_logit_table,
     train_classifier,
-    write_logit_table,
 )
+
+from oracles import winf_coupled, write_logit_table
 
 
 def two_class_spec(scale: float = 0.5) -> SourceSpec:
@@ -102,8 +103,6 @@ class TestApplyShift:
         x = np.zeros((5, 2))
         y = np.array([1, 2, 1, 2, 1])
         shifted = apply_shift(x, y, shift, RngStream(7))
-        from shiftcp.shift_bounds import winf_coupled
-
         assert winf_coupled(x, shifted) == 1.0
 
     def test_displacement_bounded_by_certificate(self):
