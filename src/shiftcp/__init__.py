@@ -13,7 +13,6 @@ from .conformal import (
     calibrate,
     conformal_level,
     coverage,
-    empirical_cdf,
     empirical_quantile,
     expected_set_size,
     integrated_coverage_gap,
@@ -23,7 +22,6 @@ from .exceptions import ConfigError, DataError, InvariantError
 from .pseudo import (
     TuningResult,
     UncertaintyGrid,
-    hard_pseudo_label,
     pseudo_calibrate,
     select_u_star,
     source_coverage_curve,

@@ -10,9 +10,17 @@ certified quantities, ``tune`` traces the source sweep of the entropy cutoff,
 ``gen``/``train`` export datasets and the fitted classifier, and ``replay``
 re-derives every emitted figure that needs no new draws (:func:`replay_audit`).
 
-All outputs are machine-readable (CSV/JSON). Once a subcommand that takes
-``--config`` succeeds, :func:`main` writes the resolved config (and the absolute
-``--logits`` path) to ``<out>/config.json``, so each run is self-describing.
+``sweep``, ``tau`` and ``sweep --logits`` build every record through one cell
+core, :func:`_evaluate_cell`, given the run's :class:`Arm` list. ``sweep``'s
+arms are its methods, ``hard_pseudo`` floored by its own cell; ``tau``'s are
+``hard_pseudo`` and ``tau_adjusted``, both the hard rule, floored by the
+per-sigma oracle losses of :func:`tau_diagnostics`, so a ``tau`` cell draws
+no source split.
+
+All outputs are machine-readable (CSV/JSON), under the names ``_COMMANDS``
+declares; :func:`main` refuses a taken name before any fit or draw and, once
+a subcommand that takes ``--config`` succeeds, writes the resolved config
+(and the absolute ``--logits`` path) to ``<out>/config.json``.
 Records have :class:`TrialRecord`'s fields as columns, in method, sigma,
 trial order; ``replay`` finds each record's cell by the text :func:`_fmt` wrote.
 ``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
@@ -370,11 +378,12 @@ class TrialData:
     Calibration methods receive ``x_target_cal`` only; ``y_target_cal_oracle``
     is revealed solely to the oracle arm and ``y_target_test`` solely to final
     evaluation and oracle-flagged loss measurements. The ``x_*`` fields hold
-    raw inputs or each split's scored view.
+    raw inputs or each split's scored view; the source split is None where
+    the cell's arms do not read it.
     """
 
-    x_source: np.ndarray | ScoredView
-    y_source: np.ndarray
+    x_source: np.ndarray | ScoredView | None
+    y_source: np.ndarray | None
     x_target_cal: np.ndarray | ScoredView
     y_target_cal_oracle: np.ndarray
     x_target_test: np.ndarray | ScoredView
@@ -412,10 +421,12 @@ def _target_split(cfg: ExperimentConfig, sigma_idx: int, trial: int, name: str, 
     return x, y
 
 
-def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> TrialData:
-    """Regenerate the splits of one (sigma, trial) cell from its derived streams."""
+def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int, source: bool = True) -> TrialData:
+    """Regenerate the splits of one (sigma, trial) cell from its derived streams; the source split only with ``source``."""
     cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
-    x_src, y_src = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("source-cal"))
+    x_src = y_src = None
+    if source:
+        x_src, y_src = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("source-cal"))
     x_tc, y_tc = _target_split(cfg, sigma_idx, trial, "target-cal", cfg.n_cal)
     x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
     return TrialData(x_src, y_src, x_tc, y_tc, x_tt, y_tt)
@@ -441,6 +452,9 @@ def _train(cfg: ExperimentConfig):
         raise DataError(f"cannot train the classifier: {exc}") from exc
     except InvariantError as exc:
         raise ConfigError(f"train.learning_rate {cfg.learning_rate!r} is too large for the training data: {exc}") from exc
+    if model.n_classes < cfg.source_spec.n_classes:  # the fit takes K from the largest label it saw
+        missing = list(range(model.n_classes + 1, cfg.source_spec.n_classes + 1))
+        raise DataError(f"cannot train the classifier: its {cfg.n_train} rows hold no sample of class(es) {missing}")
     return model, x, y
 
 
@@ -449,13 +463,13 @@ def train_model(cfg: ExperimentConfig):
     return _train(cfg)[0]
 
 
-def _calibrate_method(cfg: ExperimentConfig, method: str, data: TrialData, source_scores, tune: RngStream):
-    """One arm's threshold and cutoff u* (None but for source_tuned); target labels reach only the oracle arm."""
-    if method == "source":
+def _calibrate_method(cfg: ExperimentConfig, rule: str, data: TrialData, source_scores, tune: RngStream):
+    """The threshold and cutoff u* (None but for source_tuned) of one calibration rule; target labels reach only the oracle rule."""
+    if rule == "source":
         return calibrate(source_scores, cfg.alpha), None
-    if method == "hard_pseudo":
+    if rule == "hard_pseudo":
         return pseudo_calibrate(None, data.x_target_cal, cfg.alpha), None
-    if method == "source_tuned":  # at u* = inf this is the hard pseudo-calibration, and nothing is drawn
+    if rule == "source_tuned":  # at u* = inf this is the hard pseudo-calibration, and nothing is drawn
         u_star = _tune_cutoff(data.x_source, source_scores, cfg.alpha, cfg.uncertainty_grid(), tune).u_star
         return _calibrate_at_cutoff(data.x_target_cal, cfg.alpha, u_star, tune), u_star
     return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None  # oracle
@@ -514,34 +528,59 @@ def _cell_cor1(alpha: float, test_scores, tau) -> float:
     return relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
 
 
-def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, tau, sigma, trial: int, tune, thm2):
-    """Every method's record, with slack ``tau``, for one cell of scored splits (generator cell or logit table)."""
-    test = data.x_target_test
-    cor1 = _cell_cor1(cfg.alpha, test_scores, tau)
-    records = []
-    for method in cfg.methods:
-        cal, u_star = _calibrate_method(cfg, method, data, source_scores, tune)
-        bounds = (thm2, cor1) if method == "hard_pseudo" else (None, None)
-        records.append(_record(test, test_scores, method, sigma, trial, cal, tau, u_star, *bounds))
+#: An arm floored by its own cell: ``cor1_bound`` from the test split, ``thm2_bound`` wherever the source split is drawn.
+CELL_FLOOR = "cell"
+
+
+@dataclass(frozen=True)
+class Arm:
+    """One record of each cell: its method, :func:`_calibrate_method` rule, slack and floor.
+
+    The floor is None, :data:`CELL_FLOOR`, or the (ramp, hinge) oracle target losses of ``cor1_bound``.
+    """
+
+    method: str
+    rule: str
+    tau: float | None
+    floor: tuple[float, float] | str | None
+
+
+def _sweep_arms(cfg: ExperimentConfig, tau) -> list[Arm]:
+    """A sweep's arms at slack ``tau``: each configured method by its own rule, ``hard_pseudo`` floored by its cell."""
+    return [Arm(method, method, tau, CELL_FLOOR if method == "hard_pseudo" else None) for method in cfg.methods]
+
+
+def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, arms, sigma, trial: int, tune, thm2):
+    """Each arm's record for one cell of scored splits (generator cell or logit table); each rule calibrates once."""
+    test, calibrated, records = data.x_target_test, {}, []
+    for arm in arms:
+        if arm.rule not in calibrated:
+            calibrated[arm.rule] = _calibrate_method(cfg, arm.rule, data, source_scores, tune)
+        cal, u_star = calibrated[arm.rule]
+        bounds = (None, None)
+        if arm.floor == CELL_FLOOR:
+            bounds = (thm2, _cell_cor1(cfg.alpha, test_scores, arm.tau))
+        elif arm.floor is not None:
+            bounds = (None, relaxed_coverage_lower_bound(cfg.alpha, *arm.floor, arm.tau))
+        records.append(_record(test, test_scores, arm.method, sigma, trial, cal, arm.tau, u_star, *bounds))
     return records
 
 
-def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, taus) -> list[TrialRecord]:
-    """All method records of one (sigma, trial) cell with its run's slack ``taus[sigma_idx]``."""
-    sigma = cfg.sigma_grid[sigma_idx]
-    raw = make_trial_data(cfg, sigma_idx, trial)
-    data = replace(
-        raw,
-        x_source=scored_view(model, raw.x_source),
-        x_target_cal=scored_view(model, raw.x_target_cal),
-        x_target_test=scored_view(model, raw.x_target_test),
-    )
-    source_scores = data.x_source.label_scores(data.y_source)
-    ramp_src = _population_loss(ramp_loss, source_scores)
-    thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
+def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, arms) -> list[TrialRecord]:
+    """The records of one (sigma, trial) cell's arms ``arms[sigma_idx]``; only an arm's rule or floor draws the source split."""
+    sigma, cell_arms = cfg.sigma_grid[sigma_idx], arms[sigma_idx]
+    with_source = any(arm.rule in ("source", "source_tuned") or arm.floor == CELL_FLOOR for arm in cell_arms)
+    raw = make_trial_data(cfg, sigma_idx, trial, with_source)
+    data = replace(raw, x_target_cal=scored_view(model, raw.x_target_cal), x_target_test=scored_view(model, raw.x_target_test))
+    source_scores = thm2 = None
+    if with_source:
+        data = replace(data, x_source=scored_view(model, raw.x_source))
+        source_scores = data.x_source.label_scores(data.y_source)
+        ramp_src = _population_loss(ramp_loss, source_scores)
+        thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
     test_scores = data.x_target_test.label_scores(data.y_target_test)
     tune = _tune_stream(cfg, sigma_idx, trial)
-    return _evaluate_cell(cfg, data, source_scores, test_scores, taus[sigma_idx], sigma, trial, tune, thm2)
+    return _evaluate_cell(cfg, data, source_scores, test_scores, cell_arms, sigma, trial, tune, thm2)
 
 
 def _workers(threads: int, n_items: int) -> int:
@@ -625,10 +664,11 @@ def _map(fn, items: list, threads: int) -> list:
     return [outcomes[i % workers][1][i // workers] for i in range(len(items))]
 
 
-def _parallel_trials(cfg: ExperimentConfig, worker, threads: int, methods: tuple[str, ...]) -> list[TrialRecord]:
-    """The records ``worker(sigma_idx, trial)`` returns for every cell, ordered by method, sigma and trial."""
+def _parallel_trials(cfg: ExperimentConfig, model, arms, threads: int) -> list[TrialRecord]:
+    """Every cell's records of the run's per-sigma ``arms`` (:func:`run_trial`), ordered by arm, sigma and trial."""
     cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
-    records = [rec for chunk in _map(worker, cells, threads) for rec in chunk]
+    records = [rec for chunk in _map(partial(run_trial, cfg, model, arms=arms), cells, threads) for rec in chunk]
+    methods = [arm.method for arm in arms[0]]
     return sorted(records, key=lambda r: (methods.index(r.method), r.sigma, r.trial))
 
 
@@ -636,7 +676,7 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
     taus = [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
-    records = _parallel_trials(cfg, partial(run_trial, cfg, model, taus=taus), threads, cfg.methods)
+    records = _parallel_trials(cfg, model, [_sweep_arms(cfg, tau) for tau in taus], threads)
     return records, aggregate_records(records)
 
 
@@ -697,19 +737,10 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     return {"sigma": sigma, "ramp_target_oracle": _population_loss(ramp_loss, target_scores), **design}
 
 
-def _tau_trial(cfg: ExperimentConfig, model, diagnostics: list[dict], si: int, t: int) -> list[TrialRecord]:
-    """The unadjusted and the slack-adjusted record of one (sigma, trial) cell."""
-    diag = diagnostics[si]
-    x_cal, _ = _target_split(cfg, si, t, "target-cal", cfg.n_cal)
-    x_test, y_test = _target_split(cfg, si, t, "target-test", cfg.n_test)
-    test = scored_view(model, x_test)
-    test_scores = test.label_scores(y_test)
-    cal = pseudo_calibrate(model, x_cal, cfg.alpha)
-    out = []
-    for method, tau in zip(TAU_METHODS, (0.0, diag["tau"])):
-        cor1 = relaxed_coverage_lower_bound(cfg.alpha, diag["ramp_target_oracle"], diag["hinge_target_oracle"], tau)
-        out.append(_record(test, test_scores, method, cfg.sigma_grid[si], t, cal, tau, cor1=cor1))
-    return out
+def _tau_arms(diag: dict) -> list[Arm]:
+    """A tau run's arms at one sigma: the hard threshold at slack 0 and at the designed slack, floored by the oracle losses."""
+    losses = (diag["ramp_target_oracle"], diag["hinge_target_oracle"])
+    return [Arm(method, "hard_pseudo", tau, losses) for method, tau in zip(TAU_METHODS, (0.0, diag["tau"]))]
 
 
 def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
@@ -720,7 +751,7 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
     """
     model = train_model(cfg)
     diagnostics = [tau_diagnostics(cfg, model, si) for si in range(len(cfg.sigma_grid))]
-    return _parallel_trials(cfg, partial(_tau_trial, cfg, model, diagnostics), threads, TAU_METHODS), diagnostics
+    return _parallel_trials(cfg, model, [_tau_arms(diag) for diag in diagnostics], threads), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +912,7 @@ def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list
     source_scores, test_scores = source.label_scores(y_src), test.label_scores(y_tt)
     tau = _policy_tau(cfg, partial(_tau_design, cfg.alpha, source, source_scores, test_scores, "tau_design policy failed"))
     data, tune = TrialData(source, y_src, cal, y_tc, test, y_tt), RngStream(cfg.seed).substream("table-tune")
-    records = _evaluate_cell(cfg, data, source_scores, test_scores, tau, None, 0, tune, None)
+    records = _evaluate_cell(cfg, data, source_scores, test_scores, _sweep_arms(cfg, tau), None, 0, tune, None)
     return records, aggregate_records(records)
 
 
@@ -1036,19 +1067,18 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
 # Subcommand drivers
 
 
-def _cmd_gen(cfg: ExperimentConfig, out: Path, args) -> None:
-    for si in range(len(cfg.sigma_grid)):
+def _cmd_gen(cfg: ExperimentConfig, args, *paths: Path) -> None:
+    for si, path in enumerate(paths):
         data = make_trial_data(cfg, si, 0)
         x_st, y_st = generate_source(cfg.source_spec, cfg.n_test, RngStream(cfg.seed).substream("gen-source-test", si))
         xs = (data.x_source, x_st, data.x_target_cal, data.x_target_test)  # one split per tag of SPLIT_TAGS
         ys = (data.y_source, y_st, data.y_target_cal_oracle, data.y_target_test)
         tags = [tag for tag, y in zip(SPLIT_TAGS, ys) for _ in range(y.size)]
-        path = out / f"dataset_sigma_{si}.csv"
         write_dataset_csv(path, tags, np.concatenate(ys), np.vstack(xs))
         print(f"wrote {path}")
 
 
-def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> None:
+def _cmd_train(cfg: ExperimentConfig, args, classifier_json: Path) -> None:
     model, x, y = _train(cfg)
     acc = float(np.mean(predict(model, x) == y))
     payload = {
@@ -1060,46 +1090,46 @@ def _cmd_train(cfg: ExperimentConfig, out: Path, args) -> None:
         "train_accuracy": acc,
         "lipschitz": lipschitz_bound(model),
     }
-    _write_json(out / "classifier.json", payload)
-    print(f"wrote {out / 'classifier.json'} (train accuracy {acc:.4f})")
+    _write_json(classifier_json, payload)
+    print(f"wrote {classifier_json} (train accuracy {acc:.4f})")
 
 
-def _cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> None:
+def _cmd_sweep(cfg: ExperimentConfig, args, records_csv: Path, aggregate_csv: Path) -> None:
     if args.logits:
         records, aggregates = run_sweep_from_table(load_logit_table(args.logits), cfg)
     else:
         records, aggregates = run_sweep(cfg, threads=args.threads)
-    write_records_csv(out / "records.csv", records)
-    write_aggregate_csv(out / "aggregate.csv", aggregates)
-    print(f"wrote {out / 'records.csv'} ({len(records)} records)")
+    write_records_csv(records_csv, records)
+    write_aggregate_csv(aggregate_csv, aggregates)
+    print(f"wrote {records_csv} ({len(records)} records)")
 
 
-def _cmd_tau(cfg: ExperimentConfig, out: Path, args) -> None:
+def _cmd_tau(cfg: ExperimentConfig, args, records_csv: Path, diagnostics_json: Path, aggregate_csv: Path) -> None:
     records, diagnostics = run_tau_experiment(cfg, threads=args.threads)
-    write_records_csv(out / "tau_records.csv", records)
-    _write_json(out / "tau_diagnostics.json", diagnostics)
-    write_aggregate_csv(out / "tau_aggregate.csv", aggregate_records(records))
-    print(f"wrote {out / 'tau_records.csv'} ({len(records)} records)")
+    write_records_csv(records_csv, records)
+    _write_json(diagnostics_json, diagnostics)
+    write_aggregate_csv(aggregate_csv, aggregate_records(records))
+    print(f"wrote {records_csv} ({len(records)} records)")
 
 
-def _cmd_bounds(cfg: ExperimentConfig, out: Path, args) -> None:
+def _cmd_bounds(cfg: ExperimentConfig, args, bounds_json: Path) -> None:
     if args.logits:
         report = run_bounds_report_from_table(load_logit_table(args.logits), cfg.alpha, cfg.tau_grid)
     else:
         report = run_bounds_report(cfg)
-    _write_json(out / "bounds.json", report)
-    print(f"wrote {out / 'bounds.json'}")
+    _write_json(bounds_json, report)
+    print(f"wrote {bounds_json}")
 
 
-def _cmd_tune(cfg: ExperimentConfig, out: Path, args) -> None:
+def _cmd_tune(cfg: ExperimentConfig, args, trace_csv: Path, result_json: Path) -> None:
     rows, result = run_tune(cfg)
-    _write_csv(out / "tune_trace.csv", rows)
-    _write_json(out / "tune_result.json", result)
-    print(f"wrote {out / 'tune_trace.csv'} (u_star = {_fmt(result['u_star'])})")
+    _write_csv(trace_csv, rows)
+    _write_json(result_json, result)
+    print(f"wrote {trace_csv} (u_star = {_fmt(result['u_star'])})")
 
 
-def _cmd_replay(cfg: None, out: Path, args) -> None:
-    audited = replay_audit(out, threads=args.threads, seed=args.seed)
+def _cmd_replay(cfg: None, args) -> None:
+    audited = replay_audit(args.out, threads=args.threads, seed=args.seed)
     print(f"replay audit passed: {audited} records verified")
 
 
@@ -1113,16 +1143,27 @@ _FLAGS = {
 
 _RUN_FLAGS = ("--config", "--seed", "--out")
 
-#: Each subcommand's driver, help line and flags, in the order ``--help`` lists them.
+#: Each subcommand's driver, help line, flags and output names, in the order ``--help`` lists them. The
+#: driver takes the names' paths under ``--out`` in order; a ``{sigma_idx}`` name is one file per sigma.
 _COMMANDS = {
-    "gen": (_cmd_gen, "emit the synthetic dataset splits as CSV", _RUN_FLAGS),
-    "train": (_cmd_train, "fit the classifier and dump it as JSON", _RUN_FLAGS),
-    "sweep": (_cmd_sweep, "run the full method x shift x trial experiment", (*_RUN_FLAGS, "--threads", "--logits")),
-    "tau": (_cmd_tau, "run the threshold-slack correction experiment", (*_RUN_FLAGS, "--threads")),
-    "bounds": (_cmd_bounds, "evaluate the coverage bounds into a JSON report", (*_RUN_FLAGS, "--logits")),
-    "tune": (_cmd_tune, "trace the source sweep of the entropy cutoff", _RUN_FLAGS),
-    # replay reads the audited run's own config.json, so it takes no --config.
-    "replay": (_cmd_replay, "audit an output directory by recomputing coverage/ESS", ("--seed", "--out", "--threads")),
+    "gen": (_cmd_gen, "emit the synthetic dataset splits as CSV", _RUN_FLAGS, ("dataset_sigma_{sigma_idx}.csv",)),
+    "train": (_cmd_train, "fit the classifier and dump it as JSON", _RUN_FLAGS, ("classifier.json",)),
+    "sweep": (
+        _cmd_sweep,
+        "run the full method x shift x trial experiment",
+        (*_RUN_FLAGS, "--threads", "--logits"),
+        ("records.csv", "aggregate.csv"),
+    ),
+    "tau": (
+        _cmd_tau,
+        "run the threshold-slack correction experiment",
+        (*_RUN_FLAGS, "--threads"),
+        ("tau_records.csv", "tau_diagnostics.json", "tau_aggregate.csv"),
+    ),
+    "bounds": (_cmd_bounds, "evaluate the coverage bounds into a JSON report", (*_RUN_FLAGS, "--logits"), ("bounds.json",)),
+    "tune": (_cmd_tune, "trace the source sweep of the entropy cutoff", _RUN_FLAGS, ("tune_trace.csv", "tune_result.json")),
+    # replay reads the audited run's own config.json, so it takes no --config, and it writes nothing.
+    "replay": (_cmd_replay, "audit an output directory by recomputing coverage/ESS", ("--seed", "--out", "--threads"), ()),
 }
 
 
@@ -1132,7 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conformal prediction under bounded covariate shift: experiments, bounds and audits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -1142,8 +1183,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; its outputs, and the ``config.json`` of a run that took ``--config``, go to ``--out``."""
     args = build_parser().parse_args(argv)
-    run, out = _COMMANDS[args.command][0], Path(args.out)
-    cfg = None  # replay takes no --config: --out is the run it audits, and it writes nothing there
+    (run, _, _, names), out = _COMMANDS[args.command], Path(args.out)
+    cfg, paths = None, []  # replay takes no --config: --out is the run it audits, and it writes nothing there
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
@@ -1153,7 +1194,11 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
-        run(cfg, out, args)
+            paths = [out / n.format(sigma_idx=si) for n in names for si in range(len(cfg.sigma_grid) if "{" in n else 1)]
+            for path in (*paths, out / "config.json"):  # a taken name fails the run before any fit or draw
+                if path.is_dir() or (path.exists() and not os.access(path, os.W_OK)):
+                    raise ConfigError(f"cannot write {path}: a directory, or a file this process cannot write, holds the name")
+        run(cfg, args, *paths)
         if cfg is not None:
             logits = vars(args).get("logits")
             _write_json(out / "config.json", {**cfg.resolved(), **({"logits": str(Path(logits).resolve())} if logits else {})})

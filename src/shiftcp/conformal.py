@@ -45,10 +45,6 @@ class CalibrationResult:
     n: int
     level: Fraction
 
-    @property
-    def is_full_set(self) -> bool:
-        return math.isinf(self.threshold) and self.threshold > 0
-
 
 @dataclass(frozen=True)
 class GapEstimate:
@@ -162,14 +158,6 @@ def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> flo
     if len(view) == 0:
         raise ValueError("expected set size of an empty sample is undefined")
     return np.count_nonzero(view.scores <= cal.threshold + tau) / len(view)
-
-
-def empirical_cdf(scores, t: float) -> float:
-    """Right-continuous empirical CDF ``#{s_i <= t} / n``."""
-    s = np.asarray(scores, dtype=float)
-    if s.size == 0:
-        raise ValueError("empirical CDF of an empty sample is undefined")
-    return float(np.mean(s <= t))
 
 
 def integrated_coverage_gap(cal_scores_p, test_scores_p, test_scores_q, alpha_grid=None) -> GapEstimate:

@@ -41,12 +41,11 @@ import numpy as np
 
 from .conformal import CalibrationResult, calibrate
 from .rng import RngStream
-from .scores import ScoredView, predict, scored_view
+from .scores import ScoredView, scored_view
 
 __all__ = [
     "UncertaintyGrid",
     "TuningResult",
-    "hard_pseudo_label",
     "pseudo_calibrate",
     "source_coverage_curve",
     "select_u_star",
@@ -97,11 +96,6 @@ class TuningResult:
     u_star: float
     coverage_curve: tuple[tuple[float, float], ...]
     source_threshold_at_u_star: float
-
-
-def hard_pseudo_label(model, x):
-    """Deterministic pseudo-label: the classifier's prediction."""
-    return predict(model, x)
 
 
 def _uniform_scores(view: ScoredView, rng: RngStream | None) -> np.ndarray:

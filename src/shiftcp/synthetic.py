@@ -300,10 +300,6 @@ class LogitTable:
         """Row indices of a split, shaped (m, 1) to act as feature vectors for the table map."""
         return self.rows(tag)[:, None].astype(float)
 
-    def labels_for(self, tag: str) -> np.ndarray:
-        """Labels of a split; contains :data:`MISSING_LABEL` where absent."""
-        return self.labels[self.rows(tag)]
-
 
 @dataclass(frozen=True)
 class LogitTableMap:

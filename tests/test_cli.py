@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -28,7 +29,8 @@ from shiftcp.cli import (
     _calibrate_method,
     _map,
     _policy_tau,
-    _tau_trial,
+    _sweep_arms,
+    _tau_arms,
     _tune_stream,
     _workers,
     aggregate_records,
@@ -65,6 +67,11 @@ def small_config(**overrides) -> ExperimentConfig:
 def sweep_taus(cfg: ExperimentConfig, model) -> list:
     """The per-sigma slacks :func:`run_sweep` resolves for ``cfg`` before its cells run."""
     return [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
+
+
+def sweep_arms(cfg: ExperimentConfig, taus) -> list:
+    """The per-sigma arms :func:`run_sweep` gives its cells at the slacks ``taus``."""
+    return [_sweep_arms(cfg, tau) for tau in taus]
 
 
 def crisp_config(**overrides) -> ExperimentConfig:
@@ -141,8 +148,9 @@ class TestTrialMachinery:
         cfg = small_config()
         model = train_model(cfg)
         taus = sweep_taus(cfg, model)
-        (rec,) = run_trial(replace(cfg, methods=("hard_pseudo",)), model, 1, 2, taus)
-        full = {r.method: r for r in run_trial(cfg, model, 1, 2, taus)}
+        hard_cfg = replace(cfg, methods=("hard_pseudo",))
+        (rec,) = run_trial(hard_cfg, model, 1, 2, sweep_arms(hard_cfg, taus))
+        full = {r.method: r for r in run_trial(cfg, model, 1, 2, sweep_arms(cfg, taus))}
         assert rec == full["hard_pseudo"]
 
     def test_trial_data_deterministic(self):
@@ -345,7 +353,7 @@ class TestSweepTauDesign:
                 m.setattr(cli_module, "tau_diagnostics", refuse)
                 m.setattr(cli_module, "_policy_tau", refuse)
                 for si in range(len(cfg.sigma_grid)):
-                    assert {r.tau for r in run_trial(cell_cfg, model, si, 0, taus)} == {taus[si]}
+                    assert {r.tau for r in run_trial(cell_cfg, model, si, 0, sweep_arms(cell_cfg, taus))} == {taus[si]}
                 with pytest.raises(TypeError):
                     run_trial(cell_cfg, model, 0, 0)
 
@@ -644,6 +652,9 @@ def _run_dir_holding_directory(tmp_path, name: str) -> str:
 
 _DEGENERATE_TAU_DESIGN = {"source": {"class_cov_scale": 0.05}, "tau_policy": {"kind": "tau_design"}}
 
+# At the default seed the 300 training rows hold no class 3, which the larger splits then draw.
+_TRAINING_DRAW_WITHOUT_CLASS_3 = {"n_cal": 2000, "n_test": 2000, "sigma_grid": [0.0], "source": {"priors": [0.998, 0.001, 0.001]}}
+
 # Finite translations whose certified radius overflows at sigma 0.8.
 _OVERFLOWING_SHIFT = {"per_class_translation": [[1e160, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
@@ -759,6 +770,13 @@ EXIT_CASES = {
     "methods-repeated": (lambda p: ["sweep", "--config", _tiny_config(p, methods=["source", "source"])], 2),
     "priors-one-class": (lambda p: ["sweep", "--config", _tiny_config(p, source={"priors": [1, 0, 0]})], 3),
     "class-cov-scale-overflow": (lambda p: ["sweep", "--config", _tiny_config(p, source={"class_cov_scale": 1e308})], 3),
+    **{
+        f"training-draw-without-class-3-{command}": (
+            lambda p, command=command: [command, "--config", _tiny_config(p, **_TRAINING_DRAW_WITHOUT_CLASS_3)],
+            3,
+        )
+        for command in ("train", "sweep", "tau", "bounds")
+    },
     "class-means-overflow": (
         lambda p: [
             "sweep",
@@ -770,9 +788,28 @@ EXIT_CASES = {
 }
 
 
+# A taken output name is refused before any fit or draw: in these cases the named cli function fails the test if reached.
+_REFUSED_BEFORE_RUNNING = {
+    "out-records-csv-is-a-directory": "train_model",
+    "out-bounds-json-is-a-directory": "train_model",
+    "out-dataset-csv-is-a-directory": "make_trial_data",
+}
+
+
+def _refuse_to_run(monkeypatch, case: str) -> None:
+    if case in _REFUSED_BEFORE_RUNNING:
+        name = _REFUSED_BEFORE_RUNNING[case]
+
+        def refuse(*args):
+            pytest.fail(f"{name} ran before the taken output name was refused")
+
+        monkeypatch.setattr(cli_module, name, refuse)
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-def test_exit_code_contract(tmp_path, case):
+def test_exit_code_contract(tmp_path, monkeypatch, case):
     build, expected = EXIT_CASES[case]
+    _refuse_to_run(monkeypatch, case)
     argv = build(tmp_path)
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
@@ -809,10 +846,18 @@ def test_an_unreadable_input_file_is_named_with_its_line(tmp_path, capsys, case,
         ("out-dataset-csv-is-a-directory", "config error: cannot write {p}/run/dataset_sigma_0.csv: "),
     ],
 )
-def test_an_unusable_output_path_is_named(tmp_path, capsys, case, message):
+def test_an_unusable_output_path_is_named(tmp_path, capsys, monkeypatch, case, message):
     build, expected = EXIT_CASES[case]
+    _refuse_to_run(monkeypatch, case)
     assert main(build(tmp_path)) == expected == 2
     assert message.format(p=tmp_path) in capsys.readouterr().err
+
+
+def test_a_training_draw_without_a_class_names_it(tmp_path, capsys):
+    build, expected = EXIT_CASES["training-draw-without-class-3-train"]
+    assert main(build(tmp_path) + ["--out", str(tmp_path / "run")]) == expected == 3
+    assert "its 300 rows hold no sample of class(es) [3]" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "classifier.json").exists()
 
 
 def test_replay_names_the_table_split_it_lacks(tmp_path, capsys):
@@ -1323,6 +1368,39 @@ def test_bounds_solves_assignments_without_the_scipy_optimize_and_spatial_packag
     assert _run_python(code).strip().splitlines()[-1] == "['scipy.optimize._lsap']"
 
 
+class TestOneCellCore:
+    """``sweep`` and ``tau`` cells are one core run with different arms."""
+
+    def test_tau_hard_pseudo_rows_are_the_sweeps(self, tmp_path):
+        config = _tiny_config(tmp_path, n_train=800, n_cal=150, n_test=200, trials=2)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["tau", "--config", config, "--out", str(tmp_path / "tau")]) == 0
+        columns = ("sigma", "trial", "threshold", "coverage", "ess")
+        hard = lambda name: [[row[c] for c in columns] for row in read_records_csv(tmp_path / name) if row["method"] == "hard_pseudo"]
+        assert hard("sweep/records.csv") == hard("tau/tau_records.csv") != []
+
+    def test_a_tau_cell_draws_no_source_split(self, monkeypatch):
+        cfg = tau_config(trials=1)
+        model = train_model(cfg)
+        tau_arms = [_tau_arms(tau_diagnostics(cfg, model, si)) for si in range(len(cfg.sigma_grid))]
+        arms = sweep_arms(cfg, sweep_taus(cfg, model))
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in ("generate_source", "apply_shift"):
+            monkeypatch.setattr(cli_module, name, counted(name, getattr(cli_module, name)))
+        for cell_arms, expected in ((tau_arms, {"generate_source": 2, "apply_shift": 2}), (arms, {"generate_source": 3, "apply_shift": 2})):
+            calls.clear()
+            run_trial(cfg, model, 1, 0, cell_arms)
+            assert calls == expected
+
+
 class TestOneGatherPerCell:
     """A cell gathers each labeled split's true-label scores once.
 
@@ -1349,9 +1427,9 @@ class TestOneGatherPerCell:
 
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            taus = sweep_taus(cell_cfg, model)
-            assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0, taus)) == 1
-        assert test_gathers(lambda: _tau_trial(cfg, model, diagnostics, 1, 0)) == 1
+            arms = sweep_arms(cell_cfg, sweep_taus(cell_cfg, model))
+            assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0, arms)) == 1
+        assert test_gathers(lambda: run_trial(cfg, model, 1, 0, [_tau_arms(diag) for diag in diagnostics])) == 1
 
         raw = {"n_train": 800, "n_cal": 150, "n_test": 200, "trials": 2, "sigma_grid": [0.0, 0.8]}
         (tmp_path / "config.json").write_text(json.dumps(raw))
@@ -1384,21 +1462,21 @@ class TestOneGatherPerCell:
         runs = []
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            runs.append((cell_cfg, sweep_taus(cell_cfg, model)))  # resolved before the counters go in
+            runs.append((cell_cfg, sweep_arms(cell_cfg, sweep_taus(cell_cfg, model))))  # resolved before the counters go in
         monkeypatch.setattr(cli_module, "make_trial_data", drawn)
         monkeypatch.setattr(cli_module, "scored_view", built)
         monkeypatch.setattr(ScoredView, "label_scores", counted)
-        for cell_cfg, taus in runs:
+        for cell_cfg, arms in runs:
             for si in range(len(cfg.sigma_grid)):
                 cell.clear()
                 source_gathers.clear()
-                run_trial(cell_cfg, model, si, 0, taus)
+                run_trial(cell_cfg, model, si, 0, arms)
                 assert "source" in cell and source_gathers.count(True) == 1
 
     def test_source_tuned_calibrates_by_its_own_rule_at_u_inf(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)
         model = train_model(cfg)
-        taus = sweep_taus(cfg, model)
+        arms = sweep_arms(cfg, sweep_taus(cfg, model))
         data = make_trial_data(cfg, 0, 0)
         tuning, tuned = source_tuned_calibrate(
             model, data.x_source, data.y_source, data.x_target_cal, cfg.alpha, cfg.uncertainty_grid(), _tune_stream(cfg, 0, 0)
@@ -1412,7 +1490,7 @@ class TestOneGatherPerCell:
 
         monkeypatch.setattr(cli_module, "calibrate", counted)
         monkeypatch.setattr(pseudo_module, "calibrate", counted)
-        records = {r.method: r for r in run_trial(cfg, model, 0, 0, taus)}
+        records = {r.method: r for r in run_trial(cfg, model, 0, 0, arms)}
         # source, hard_pseudo, the tuning probe at u = inf, source_tuned's own target calibration and oracle.
         assert len(calls) == 5
         rec = records["source_tuned"]

@@ -17,7 +17,6 @@ from shiftcp.conformal import (
     calibrate,
     conformal_level,
     coverage,
-    empirical_cdf,
     empirical_quantile,
     expected_set_size,
     integrated_coverage_gap,
@@ -130,7 +129,6 @@ class TestCalibrate:
     def test_single_score_full_set(self):
         res = calibrate([7.0], 0.4)
         assert res.threshold == FULL_SET
-        assert res.is_full_set
         assert res.level == 2.0
 
     def test_nine_scores(self):
@@ -146,7 +144,7 @@ class TestPredictionSet:
 
     def test_full_set_sentinel_includes_all_labels(self, identity_map):
         cal = calibrate([0.0], 0.2)
-        assert cal.is_full_set
+        assert cal.threshold == FULL_SET
         assert prediction_set(identity_map, np.array([3.0, 1.0]), cal) == {1, 2}
 
     def test_direct_score_comparison(self, identity_map):
@@ -279,7 +277,10 @@ class TestCoverageGaps:
         assert dict(integrated_coverage_gap([1.0, 1.0, 1.0, 1.0], [0.0, 1.0], [2.0, 3.0]).per_alpha)[0.2] == 1.0
 
     def test_empirical_cdf_convention(self):
-        assert empirical_cdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(2 / 3)
+        s = [1.0, 2.0, 3.0]
+        cdf = lambda t: sum(v <= t for v in s) / len(s)  # right-continuous: #{s_i <= t} / n
+        assert cdf(2.0) == pytest.approx(2 / 3)
+        assert empirical_quantile(s, cdf(2.0)) == 2.0  # the smallest order statistic whose CDF reaches the level
 
     def test_integrated_gap_zero_when_equal(self):
         s = np.linspace(-2, 2, 40)

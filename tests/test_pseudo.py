@@ -11,7 +11,6 @@ from shiftcp.conformal import calibrate, coverage
 from shiftcp.pseudo import (
     UncertaintyGrid,
     _curve_with_thresholds,
-    hard_pseudo_label,
     pseudo_calibrate,
     select_u_star,
     source_coverage_curve,
@@ -65,12 +64,12 @@ class TestUncertaintyGrid:
 
 class TestPseudoLabels:
     def test_hard_label_is_argmax(self, identity_map):
-        assert hard_pseudo_label(identity_map, np.array([3.0, 1.0])) == 1
-        assert hard_pseudo_label(identity_map, np.array([3.0, 3.0])) == 1
+        assert predict(identity_map, np.array([3.0, 1.0])) == 1
+        assert predict(identity_map, np.array([3.0, 3.0])) == 1
 
     def test_hard_label_three_classes(self):
         m = LinearLogitMap(np.eye(3), np.zeros(3))
-        assert hard_pseudo_label(m, np.array([-1.0, 0.5, -2.0])) == 2
+        assert predict(m, np.array([-1.0, 0.5, -2.0])) == 2
 
     def test_unbounded_cutoff_always_predicts(self, identity_map):
         x = np.array([0.1, 0.1])

@@ -546,7 +546,7 @@ class TestLogitTable:
         path = tmp_path / "ok.csv"
         path.write_text("split,label,logit_0,logit_1\ntarget_cal,MISSING,0.5,0.1\nsource_cal,1,0.2,0.3\n")
         table = load_logit_table(path)
-        assert table.labels_for("target_cal")[0] == 0
+        assert table.labels[table.rows("target_cal")][0] == 0
 
         bad = tmp_path / "bad.csv"
         bad.write_text("split,label,logit_0,logit_1\nsource_cal,MISSING,0.5,0.1\n")
@@ -600,5 +600,5 @@ class TestLogitTable:
         table = load_logit_table(path)
         tmap = LogitTableMap(table.logits)
         cal = pseudo_calibrate(tmap, table.features("target_cal"), 0.2)
-        cov = coverage(tmap, table.features("target_test"), table.labels_for("target_test"), cal)
+        cov = coverage(tmap, table.features("target_test"), table.labels[table.rows("target_test")], cal)
         assert 0.0 <= cov <= 1.0
