@@ -15,7 +15,8 @@ core, :func:`_evaluate_cell`, given the run's :class:`Arm` list. ``sweep``'s
 arms are its methods, ``hard_pseudo`` floored by its own cell; ``tau``'s are
 ``hard_pseudo`` and ``tau_adjusted``, both the hard rule, floored by the
 per-sigma oracle losses of :func:`tau_diagnostics`, so a ``tau`` cell draws
-no source split.
+no source split. ``replay`` checks each record against the same arms,
+slacks and floors.
 
 All outputs are machine-readable (CSV/JSON), under the names ``_COMMANDS``
 declares; :func:`main` refuses a taken name before any fit or draw and, once
@@ -43,7 +44,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -521,13 +522,6 @@ def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, 
     )
 
 
-def _cell_cor1(alpha: float, test_scores, tau) -> float:
-    """A cell's ``cor1_bound`` at slack ``tau``, from its oracle-flagged target losses on the test split."""
-    ramp_tgt = _population_loss(ramp_loss, test_scores)
-    hinge_tgt = _population_loss(hinge_loss, test_scores)
-    return relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, 0.0 if tau is None else tau)
-
-
 #: An arm floored by its own cell: ``cor1_bound`` from the test split, ``thm2_bound`` wherever the source split is drawn.
 CELL_FLOOR = "cell"
 
@@ -550,6 +544,16 @@ def _sweep_arms(cfg: ExperimentConfig, tau) -> list[Arm]:
     return [Arm(method, method, tau, CELL_FLOOR if method == "hard_pseudo" else None) for method in cfg.methods]
 
 
+def _arm_cor1(alpha: float, arm: Arm, test_scores) -> float | None:
+    """An arm's ``cor1_bound`` at its slack: from its cell's oracle-flagged test-split losses, from its own losses, or none."""
+    if arm.floor is None:
+        return None
+    losses = arm.floor
+    if arm.floor == CELL_FLOOR:
+        losses = (_population_loss(ramp_loss, test_scores), _population_loss(hinge_loss, test_scores))
+    return relaxed_coverage_lower_bound(alpha, *losses, 0.0 if arm.tau is None else arm.tau)
+
+
 def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, arms, sigma, trial: int, tune, thm2):
     """Each arm's record for one cell of scored splits (generator cell or logit table); each rule calibrates once."""
     test, calibrated, records = data.x_target_test, {}, []
@@ -557,11 +561,7 @@ def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_s
         if arm.rule not in calibrated:
             calibrated[arm.rule] = _calibrate_method(cfg, arm.rule, data, source_scores, tune)
         cal, u_star = calibrated[arm.rule]
-        bounds = (None, None)
-        if arm.floor == CELL_FLOOR:
-            bounds = (thm2, _cell_cor1(cfg.alpha, test_scores, arm.tau))
-        elif arm.floor is not None:
-            bounds = (None, relaxed_coverage_lower_bound(cfg.alpha, *arm.floor, arm.tau))
+        bounds = (thm2 if arm.floor == CELL_FLOOR else None, _arm_cor1(cfg.alpha, arm, test_scores))
         records.append(_record(test, test_scores, arm.method, sigma, trial, cal, arm.tau, u_star, *bounds))
     return records
 
@@ -905,12 +905,18 @@ def _table_splits(table: LogitTable, tags, labeled) -> list[tuple[ScoredView, np
     return splits
 
 
+def _table_tau_design(alpha: float, table: LogitTable, test: ScoredView, y_test) -> dict:
+    """A logit-table sweep's slack design, on its ``source_cal`` split and its scored test split."""
+    ((source, y_src),) = _table_splits(table, ("source_cal",), labeled=("source_cal",))
+    return _tau_design(alpha, source, source.label_scores(y_src), test.label_scores(y_test), "tau_design policy failed")
+
+
 def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
     """One-shot sweep over an ingested logit table, its only batch: ``tau_design`` designs the slack on its splits."""
     labeled = ("source_cal", "target_test", *(("target_cal",) if "oracle" in cfg.methods else ()))
     (source, y_src), (cal, y_tc), (test, y_tt) = _table_splits(table, ("source_cal", "target_cal", "target_test"), labeled)
     source_scores, test_scores = source.label_scores(y_src), test.label_scores(y_tt)
-    tau = _policy_tau(cfg, partial(_tau_design, cfg.alpha, source, source_scores, test_scores, "tau_design policy failed"))
+    tau = _policy_tau(cfg, partial(_table_tau_design, cfg.alpha, table, test, y_tt))
     data, tune = TrialData(source, y_src, cal, y_tc, test, y_tt), RngStream(cfg.seed).substream("table-tune")
     records = _evaluate_cell(cfg, data, source_scores, test_scores, _sweep_arms(cfg, tau), None, 0, tune, None)
     return records, aggregate_records(records)
@@ -975,27 +981,31 @@ def _where(name: str, method: str, sigma: str, trial: str) -> str:
     return f"{name}: {method} sigma={sigma} trial={trial}"
 
 
-def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[int, int], group) -> list[str]:
-    """Mismatch messages of one (sigma index, trial) cell's records; ``table_split`` is the logit-table split, if any."""
+def _audit_cell(cfg: ExperimentConfig, model, table_split, arms: dict, cell: tuple[int, int], group) -> list[str]:
+    """Mismatch messages of one (sigma index, trial) cell's records against the run's ``arms`` of each records file.
+
+    ``table_split`` is the logit table's scored test split and labels, if
+    any. Each row is rebuilt from its threshold text and its arm's slack and
+    floor; ``u_star`` and ``thm2_bound`` need the source and tuning draws,
+    so where the writer fills them they keep their own text.
+    """
+    si, trial = cell
     if table_split is None:
-        x_tt, y = _target_split(cfg, *cell, "target-test", cfg.n_test)
+        x_tt, y = _target_split(cfg, si, trial, "target-test", cfg.n_test)
         view = scored_view(model, x_tt)
     else:
         view, y = table_split
     test_scores = view.label_scores(y)
     mismatches = []
     for name, row in group:
-        method, sweep = row["method"], name == "records.csv"
-        where = _where(name, method, row["sigma"], row["trial"])
+        arm = next(arm for arm in arms[name][si] if arm.method == row["method"])
+        where = _where(name, arm.method, row["sigma"], row["trial"])
         try:
-            derived_tau = sweep and cfg.tau_policy_kind != "tau_design"  # none or fixed: the config sets the slack
-            tau = _policy_tau(cfg, None) if derived_tau else float(row["tau"]) if row["tau"] else None
             cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
-            # u*, thm2 and tau_records.csv's cor1 need other draws or the slack designs: where written, they keep their text.
-            u_star = row["u_star"] if sweep and method == "source_tuned" else None
-            thm2 = row["thm2_bound"] if sweep and method == "hard_pseudo" and table_split is None else None
-            cor1 = (_cell_cor1(cfg.alpha, test_scores, tau) if method == "hard_pseudo" else None) if sweep else row["cor1_bound"]
-            rec = _record(view, test_scores, method, row["sigma"], row["trial"], cal, tau, u_star, thm2, cor1)
+            u_star = row["u_star"] if arm.rule == "source_tuned" else None
+            thm2 = row["thm2_bound"] if arm.floor == CELL_FLOOR and table_split is None else None
+            cor1 = _arm_cor1(cfg.alpha, arm, test_scores)
+            rec = _record(view, test_scores, arm.method, row["sigma"], row["trial"], cal, arm.tau, u_star, thm2, cor1)
         except ValueError as exc:
             mismatches.append(f"{where}: {exc}")
             continue
@@ -1007,15 +1017,19 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, cell: tuple[int, int]
 
 
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
-    """Rebuild each record from its threshold, its run's config and its cell's regenerated test split.
+    """Rebuild each record from its threshold, its run's arms and its cell's regenerated test split.
 
-    A records file must hold one row per method of the file and cell of the
-    config's grid (the one cell of a logit-table run), named by the text the
-    writer printed; a missing, extra or repeated row is a mismatch. Each row,
-    rebuilt by :func:`_record` and formatted as written, must match byte for
-    byte; a column that needs new draws or slack designs keeps its own text.
-    Up to ``threads`` worker processes audit cells in parallel; a ``seed``
-    other than the run's recorded one is a :class:`ConfigError`.
+    The arms are the run's own: ``records.csv`` gets the sweep's methods at
+    the slack its tau policy resolves once per sigma, and ``tau_records.csv``
+    the ``tau`` run's two arms from each sigma's :func:`tau_diagnostics`; the
+    slack designs run only when a present file needs them. A records file must
+    hold one row per arm of the file and cell of the config's grid (the one
+    cell of a logit-table run, which writes no ``tau_records.csv``), named by
+    the text the writer printed; a missing, extra or repeated row is a
+    mismatch. Each row, rebuilt by :func:`_record` and formatted as written,
+    must match byte for byte (see :func:`_audit_cell`). Up to ``threads``
+    worker processes audit cells in parallel; a ``seed`` other than the run's
+    recorded one is a :class:`ConfigError`.
     Returns the number of audited rows; raises :class:`InvariantError` on any mismatch.
     """
     out = Path(out_dir)
@@ -1030,31 +1044,39 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if seed is not None and seed != cfg.seed:
         raise ConfigError(f"seed {seed} differs from the seed {cfg.seed} recorded in {config_path}")
 
-    layout = (("records.csv", cfg.methods), ("tau_records.csv", TAU_METHODS))  # each records file, its rows' methods
-    files = {name: methods for name, methods in layout if (out / name).exists()}
+    files = [name for name in ("records.csv", "tau_records.csv") if (out / name).exists()]
     if not files:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
     model = table_split = None
     if logits_path is not None:
-        (table_split,) = _table_splits(load_logit_table(logits_path), ("target_test",), labeled=("target_test",))
-        grid = {(_fmt(None), _fmt(0)): (None, 0)}
+        table = load_logit_table(logits_path)
+        (table_split,) = _table_splits(table, ("target_test",), labeled=("target_test",))
+        designs, sigmas, trials = [partial(_table_tau_design, cfg.alpha, table, *table_split)], [_fmt(None)], 1
     else:
         model = train_model(cfg)
-        grid = {(sigma, _fmt(t)): (si, t) for si, sigma in enumerate(map(_fmt, cfg.sigma_grid)) for t in range(cfg.trials)}
+        diagnostics = cache(partial(tau_diagnostics, cfg, model))  # shared by both files' arms
+        designs = [partial(diagnostics, si) for si in range(len(cfg.sigma_grid))]
+        sigmas, trials = list(map(_fmt, cfg.sigma_grid)), cfg.trials
+    arms = {}  # each present file's per-sigma arms, as its run resolved them; a design runs only where an arm needs it
+    if "records.csv" in files:
+        arms["records.csv"] = [_sweep_arms(cfg, _policy_tau(cfg, design)) for design in designs]
+    if "tau_records.csv" in files:  # tau takes no --logits, so a table run has no tau arms
+        arms["tau_records.csv"] = [[] if model is None else _tau_arms(design()) for design in designs]
+    grid = {(sigma, _fmt(t)): (si, t) for si, sigma in enumerate(sigmas) for t in range(trials)}
 
     rows = [(name, row) for name in files for row in read_records_csv(out / name)]
     counts = Counter((name, row["method"], row["sigma"], row["trial"]) for name, row in rows)
-    expected = {(name, method, *cell) for name, methods in files.items() for method in methods for cell in grid}
+    expected = {(name, arm.method, *key) for name in files for key, (si, _) in grid.items() for arm in arms[name][si]}
     mismatches = [f"{_where(*key)}: missing" for key in sorted(expected - counts.keys())]
     mismatches += [f"{_where(*key)}: not in the config's grid" for key in sorted(counts.keys() - expected)]
     mismatches += [f"{_where(*key)}: repeated {n} times" for key, n in counts.items() if n > 1]
 
     cells: dict[tuple, list[tuple[str, dict]]] = {}
     for name, row in rows:
-        if (cell := grid.get((row["sigma"], row["trial"]))) is not None:
-            cells.setdefault(cell, []).append((name, row))
-    audit = partial(_audit_cell, cfg, model, table_split)
+        if (name, row["method"], row["sigma"], row["trial"]) in expected:
+            cells.setdefault(grid[row["sigma"], row["trial"]], []).append((name, row))
+    audit = partial(_audit_cell, cfg, model, table_split, arms)
     mismatches += [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
     for msg in mismatches:
         print(f"replay mismatch: {msg}", file=sys.stderr)

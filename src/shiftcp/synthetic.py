@@ -231,8 +231,10 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
     - the loss is ``mean((zmax + log(total)) - z_true)``;
     - the weight gradient is ``grad.T @ x`` with ``grad`` a C-contiguous
       (n, K) array: a contiguous (K, n) operand changes the BLAS bits;
-    - the bias gradient sums ``grad`` down its rows strictly in sequence
-      (the last row of a cumulative sum), never pairwise.
+    - the bias gradient is ``einsum("ij->j", grad)``, the strictly sequential
+      sum of each column down its rows (the order of ``grad.sum(axis=0)``
+      and of a cumulative sum's last row), never pairwise; numpy does not
+      document ``einsum``'s order, so ``tests/test_synthetic.py`` pins it.
     """
     xa = np.asarray(x, dtype=float)
     ya = _check_labels(y, None)
@@ -257,7 +259,6 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
     z = np.empty((k, n))
     p = np.empty((k, n))
     grad = np.empty((n, k))
-    partial = np.empty((n, k))
 
     prev_loss = np.inf
     for _ in range(epochs):
@@ -274,7 +275,7 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
         p -= onehot
         np.divide(p, n, out=grad.T)
         w -= learning_rate * (grad.T @ xa)
-        b -= learning_rate * np.cumsum(grad, axis=0, out=partial)[-1]
+        b -= learning_rate * np.einsum("ij->j", grad)
     return LinearLogitMap(w, b)
 
 

@@ -14,6 +14,7 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -530,6 +531,27 @@ class TestLogitsRoute:
             assert 0.0 <= float(fields[6]) <= 1.0
         assert main(["replay", "--out", str(out)]) == 0
 
+    def test_replay_checks_the_tau_a_table_run_designed(self, tmp_path, capsys):
+        # One generator cell's splits, scored by the run's classifier: large enough for a non-degenerate design.
+        raw = {"n_train": 600, "n_cal": 1000, "n_test": 1000, "sigma_grid": [0.8], "tau_policy": {"kind": "tau_design"}}
+        cfg = ExperimentConfig.from_dict(raw)
+        data = make_trial_data(cfg, 0, 0)
+        tags = ["source_cal"] * cfg.n_cal + ["target_cal"] * cfg.n_cal + ["target_test"] * cfg.n_test
+        x = np.vstack([data.x_source, data.x_target_cal, data.x_target_test])
+        y = np.concatenate([data.y_source, data.y_target_cal_oracle, data.y_target_test])
+        write_logit_table(tmp_path / "table.csv", tags, y, train_model(cfg).logit_matrix(x))
+        out = tmp_path / "run"
+        argv = ["sweep", "--logits", str(tmp_path / "table.csv"), "--config", _tiny_config(tmp_path, **raw), "--out", str(out)]
+        assert main(argv) == 0
+        assert main(["replay", "--out", str(out)]) == 0
+        header, first, *rest = (out / "records.csv").read_text().splitlines()
+        fields = first.split(",")
+        faithful, fields[5] = fields[5], _last_digit_raised(fields[5])
+        (out / "records.csv").write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines()[0] == f"replay mismatch: records.csv: source sigma= trial=0: tau {fields[5]} -> {faithful}"
+
     def test_bounds_from_logits(self, tmp_path, table_path):
         out = tmp_path / "bounds"
         assert main(["bounds", "--logits", str(table_path), "--out", str(out)]) == 0
@@ -994,10 +1016,17 @@ def test_replay_rejects_records_that_miss_or_repeat_a_row(tmp_path, capsys, case
         assert lines[-1].startswith(f"invariant violation: {len(expected)} of ")
 
 
+def _last_digit_raised(text: str) -> str:
+    """``text`` with one added in its last written digit: 0.774153004 becomes 0.774153005."""
+    value = Decimal(text)
+    return str(value + Decimal((0, (1,), value.as_tuple().exponent)))
+
+
 # Each case: the run and its config overrides, its records file, the row
-# (method, sigma, trial) and column edited, and the text written there. Replay
-# re-derives the slack of a none or fixed policy and each sweep's cor1_bound,
-# and finds u_star and thm2_bound filled where the writer leaves them empty.
+# (method, sigma, trial) and column edited, and the text written there (or
+# the edit of the faithful text). Replay re-derives each file's slack and
+# cor1_bound from its run's per-sigma arms, the tau designs included, and
+# finds u_star and thm2_bound filled where the writer leaves them empty.
 TAMPERED_COLUMNS = {
     "hard-pseudo-cor1-raised": ("sweep", {}, "records.csv", ("hard_pseudo", "0", "0"), "cor1_bound", "0.99"),
     "cor1-on-a-source-row": ("sweep", {}, "records.csv", ("source", "0", "0"), "cor1_bound", "0.78"),
@@ -1018,6 +1047,16 @@ TAMPERED_COLUMNS = {
         "cor1_bound",
         "0.99",
     ),
+    "tau-design-tau-raised": (
+        "sweep",
+        {"tau_policy": {"kind": "tau_design"}},
+        "records.csv",
+        ("hard_pseudo", "0.8", "1"),
+        "tau",
+        _last_digit_raised,
+    ),
+    "tau-records-tau-raised": ("tau", {}, "tau_records.csv", ("tau_adjusted", "0.8", "0"), "tau", _last_digit_raised),
+    "tau-records-cor1-lowered": ("tau", {}, "tau_records.csv", ("hard_pseudo", "0", "1"), "cor1_bound", "0.5"),
     "u-star-on-a-hard-pseudo-row": ("sweep", {}, "records.csv", ("hard_pseudo", "0.8", "1"), "u_star", "inf"),
     "thm2-on-a-tau-row": ("tau", {}, "tau_records.csv", ("tau_adjusted", "0", "1"), "thm2_bound", "0.8"),
     "thm2-on-a-table-hard-pseudo-row": ("table", {}, "records.csv", ("hard_pseudo", "", "0"), "thm2_bound", "0.8"),
@@ -1035,7 +1074,8 @@ def test_replay_names_a_column_it_can_rederive(tmp_path, capsys, case):
     for i, row in enumerate(rows):
         if tuple(row.split(",")[:3]) == key:
             fields = row.split(",")
-            faithful, fields[at] = fields[at], text
+            faithful = fields[at]
+            fields[at] = text = text(faithful) if callable(text) else text
             rows[i] = ",".join(fields)
     (out / name).write_text("\n".join([header, *rows]) + "\n")
     capsys.readouterr()
@@ -1044,6 +1084,19 @@ def test_replay_names_a_column_it_can_rederive(tmp_path, capsys, case):
     assert capsys.readouterr().err.splitlines()[:-1] == [
         f"replay mismatch: {name}: {method} sigma={sigma} trial={trial}: {column} {text} -> {faithful or '(empty)'}"
     ]
+
+
+@pytest.mark.parametrize("seed", ["3", "5"])
+def test_replay_passes_a_tau_design_sweep_whose_cor1_sits_on_a_rounding_edge(tmp_path, capsys, seed):
+    # Rebuilding these cells' cor1_bound from the 9-digit tau text moves its last digit
+    # (seed 3: hard_pseudo sigma=2.4 trial=1); the run's own per-sigma design does not.
+    overrides = {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 2, "sigma_grid": [0.8, 1.6, 2.4]}
+    config = _tiny_config(tmp_path, **overrides, tau_policy={"kind": "tau_design"})
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", config, "--seed", seed, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "replay audit passed: 24 records verified\n"
 
 
 def test_rising_training_loss_names_the_learning_rate(tmp_path, capsys):

@@ -467,9 +467,20 @@ def _class_major_fit(x, y, epochs, learning_rate):
     return model.weights, model.biases
 
 
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 16, 17, 129, 300])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 4000])
+def test_einsum_column_sum_adds_rows_in_sequence(n, k):
+    # train_classifier's bias gradient relies on this order, which numpy does not document.
+    g = np.random.default_rng(1000 * k + n)
+    grad = g.choice([-1.0, 1.0], size=(n, k)) * 10.0 ** g.uniform(-9, 9, size=(n, k))
+    total = np.einsum("ij->j", grad)
+    assert np.array_equal(total, np.cumsum(grad, axis=0)[-1])
+    assert np.array_equal(total, grad.sum(axis=0))
+
+
 class TestTrainClassifierMatchesReference:
-    # K = 8 and 9 take the 8-accumulator branch of the pairwise softmax sum.
-    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9])
+    # K = 8 and 9 take the 8-accumulator branch of the pairwise softmax sum, 16 and 33 run it for more than one block.
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 9, 16, 33])
     @pytest.mark.parametrize("d", [1, 2, 5, 17])
     def test_bit_identical_weights_or_the_same_error(self, k, d):
         # lr 30 trips the loss check in most of these cases; 0.1 never does.
