@@ -414,22 +414,26 @@ def _shifted_sample(cfg: ExperimentConfig, sigma: float, n: int, base: RngStream
     return apply_shift(xb, yb, cfg._grid_shifts[sigma], shift), yb, xb
 
 
-def _target_split(cfg: ExperimentConfig, sigma_idx: int, trial: int, name: str, n: int):
-    """Shifted target split ``name`` of a cell and its labels, drawn from the cell's own substreams."""
-    cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
-    sigma = cfg.sigma_grid[sigma_idx]
-    x, y, _ = _shifted_sample(cfg, sigma, n, cell.substream(f"{name}-base"), cell.substream(f"{name}-shift"))
+def _cell_stream(cfg: ExperimentConfig, sigma_idx: int, trial: int) -> RngStream:
+    """The stream of one (sigma, trial) cell, whose substreams draw each of its splits."""
+    return RngStream(cfg.seed).substream("trial", sigma_idx, trial)
+
+
+def _target_split(cfg: ExperimentConfig, cell: RngStream, sigma_idx: int, name: str, n: int):
+    """Shifted target split ``name`` of a cell and its labels, drawn from the cell stream's own substreams."""
+    base, shift = cell.substream(f"{name}-base"), cell.substream(f"{name}-shift")
+    x, y, _ = _shifted_sample(cfg, cfg.sigma_grid[sigma_idx], n, base, shift)
     return x, y
 
 
 def make_trial_data(cfg: ExperimentConfig, sigma_idx: int, trial: int, source: bool = True) -> TrialData:
     """Regenerate the splits of one (sigma, trial) cell from its derived streams; the source split only with ``source``."""
-    cell = RngStream(cfg.seed).substream("trial", sigma_idx, trial)
+    cell = _cell_stream(cfg, sigma_idx, trial)
     x_src = y_src = None
     if source:
         x_src, y_src = generate_source(cfg.source_spec, cfg.n_cal, cell.substream("source-cal"))
-    x_tc, y_tc = _target_split(cfg, sigma_idx, trial, "target-cal", cfg.n_cal)
-    x_tt, y_tt = _target_split(cfg, sigma_idx, trial, "target-test", cfg.n_test)
+    x_tc, y_tc = _target_split(cfg, cell, sigma_idx, "target-cal", cfg.n_cal)
+    x_tt, y_tt = _target_split(cfg, cell, sigma_idx, "target-test", cfg.n_test)
     return TrialData(x_src, y_src, x_tc, y_tc, x_tt, y_tt)
 
 
@@ -442,20 +446,18 @@ def _train(cfg: ExperimentConfig):
 
     A failed fit is a data error, and a rising training loss a config error:
     the learning rate is too large for the data. An overflowing draw or fit
-    raises no numpy warning: its non-finite weights fail the model's own
-    check instead.
+    raises no numpy warning: the fit refuses non-finite features, and the
+    model's own check refuses non-finite weights.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x, y = generate_source(cfg.source_spec, cfg.n_train, RngStream(cfg.seed).substream("train-data"))
-            model = train_classifier(x, y, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
+            k = cfg.source_spec.n_classes
+            model = train_classifier(x, y, k, epochs=cfg.epochs, learning_rate=cfg.learning_rate)
     except ValueError as exc:
         raise DataError(f"cannot train the classifier: {exc}") from exc
     except InvariantError as exc:
         raise ConfigError(f"train.learning_rate {cfg.learning_rate!r} is too large for the training data: {exc}") from exc
-    if model.n_classes < cfg.source_spec.n_classes:  # the fit takes K from the largest label it saw
-        missing = list(range(model.n_classes + 1, cfg.source_spec.n_classes + 1))
-        raise DataError(f"cannot train the classifier: its {cfg.n_train} rows hold no sample of class(es) {missing}")
     return model, x, y
 
 
@@ -991,7 +993,7 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, arms: dict, cell: tup
     """
     si, trial = cell
     if table_split is None:
-        x_tt, y = _target_split(cfg, si, trial, "target-test", cfg.n_test)
+        x_tt, y = _target_split(cfg, _cell_stream(cfg, si, trial), si, "target-test", cfg.n_test)
         view = scored_view(model, x_tt)
     else:
         view, y = table_split
@@ -1091,7 +1093,8 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
 
 def _cmd_gen(cfg: ExperimentConfig, args, *paths: Path) -> None:
     for si, path in enumerate(paths):
-        data = make_trial_data(cfg, si, 0)
+        with np.errstate(over="ignore"):  # an overflowing draw fails its shift, without a numpy warning
+            data = make_trial_data(cfg, si, 0)
         x_st, y_st = generate_source(cfg.source_spec, cfg.n_test, RngStream(cfg.seed).substream("gen-source-test", si))
         xs = (data.x_source, x_st, data.x_target_cal, data.x_target_test)  # one split per tag of SPLIT_TAGS
         ys = (data.y_source, y_st, data.y_target_cal_oracle, data.y_target_test)

@@ -134,7 +134,7 @@ def _pairwise_class_sum(p: np.ndarray) -> np.ndarray:
         half = k // 2 - (k // 2) % 8
         return _pairwise_class_sum(p[:half]) + _pairwise_class_sum(p[half:])
     if k < 8:
-        total, rest = p[0].copy(), p[1:]
+        total, rest = (p[0] + p[1], p[2:]) if k > 1 else (p[0].copy(), p[1:])
     else:
         acc = p[:8].copy()
         for i in range(8, k - k % 8, 8):
@@ -160,11 +160,21 @@ class ScoredView:
     Every pass runs on the (K, n) transpose of the logits, copied only when
     they are not class-major already, and ``scores`` is the transpose of a
     (K, n) array. The bits equal the row-major definitions (kept as a test
-    oracle) through these orders: ``top1`` and ``top2`` are ``max(axis=0)``
-    down (K, n) arrays; the argmax takes K - 1 passes in which a class wins a
-    row only by beating every earlier one (ties to the first, as ``np.argmax``);
-    each score is ``-(own - competitor)``, keeping the sign of a zero; and the
-    entropy sums each row in numpy's pairwise order (:func:`_pairwise_class_sum`).
+    oracle) through these orders:
+
+    - one pass over the classes keeps a running ``lead = maximum(lead,
+      row)``, the chain that ``max(axis=0)`` runs down a (K, n) array, so
+      ``lead`` is ``top1``, the sign of a tied zero included; a class wins a
+      row only by beating ``lead`` (ties to the first, as ``np.argmax``), and
+      as classes come in order the argmax is the last class to win;
+    - ``top2`` is ``max(axis=0)`` of the logits with each row's argmax entry
+      set to ``-inf``;
+    - each score is ``-(own - competitor)``, keeping the sign of a zero: the
+      argmax label's is ``-(own - top2)``, with ``own`` its logit (equal to
+      ``lead`` but for the sign of a zero), and every other label's competitor
+      is ``lead``; the hard scores are the argmax labels' scores before they
+      are scattered into the score matrix;
+    - the entropy sums each row in numpy's pairwise order (:func:`_pairwise_class_sum`).
     """
 
     logits: np.ndarray = field(repr=False)
@@ -182,15 +192,20 @@ class ScoredView:
         k, n = cols.shape
         best, lead = np.zeros(n, dtype=np.intp), cols[0]
         for c in range(1, k):
-            np.copyto(best, c, where=cols[c] > lead)
+            np.maximum(best, (cols[c] > lead) * c, out=best)
             lead = np.maximum(lead, cols[c])
-        # The best competitor of a label is the row maximum, or the runner-up
-        # for the argmax label itself.
-        is_best = np.arange(k)[:, None] == best
-        top1 = cols.max(axis=0)
-        top2 = np.where(is_best, -np.inf, cols).max(axis=0)
-        scores = -(cols - np.where(is_best, top2, top1))
-        hard_scores = scores.take(best * n + np.arange(n))
+        at_best = best * n  # flat (K, n) index of each row's argmax entry
+        at_best += np.arange(n)
+        scores = cols.copy()
+        flat = scores.reshape(-1)
+        flat[at_best] = -np.inf
+        top2 = scores.max(axis=0)
+        hard_scores = cols.take(at_best)
+        hard_scores -= top2
+        np.subtract(cols, lead, out=scores)
+        flat[at_best] = hard_scores
+        np.negative(scores, out=scores)
+        np.negative(hard_scores, out=hard_scores)
         derived = {"logits": rows, "scores": scores.T, "hard": best + 1, "hard_scores": hard_scores}
         for name, arr in derived.items():
             arr.flags.writeable = False

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,14 +130,17 @@ class ShiftSpec:
 def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` labeled source points: labels from the priors, features Gaussian.
 
-    Labels search one ``random(n)`` block in the priors' CDF (``Generator.choice``'s path);
-    features are one ``standard_normal((n, d))`` block, scaled and moved in place.
+    Labels come from one ``random(n)`` block, as ``Generator.choice`` draws them:
+    a label counts the inner edges of the priors' normalised CDF at or below its
+    uniform. That count is ``choice``'s right-sided ``searchsorted``, since the CDF
+    never decreases and its last edge, exactly 1, lies above every uniform.
+    Features are one ``standard_normal((n, d))`` block, scaled and moved in place.
     """
     if n < 0:
         raise ValueError("sample size must be nonnegative")
     g = rng.generator()
     cdf = spec.priors.cumsum()
-    idx = (cdf / cdf[-1]).searchsorted(g.random(n), side="right")
+    idx = (g.random(n) >= (cdf[:-1] / cdf[-1])[:, None]).sum(axis=0, dtype=np.intp)
     x = g.standard_normal((n, spec.dim))
     x *= spec.class_cov_scale
     x += spec.class_means.take(idx, axis=0)
@@ -149,7 +153,13 @@ def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarra
 def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np.random.Generator) -> np.ndarray:
     """``scale`` times one ``standard_normal((n, d))`` block, its rows outside ``radius`` projected or redrawn.
 
-    Each resample round draws one ``(m, d)`` block for the ``m`` rows still outside, in row order.
+    Each resample round draws one ``(m, d)`` block for the ``m`` rows still
+    outside, in row order, so the draws, their order and the generator's end
+    state are those of the row-wise loop kept as a test oracle. A block is
+    scaled in place and scattered whole through a one-element-per-row view of
+    the noise; its rows then stay outside exactly when their square sums
+    exceed :func:`_square_cutoff` of the radius, the decisions of
+    ``_row_norms(block) > radius`` without the root.
     """
     if scale == 0.0 or radius == 0.0 or d == 0:
         # radius 0 clips the noise entirely, and d = 0 has none; no rejection loop.
@@ -160,27 +170,49 @@ def _clipped_noise(n: int, d: int, scale: float, radius: float, mode: str, g: np
     log_chance = d * (math.log(radius) - math.log(scale) - math.log(2.0) / 2) - math.lgamma(d / 2 + 1)
     if mode == "resample" and n and log_chance + math.log(_MAX_REJECTION_ROUNDS) < math.log(1e-6):
         raise ConfigError(_rejection_failure(radius, scale))
-    eps = scale * g.standard_normal((n, d))
+    eps = g.standard_normal((n, d))
+    eps *= scale
     if mode == "project":
         norms = _row_norms(eps)[:, None]
         if not np.isfinite(norms).all():
             raise ConfigError(f"shift.noise_scale {scale:.4g} at this shift strength overflows the noise norms")
-        factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-        return eps * factor
+        eps *= np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+        return eps
+    cutoff = _square_cutoff(radius)
     # An accepted row never changes, so each round checks only the block it drew.
-    bad = np.flatnonzero(_row_norms(eps) > radius)
+    bad = np.flatnonzero(_pairwise_class_sum((eps * eps).T) > cutoff)
+    rows = eps.view(np.dtype((np.void, eps.itemsize * d))).reshape(n)
     for _ in range(_MAX_REJECTION_ROUNDS):
         if bad.size == 0:
             return eps
-        block = scale * g.standard_normal((bad.size, d))
-        eps[bad] = block
-        bad = bad[_row_norms(block) > radius]
+        block = g.standard_normal((bad.size, d))
+        block *= scale
+        rows[bad] = block.view(rows.dtype).reshape(bad.size)
+        block *= block
+        bad = bad.compress(_pairwise_class_sum(block.T) > cutoff)
     raise ConfigError(_rejection_failure(radius, scale))
 
 
 def _row_norms(e: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(e, axis=1)`` bit for bit: its per-row pairwise sum of squares, run down columns."""
     return np.sqrt(_pairwise_class_sum((e * e).T))
+
+
+def _square_cutoff(radius: float) -> float:
+    """The largest float whose root is at most ``radius``.
+
+    A correctly rounded root never decreases, so for any square sum ``s``,
+    ``inf`` included, ``sqrt(s) > radius`` exactly when ``s > _square_cutoff(radius)``.
+    """
+    radius = float(radius)
+    if radius == math.inf:
+        return radius
+    cut = radius * radius  # within an ulp or two of the cutoff; inf if it overflows
+    while math.sqrt(cut) > radius:
+        cut = math.nextafter(cut, 0.0)
+    while math.sqrt(math.nextafter(cut, math.inf)) <= radius:
+        cut = math.nextafter(cut, math.inf)
+    return cut
 
 
 def _rejection_failure(radius: float, scale: float) -> str:
@@ -194,6 +226,8 @@ def _rejection_failure(radius: float, scale: float) -> str:
 def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     """Shift features by the class translation plus clipped noise; labels are unchanged.
 
+    Non-finite features are a :class:`DataError` (a ``ValueError``), raised before any draw.
+
     Returns the shifted features aligned row-by-row with ``x``, so the
     positional pairing realizes an explicit coupling for sup-displacement
     checks.
@@ -205,6 +239,8 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     ya = _check_labels(np.atleast_1d(y), shift.per_class_translation.shape[0])
     if xa.shape[1] != shift.per_class_translation.shape[1]:
         raise ValueError("feature dimension does not match the shift specification")
+    if not np.isfinite(xa).all():
+        raise DataError("features to shift must be finite")
     g = rng.generator()
     eps = _clipped_noise(xa.shape[0], xa.shape[1], shift.noise_scale, shift.clip_radius, shift.clip_mode, g)
     out = xa + shift.per_class_translation.take(ya - 1, axis=0)
@@ -212,12 +248,15 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     return out[0] if single else out
 
 
-def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:
-    """Multinomial logistic regression by full-batch gradient descent.
+def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:
+    """Multinomial logistic regression over classes ``1..n_classes`` by full-batch gradient descent.
 
-    Zero-initialized, so the fit is deterministic. The cross-entropy loss must
-    be non-increasing across epochs and an :class:`InvariantError` is raised
-    if it is not (a sign the learning rate is too large for the data scale).
+    The features must be finite and the labels must hold every class, so the
+    model has ``n_classes`` rows whatever the sample; both are checked before
+    the first epoch. Zero-initialized, so the fit is deterministic. The
+    cross-entropy loss must be non-increasing across epochs and an
+    :class:`InvariantError` is raised if it is not (a sign the learning rate
+    is too large for the data scale).
 
     Each epoch works on class-major (K, n) arrays allocated once, so its
     passes run along the long axis. The weights are bit-identical to the
@@ -236,19 +275,20 @@ def train_classifier(x, y, epochs: int = 200, learning_rate: float = 0.1) -> Lin
       and of a cumulative sum's last row), never pairwise; numpy does not
       document ``einsum``'s order, so ``tests/test_synthetic.py`` pins it.
     """
+    k = operator.index(n_classes)
+    if k < 2:
+        raise ValueError(f"a classifier needs at least two classes, got n_classes {k}")
     xa = np.asarray(x, dtype=float)
-    ya = _check_labels(y, None)
+    ya = _check_labels(y, k)
     if xa.ndim != 2 or xa.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, d) array")
+    if not np.isfinite(xa).all():
+        raise ValueError("training features must be finite")
     if epochs < 1 or learning_rate <= 0:
         raise ValueError("need epochs >= 1 and a positive learning rate")
-    k = int(ya.max()) if ya.size else 0
-    if k < 2:
-        raise ValueError("training data must contain at least two classes")
-    present = np.unique(ya)
-    missing = sorted(set(range(1, k + 1)) - set(int(v) for v in present))
+    missing = sorted(set(range(1, k + 1)) - set(np.unique(ya).tolist()))
     if missing:
-        raise ValueError(f"no training samples for class(es) {missing}")
+        raise ValueError(f"its {xa.shape[0]} rows hold no sample of class(es) {missing}")
 
     n, d = xa.shape
     w = np.zeros((k, d))

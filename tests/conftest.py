@@ -35,7 +35,7 @@ def inward_shift() -> ShiftSpec:
 @pytest.fixture(scope="session")
 def trained_model(three_class_source) -> LinearLogitMap:
     x, y = generate_source(three_class_source, 1500, RngStream(11).substream("fit"))
-    return train_classifier(x, y)
+    return train_classifier(x, y, 3)
 
 
 @pytest.fixture()

@@ -17,6 +17,7 @@ import pytest
 
 from shiftcp.cli import (
     ExperimentConfig,
+    _cell_stream,
     _target_split,
     main,
     make_trial_data,
@@ -136,9 +137,10 @@ def test_c04_randomization_monotonicity(default_cfg, default_model):
         shift = default_cfg.shift_spec.scaled(sigma)
         cell = RngStream(default_cfg.seed).substream("acceptance-mono", t)
         xb, yb = generate_source(default_cfg.source_spec, n_cal, cell.substream("cal-base"))
-        x_cal = apply_shift(xb, yb, shift, cell.substream("cal-shift"))
         xt, yt = generate_source(default_cfg.source_spec, n_test, cell.substream("test-base"))
-        x_test = apply_shift(xt, yt, shift, cell.substream("test-shift"))
+        # Each split is scored once for its 34 calibrations or coverages.
+        x_cal = scored_view(default_model, apply_shift(xb, yb, shift, cell.substream("cal-shift")))
+        x_test = scored_view(default_model, apply_shift(xt, yt, shift, cell.substream("test-shift")))
 
         hard = pseudo_calibrate(default_model, x_cal, default_cfg.alpha)
         hard_cov = coverage(default_model, x_test, yt, hard)
@@ -184,8 +186,9 @@ def test_c06_relaxed_coverage_bound(default_cfg, default_model):
         bounds = {tau: [] for tau in taus}
         for t in range(default_cfg.trials):
             # The two target splits of the cell, from its own streams; its source split is not used.
-            x_cal, _ = _target_split(default_cfg, si, t, "target-cal", default_cfg.n_cal)
-            x_test, y_test = _target_split(default_cfg, si, t, "target-test", default_cfg.n_test)
+            cell = _cell_stream(default_cfg, si, t)
+            x_cal, _ = _target_split(default_cfg, cell, si, "target-cal", default_cfg.n_cal)
+            x_test, y_test = _target_split(default_cfg, cell, si, "target-test", default_cfg.n_test)
             cal = pseudo_calibrate(default_model, x_cal, default_cfg.alpha)
             test = scored_view(default_model, x_test)  # scored once for all seven uses
             ramp_tgt = population_ramp_loss(default_model, test, y_test)

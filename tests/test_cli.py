@@ -792,6 +792,8 @@ EXIT_CASES = {
     "methods-repeated": (lambda p: ["sweep", "--config", _tiny_config(p, methods=["source", "source"])], 2),
     "priors-one-class": (lambda p: ["sweep", "--config", _tiny_config(p, source={"priors": [1, 0, 0]})], 3),
     "class-cov-scale-overflow": (lambda p: ["sweep", "--config", _tiny_config(p, source={"class_cov_scale": 1e308})], 3),
+    # gen fits nothing: its shift refuses the overflowing draws, which it used to write out as inf.
+    "class-cov-scale-overflow-gen": (lambda p: ["gen", "--config", _tiny_config(p, source={"class_cov_scale": 1e308})], 3),
     **{
         f"training-draw-without-class-3-{command}": (
             lambda p, command=command: [command, "--config", _tiny_config(p, **_TRAINING_DRAW_WITHOUT_CLASS_3)],
@@ -912,6 +914,14 @@ SEED_DIGESTS = {
         "records.csv": "3c39255a6155ba7f3a461020eaf7fee53912c63abc41fc015945cf970806181c",
         "aggregate.csv": "b48d19cdb1708733fbbb908bcd34a9808e4e64b594694de42bb896817527e424",
     },
+    "sweep_project": {
+        "records.csv": "86d1dd980c000c12fcdd92d21edb6810eb497261d21c2620a1dcf8cd5893a613",
+        "aggregate.csv": "bf5fabc65b15c6a983f8d4ca156c26edc8c967a5f96ca754374c50b5ee10844c",
+    },
+    "sweep_k5": {
+        "records.csv": "2de266a00fee50284f07637fe6f2b05f44afb4b9cdc7f9cf367cf9c5a95c6f52",
+        "aggregate.csv": "fcc65954c2628e2d69d97587a6e8846f8333ff57f7d1964ce764cc33ef47b3ce",
+    },
     "train": {
         "classifier.json": "38c5a5e9663d1bdfb7f2b2296162f2e501cc064657ae7c100025f5570ad0f340",
     },
@@ -923,11 +933,23 @@ SEED_DIGESTS = {
 # exceeds the assignment limit, so its subsampled solves are pinned too.
 # sweep_overlap widens the source classes until tuning engages: 4 of its 6
 # source_tuned cells pick a finite cutoff, where the default config picks
-# u = inf everywhere. train_default is the default config (4000 rows, 150
-# epochs): the fit every benchmark workload runs.
+# u = inf everywhere. sweep_project projects the noise onto the ball instead
+# of redrawing it, and sweep_k5 draws five classes under unequal priors, so
+# the label search and the view run past three classes. train_default is the
+# default config (4000 rows, 150 epochs): the fit every benchmark workload runs.
+_TINY = {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}
 DIGEST_CONFIGS = {
     "bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]},
-    "sweep_overlap": {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1, "source": {"class_cov_scale": 1.0}},
+    "sweep_overlap": {**_TINY, "source": {"class_cov_scale": 1.0}},
+    "sweep_project": {**_TINY, "shift": {"clip_mode": "project"}},
+    "sweep_k5": {
+        **_TINY,
+        "source": {
+            "class_means": [[2.0, 0.0], [0.6, 1.9], [-1.6, 1.2], [-1.6, -1.2], [0.6, -1.9]],
+            "priors": [0.1, 0.3, 0.05, 0.3, 0.25],
+        },
+        "shift": {"per_class_translation": [[-0.6, 0.0], [-0.2, -0.57], [0.48, -0.36], [0.48, 0.36], [-0.2, 0.57]]},
+    },
     "train_default": {},
 }
 
@@ -936,7 +958,7 @@ DIGEST_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(SEED_DIGESTS))
 def test_outputs_match_recorded_digests(tmp_path, case):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(case, {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1})))
+    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(case, _TINY)))
     out = tmp_path / "run"
     command = case.partition("_")[0]
     assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0

@@ -408,7 +408,7 @@ class TestNonFiniteLabels:
         calls = [
             lambda: ScoredView(x).label_scores(labels),
             lambda: score(identity_map, x, labels),
-            lambda: train_classifier(x, labels),
+            lambda: train_classifier(x, labels, 2),
             lambda: apply_shift(x, labels, ShiftSpec(np.zeros((2, 2)), 0.1, 0.2), RngStream(1)),
         ]
         with warnings.catch_warnings():

@@ -18,6 +18,7 @@ from shiftcp.synthetic import (
     _pairwise_class_sum,
     _rejection_failure,
     _row_norms,
+    _square_cutoff,
     apply_shift,
     generate_source,
     load_logit_table,
@@ -151,6 +152,19 @@ class TestApplyShift:
         with pytest.raises(ValueError):
             apply_shift(np.zeros((1, 2)), np.array([3]), shift, RngStream(12))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_refused_before_any_draw(self, bad, monkeypatch):
+        # A NaN feature used to come back shifted as NaN.
+        def no_draws(self):
+            raise AssertionError("drew noise for non-finite features")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        shift = ShiftSpec(np.array([[0.1, 0.0], [0.0, 0.1]]), 0.1, 0.15)
+        with pytest.raises(ValueError, match="features to shift must be finite"):
+            apply_shift(np.array([[bad, 0.0], [1.0, 2.0]]), np.array([1, 2]), shift, RngStream(1))
+        with pytest.raises(ValueError, match="features to shift must be finite"):
+            apply_shift(np.array([0.0, bad]), 2, shift, RngStream(1))
+
     def test_infeasible_clip_radius_is_refused_before_any_draw(self):
         class NoDraws:
             def standard_normal(self, size):
@@ -219,6 +233,17 @@ def _noise_outcome(fn, n, d, mode, seed):
     return out, g.bit_generator.state
 
 
+class _SizedDraws:
+    """A stream's generator that logs the size of each ``standard_normal`` draw."""
+
+    def __init__(self, seed):
+        self.g, self.sizes = RngStream(seed).generator(), []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.g.standard_normal(size)
+
+
 class TestClippedNoiseMatchesReference:
     @pytest.mark.parametrize("mode", ["resample", "project"])
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 130])
@@ -231,6 +256,31 @@ class TestClippedNoiseMatchesReference:
                 assert got == want
             else:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 20250809])
+    def test_default_shape_split_draws_every_round_alike(self, seed):
+        # A 5000-row target split at the default radius / scale: 10 to 12 rounds deep at these seeds.
+        outcomes = []
+        for fn in (_reference_clipped_noise, _clipped_noise):
+            g = _SizedDraws(seed)
+            outcomes.append((fn(5000, 2, 0.12, 0.15, "resample", g), g.sizes, g.g.bit_generator.state))
+        (got, got_sizes, got_state), (want, want_sizes, want_state) = outcomes[1], outcomes[0]
+        assert got_sizes == want_sizes and len(want_sizes) >= 10
+        assert got_state == want_state
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # Subnormal, underflowing and overflowing squares, and the default radius at sigma 0.8.
+    @pytest.mark.parametrize("radius", [5e-324, 1e-200, 1.5e-154, 0.15, 0.15 * 0.8, 1.0, 1.4e154, 1e300, np.finfo(float).max])
+    def test_square_cutoff_is_where_the_root_passes_the_radius(self, radius):
+        cut = _square_cutoff(radius)
+        assert math.sqrt(cut) <= radius < math.sqrt(math.nextafter(cut, math.inf))
+        # The same decisions as the root on square sums around the cutoff, inf included.
+        sums = np.array([0.0, cut, math.inf, *(cut * (1 + k * 2.0**-52) for k in range(-8, 9))])
+        assert np.array_equal(sums > cut, np.sqrt(sums) > radius)
+
+    def test_square_cutoff_of_an_infinite_radius_passes_everything(self):
+        assert _square_cutoff(math.inf) == math.inf
+        assert not (np.array([0.0, 1e308, math.inf]) > _square_cutoff(math.inf)).any()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 17, 130, 300])
     def test_row_norms_match_numpy(self, d):
@@ -366,52 +416,77 @@ class TestDrawsMatchReference:
 class TestTrainClassifier:
     def test_separable_two_class_accuracy(self):
         x, y = generate_source(two_class_spec(scale=0.6), 800, RngStream(13))
-        model = train_classifier(x, y)
+        model = train_classifier(x, y, 2)
         assert np.mean(predict(model, x) == y) >= 0.95
 
     def test_random_labels_give_chance_accuracy(self):
         g = RngStream(14)
         x = g.substream("x").generator().normal(size=(3000, 2))
         y = g.substream("y").generator().integers(1, 3, size=3000)
-        model = train_classifier(x, y)
+        model = train_classifier(x, y, 2)
         assert np.mean(predict(model, x) == y) == pytest.approx(0.5, abs=0.05)
 
     def test_single_point_per_class(self):
         x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
         y = np.array([1, 2, 3])
-        model = train_classifier(x, y)
+        model = train_classifier(x, y, 3)
         assert np.mean(predict(model, x) == y) == 1.0
 
     def test_missing_class_rejected(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match="class"):
-            train_classifier(x, np.array([1, 1, 3, 3]))
+            train_classifier(x, np.array([1, 1, 3, 3]), 3)
+
+    def test_labels_without_the_top_class_are_refused(self):
+        # The fit used to take K from the largest label and return a 2-class model.
+        x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(ValueError, match=r"its 3 rows hold no sample of class\(es\) \[3\]"):
+            train_classifier(x, [1, 2, 2], 3)
+        assert train_classifier(x, [1, 2, 2], 2).n_classes == 2
+
+    @pytest.mark.parametrize(
+        ("n_classes", "error"), [(0, ValueError), (1, ValueError), (True, ValueError), (2.0, TypeError), (None, TypeError)]
+    )
+    def test_class_count_must_be_an_integer_of_at_least_two(self, n_classes, error):
+        with pytest.raises(error):
+            train_classifier(np.zeros((2, 2)), [1, 1], n_classes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_are_refused_before_the_first_epoch(self, bad, monkeypatch):
+        # NaN features used to run every epoch and then fail the model's weight check.
+        def no_epochs(*args, **kwargs):
+            raise AssertionError("ran an epoch on non-finite features")
+
+        monkeypatch.setattr(np, "matmul", no_epochs)
+        x = np.array([[10.0, 0.0], [-10.0, bad], [0.0, 10.0]])
+        with pytest.raises(ValueError, match="training features must be finite"):
+            train_classifier(x, [1, 2, 3], 3)
 
     def test_label_zero_rejected(self):
         # Label 0 used to wrap onto the last class of a 2-class fit.
         x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
         with pytest.raises(ValueError, match="labels must lie in 1"):
-            train_classifier(x, [0, 1, 2])
+            train_classifier(x, [0, 1, 2], 2)
 
     def test_fractional_float_labels_rejected(self):
         # A float label array used to fail with numpy's IndexError.
         x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
         with pytest.raises(ValueError, match="labels must be integers"):
-            train_classifier(x, np.array([1.0, 2.5, 3.0]))
+            train_classifier(x, np.array([1.0, 2.5, 3.0]), 3)
 
     def test_integral_float_labels_fit_like_integers(self):
         x, y = generate_source(two_class_spec(), 300, RngStream(15))
-        m_int = train_classifier(x, y, epochs=20)
+        m_int = train_classifier(x, y, 2, epochs=20)
         # Narrow integer labels too: their flat indices must not wrap or overflow.
         for dtype in (float, np.uint8, np.int16):
-            m_other = train_classifier(x, y.astype(dtype), epochs=20)
+            m_other = train_classifier(x, y.astype(dtype), 2, epochs=20)
             np.testing.assert_array_equal(m_int.weights, m_other.weights)
             np.testing.assert_array_equal(m_int.biases, m_other.biases)
 
     def test_deterministic_fit(self):
         x, y = generate_source(two_class_spec(), 200, RngStream(15))
-        m1 = train_classifier(x, y, epochs=50)
-        m2 = train_classifier(x, y, epochs=50)
+        m1 = train_classifier(x, y, 2, epochs=50)
+        m2 = train_classifier(x, y, 2, epochs=50)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.biases, m2.biases)
 
@@ -463,7 +538,7 @@ def _fit_outcome(fit, x, y, epochs, learning_rate):
 
 
 def _class_major_fit(x, y, epochs, learning_rate):
-    model = train_classifier(x, y, epochs=epochs, learning_rate=learning_rate)
+    model = train_classifier(x, y, int(np.max(y)), epochs=epochs, learning_rate=learning_rate)
     return model.weights, model.biases
 
 
@@ -498,7 +573,7 @@ class TestTrainClassifierMatchesReference:
     def test_default_shape_bit_identical(self, three_class_source):
         x, y = generate_source(three_class_source, 4000, RngStream(16))
         want = _reference_fit(x, y, 150, 0.1)
-        model = train_classifier(x, y, epochs=150, learning_rate=0.1)
+        model = train_classifier(x, y, 3, epochs=150, learning_rate=0.1)
         assert np.array_equal(model.weights, want[0]) and np.array_equal(model.biases, want[1])
 
     def test_loss_increase_raises_the_same_message(self):
@@ -506,7 +581,7 @@ class TestTrainClassifierMatchesReference:
         with pytest.raises(InvariantError, match="training loss increased") as want:
             _reference_fit(x, y, 60, 30.0)
         with pytest.raises(InvariantError) as got:
-            train_classifier(x, y, epochs=60, learning_rate=30.0)
+            train_classifier(x, y, 3, epochs=60, learning_rate=30.0)
         assert str(got.value) == str(want.value)
 
     def test_overflowing_fit_ends_in_non_finite_weights_without_warnings(self):
@@ -520,7 +595,7 @@ class TestTrainClassifierMatchesReference:
             warnings.simplefilter("always")
             w, b = _reference_fit(x, y, 150, 0.1)
             with pytest.raises(ValueError, match="finite"):
-                train_classifier(x, y, epochs=150, learning_rate=0.1)
+                train_classifier(x, y, 3, epochs=150, learning_rate=0.1)
         assert not (np.isfinite(w).all() and np.isfinite(b).all())
         assert [str(c.message) for c in caught if issubclass(c.category, RuntimeWarning)] == []
 
