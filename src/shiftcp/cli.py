@@ -478,33 +478,46 @@ def _calibrate_method(cfg: ExperimentConfig, rule: str, data: TrialData, source_
     return calibrate(data.x_target_cal.label_scores(data.y_target_cal_oracle), cfg.alpha), None  # oracle
 
 
-def _tau_design(alpha: float, source: ScoredView, source_scores, target_scores, where: str) -> dict:
-    """The slack rule's measured ingredients and the slack it designs.
+def _losses(true_scores) -> tuple[float, float]:
+    """The (ramp, hinge) population losses of a split's true-label scores."""
+    return _population_loss(ramp_loss, true_scores), _population_loss(hinge_loss, true_scores)
 
-    The target hinge loss (of the target's true-label scores) is an oracle
-    input. A degenerate rule is a :class:`DataError` whose message starts with ``where``.
+
+def _slack_rule(alpha: float, source: ScoredView, source_scores, target_scores: list) -> list[dict]:
+    """The slack rule's measured ingredients against each target split, and the slack it designs.
+
+    Each entry holds both splits' (ramp, hinge) losses, the source
+    undercoverage gap (absent where the source is too small to measure it)
+    and ``tau``: :func:`tau_correction`'s slack, or the ``ValueError`` of a
+    degenerate rule. The source side is measured once; the target losses
+    (of its true-label scores) are oracle inputs.
     """
-    design = {
-        "hinge_source": _population_loss(hinge_loss, source_scores),
-        "hinge_target_oracle": _population_loss(hinge_loss, target_scores),
-    }
+    side = dict(zip(("ramp_source", "hinge_source"), _losses(source_scores)))
     try:
-        design["undercoverage_gap"] = _undercoverage_gap(source, source_scores, alpha)
-        design["tau"] = tau_correction(design["hinge_source"], design["hinge_target_oracle"], design["undercoverage_gap"])
+        side["undercoverage_gap"] = _undercoverage_gap(source, source_scores, alpha)
     except ValueError as exc:
-        measured = ", ".join(f"{name}={value:.4g}" for name, value in design.items())
-        raise DataError(
-            f"{where}: {exc} ({measured}); "
-            "a larger calibration sample or a larger alpha stabilizes the undercoverage estimate"
-        ) from exc
-    return design
+        side["tau"] = exc
+    rules = []
+    for scores in target_scores:
+        rule = {**side, **dict(zip(("ramp_target_oracle", "hinge_target_oracle"), _losses(scores)))}
+        if "tau" not in rule:
+            try:
+                rule["tau"] = tau_correction(rule["hinge_source"], rule["hinge_target_oracle"], rule["undercoverage_gap"])
+            except ValueError as exc:
+                rule["tau"] = exc
+        rules.append(rule)
+    return rules
 
 
-def _policy_tau(cfg: ExperimentConfig, design) -> float | None:
-    """Slack the tau policy adds to prediction sets: none, the fixed value, or ``design()["tau"]`` under ``tau_design``."""
-    if cfg.tau_policy_kind == "none":
-        return None
-    return cfg.tau_policy_value if cfg.tau_policy_kind == "fixed" else design()["tau"]
+def _design(alpha: float, source: ScoredView, source_scores, target_scores, where: str) -> dict:
+    """:func:`_slack_rule` against one target; a degenerate rule is a :class:`DataError` whose message starts with ``where``."""
+    (rule,) = _slack_rule(alpha, source, source_scores, [target_scores])
+    if isinstance(rule["tau"], ValueError):
+        names = ("hinge_source", "hinge_target_oracle", "undercoverage_gap")
+        measured = ", ".join(f"{name}={rule[name]:.4g}" for name in names if name in rule)
+        hint = "a larger calibration sample or a larger alpha stabilizes the undercoverage estimate"
+        raise DataError(f"{where}: {rule['tau']} ({measured}); {hint}") from rule["tau"]
+    return rule
 
 
 def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
@@ -541,8 +554,13 @@ class Arm:
     floor: tuple[float, float] | str | None
 
 
-def _sweep_arms(cfg: ExperimentConfig, tau) -> list[Arm]:
-    """A sweep's arms at slack ``tau``: each configured method by its own rule, ``hard_pseudo`` floored by its cell."""
+def _sweep_arms(cfg: ExperimentConfig, design) -> list[Arm]:
+    """A sweep's arms: each configured method by its own rule, ``hard_pseudo`` floored by its cell.
+
+    Their slack is the tau policy's: none, the fixed value, or ``design()["tau"]`` under ``tau_design``.
+    """
+    kind = cfg.tau_policy_kind
+    tau = None if kind == "none" else cfg.tau_policy_value if kind == "fixed" else design()["tau"]
     return [Arm(method, method, tau, CELL_FLOOR if method == "hard_pseudo" else None) for method in cfg.methods]
 
 
@@ -550,9 +568,7 @@ def _arm_cor1(alpha: float, arm: Arm, test_scores) -> float | None:
     """An arm's ``cor1_bound`` at its slack: from its cell's oracle-flagged test-split losses, from its own losses, or none."""
     if arm.floor is None:
         return None
-    losses = arm.floor
-    if arm.floor == CELL_FLOOR:
-        losses = (_population_loss(ramp_loss, test_scores), _population_loss(hinge_loss, test_scores))
+    losses = _losses(test_scores) if arm.floor == CELL_FLOOR else arm.floor
     return relaxed_coverage_lower_bound(alpha, *losses, 0.0 if arm.tau is None else arm.tau)
 
 
@@ -578,7 +594,7 @@ def run_trial(cfg: ExperimentConfig, model, sigma_idx: int, trial: int, arms) ->
     if with_source:
         data = replace(data, x_source=scored_view(model, raw.x_source))
         source_scores = data.x_source.label_scores(data.y_source)
-        ramp_src = _population_loss(ramp_loss, source_scores)
+        ramp_src, _ = _losses(source_scores)
         thm2 = pseudo_coverage_lower_bound(cfg.alpha, ramp_src, lipschitz_bound(model), cfg.rho_mix_certified(sigma))
     test_scores = data.x_target_test.label_scores(data.y_target_test)
     tune = _tune_stream(cfg, sigma_idx, trial)
@@ -677,8 +693,8 @@ def _parallel_trials(cfg: ExperimentConfig, model, arms, threads: int) -> list[T
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
     """Full method x sigma x trial grid plus per-(method, sigma) aggregates."""
     model = train_model(cfg)
-    taus = [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
-    records = _parallel_trials(cfg, model, [_sweep_arms(cfg, tau) for tau in taus], threads)
+    arms = [_sweep_arms(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
+    records = _parallel_trials(cfg, model, arms, threads)
     return records, aggregate_records(records)
 
 
@@ -735,8 +751,8 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     x_tgt, y_tgt, _ = _shifted_sample(cfg, sigma, n_tgt, diag.substream("target-base"), diag.substream("target-shift"))
     target_scores = scored_view(model, x_tgt).label_scores(y_tgt)
     source = scored_view(model, x_src)
-    design = _tau_design(cfg.alpha, source, source.label_scores(y_src), target_scores, f"sigma={sigma}")
-    return {"sigma": sigma, "ramp_target_oracle": _population_loss(ramp_loss, target_scores), **design}
+    design = _design(cfg.alpha, source, source.label_scores(y_src), target_scores, f"sigma={sigma}")
+    return {"sigma": sigma, **{k: v for k, v in design.items() if k != "ramp_source"}}
 
 
 def _tau_arms(diag: dict) -> list[Arm]:
@@ -760,50 +776,34 @@ def run_tau_experiment(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[Tr
 # Bounds report
 
 
-def _source_measures(alpha: float, cal: ScoredView, y_cal, source: ScoredView, y_src) -> dict:
-    """Source-side quantities shared by every entry of a bounds report."""
-    src_scores = source.label_scores(y_src)
+def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source, target_scores: list, per_sigma: list) -> dict:
+    """A bounds report: each ``per_sigma`` entry completed by its target split's measured fields.
+
+    ``cal`` and ``source`` are the source splits' scored views and labels. ``tau_rule`` is the slack ``tau``
+    would design from the entry's splits, null where the rule is degenerate; the target losses are oracle
+    inputs. Without a certified ``w1_score_bound``, the coverage gap is bounded at the measured score W1.
+    """
+    (view, y_src), (cal_view, y_cal) = source, cal
+    src_scores, cal_scores = view.label_scores(y_src), cal_view.label_scores(y_cal)
     try:
         sup_density = sup_density_estimate(src_scores)
     except ValueError as exc:
         raise DataError(f"source_test scores: {exc}") from exc
-    return {
-        "cal_scores": cal.label_scores(y_cal),
-        "src_scores": src_scores,
-        "sup_density": sup_density,
-        "ramp_source": _population_loss(ramp_loss, src_scores),
-        "hinge_source": _population_loss(hinge_loss, src_scores),
-        "undercoverage_gap": _undercoverage_gap(source, src_scores, alpha),
-    }
-
-
-def _measured_entry(alpha: float, tau_grid, src: dict, target: ScoredView, y_tgt) -> dict:
-    """Measured fields of one bounds-report entry; the target losses are oracle inputs."""
-    tgt_scores = target.label_scores(y_tgt)
-    ramp_tgt = _population_loss(ramp_loss, tgt_scores)
-    hinge_tgt = _population_loss(hinge_loss, tgt_scores)
-    try:
-        tau_rule = tau_correction(src["hinge_source"], hinge_tgt, src["undercoverage_gap"])
-    except ValueError:
-        tau_rule = None
-    return {
-        "ramp_source": src["ramp_source"],
-        "hinge_source": src["hinge_source"],
-        "ramp_target_oracle": ramp_tgt,
-        "hinge_target_oracle": hinge_tgt,
-        "w1_scores_measured": w1_1d(src["src_scores"], tgt_scores),
-        "coverage_gap_measured": integrated_coverage_gap(src["cal_scores"], src["src_scores"], tgt_scores).integrated,
-        "relaxed_coverage_lower": [[t, relaxed_coverage_lower_bound(alpha, ramp_tgt, hinge_tgt, t)] for t in tau_grid],
-        "undercoverage_gap": src["undercoverage_gap"],
-        "tau_rule": tau_rule,
-    }
-
-
-def _bounds_report(alpha: float, lipschitz: float | None, src: dict, per_sigma: list[dict]) -> dict:
+    for entry, rule, scores in zip(per_sigma, _slack_rule(alpha, view, src_scores, target_scores), target_scores):
+        tau, losses, w1 = rule.pop("tau"), (rule["ramp_target_oracle"], rule["hinge_target_oracle"]), w1_1d(src_scores, scores)
+        certified_w1 = entry["w1_score_bound"]
+        entry.update(
+            rule,
+            tau_rule=None if isinstance(tau, ValueError) else tau,
+            w1_scores_measured=w1,
+            coverage_gap_measured=integrated_coverage_gap(cal_scores, src_scores, scores).integrated,
+            coverage_gap_bound=coverage_gap_bound(sup_density, w1 if certified_w1 is None else certified_w1),
+            relaxed_coverage_lower=[[t, relaxed_coverage_lower_bound(alpha, *losses, t)] for t in tau_grid],
+        )
     return {
         "alpha": alpha,
         "lipschitz": lipschitz,
-        "sup_density_source": src["sup_density"],
+        "sup_density_source": sup_density,
         "oracle_inputs": ["ramp_target_oracle", "hinge_target_oracle"],
         "per_sigma": per_sigma,
     }
@@ -817,52 +817,44 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
     x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
-    src = _source_measures(cfg.alpha, scored_view(model, x_cal), y_cal, scored_view(model, x_src), y_src)
 
-    per_sigma = []
+    per_sigma, target_scores = [], []
     for si, sigma in enumerate(cfg.sigma_grid):
         stream = root.substream("target", si)
         x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
+        target_scores.append(scored_view(model, x_tgt).label_scores(yb))
 
         rho_certified = cfg._grid_shifts[sigma].rho_true
-        rho_mix_cert = cfg.rho_mix_certified(sigma)
-        w1_bound = score_shift_w1_bound(lip, rho_certified)
         class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
         per_class_w1 = rho_mix_measured = None
         if all(rows.size >= 2 for rows in class_rows):
             per_class_w1 = [w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows]
             rho_mix_measured = rho_mix(cfg.source_spec.priors, per_class_w1)
-
-        entry = _measured_entry(cfg.alpha, cfg.tau_grid, src, scored_view(model, x_tgt), yb)
-        entry.update(
+        per_sigma.append(
             {
                 "sigma": sigma,
                 "rho_certified": rho_certified,
-                "rho_mix_certified": rho_mix_cert,
+                "rho_mix_certified": cfg.rho_mix_certified(sigma),
                 "per_class_w1_paired": per_class_w1,
                 "rho_mix_measured": rho_mix_measured,
-                "w1_score_bound": w1_bound,
-                "coverage_gap_bound": coverage_gap_bound(src["sup_density"], w1_bound),
-                "pseudo_coverage_lower": pseudo_coverage_lower_bound(cfg.alpha, src["ramp_source"], lip, rho_mix_cert),
+                "w1_score_bound": score_shift_w1_bound(lip, rho_certified),
             }
         )
-        per_sigma.append(entry)
-    return _bounds_report(cfg.alpha, lip, src, per_sigma)
+    cal, source = (scored_view(model, x_cal), y_cal), (scored_view(model, x_src), y_src)
+    report = _bounds_report(cfg.alpha, cfg.tau_grid, lip, cal, source, target_scores, per_sigma)
+    for entry in per_sigma:  # the certified floor, at the measured source ramp loss
+        ramp, rho = entry["ramp_source"], entry["rho_mix_certified"]
+        entry["pseudo_coverage_lower"] = pseudo_coverage_lower_bound(cfg.alpha, ramp, lip, rho)
+    return report
 
 
 def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> dict:
     """Bounds computable from ingested logits alone; shift-certificate terms are null."""
     tags = ("source_cal", "source_test", "target_test")
-    cal, source, target = _table_splits(table, tags, labeled=tags)
-    src = _source_measures(alpha, *cal, *source)
-    entry = _measured_entry(alpha, tau_grid, src, *target)
-    entry.update(
-        dict.fromkeys(("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured")),
-        w1_score_bound=None,
-        coverage_gap_bound=coverage_gap_bound(src["sup_density"], entry["w1_scores_measured"]),
-        pseudo_coverage_lower=None,
-    )
-    return _bounds_report(alpha, None, src, [entry])
+    cal, source, (target, y_tgt) = _table_splits(table, tags, labeled=tags)
+    certified = ("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured", "w1_score_bound")
+    entry = dict.fromkeys((*certified, "pseudo_coverage_lower"))
+    return _bounds_report(alpha, tau_grid, None, cal, source, [target.label_scores(y_tgt)], [entry])
 
 
 # ---------------------------------------------------------------------------
@@ -907,20 +899,27 @@ def _table_splits(table: LogitTable, tags, labeled) -> list[tuple[ScoredView, np
     return splits
 
 
-def _table_tau_design(alpha: float, table: LogitTable, test: ScoredView, y_test) -> dict:
-    """A logit-table sweep's slack design, on its ``source_cal`` split and its scored test split."""
-    ((source, y_src),) = _table_splits(table, ("source_cal",), labeled=("source_cal",))
-    return _tau_design(alpha, source, source.label_scores(y_src), test.label_scores(y_test), "tau_design policy failed")
+def _table_cell(table: LogitTable, cfg: ExperimentConfig):
+    """A logit-table run's one cell: its scored splits as :class:`TrialData`, their true-label scores and its arms.
 
-
-def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
-    """One-shot sweep over an ingested logit table, its only batch: ``tau_design`` designs the slack on its splits."""
+    ``tau_design`` designs the slack on the source_cal and target_test splits. The default cutoff grid spans
+    [0, ln K] for the config's K, so ``source_tuned`` on a table of another class count needs ``u_grid``.
+    """
+    k, k_cfg = table.n_classes, cfg.source_spec.n_classes
+    if cfg.u_grid is None and "source_tuned" in cfg.methods and k != k_cfg:
+        raise ConfigError(f"the table has {k} classes, the config {k_cfg}: its default u_grid ends at ln {k_cfg}; set u_grid")
     labeled = ("source_cal", "target_test", *(("target_cal",) if "oracle" in cfg.methods else ()))
     (source, y_src), (cal, y_tc), (test, y_tt) = _table_splits(table, ("source_cal", "target_cal", "target_test"), labeled)
     source_scores, test_scores = source.label_scores(y_src), test.label_scores(y_tt)
-    tau = _policy_tau(cfg, partial(_table_tau_design, cfg.alpha, table, test, y_tt))
-    data, tune = TrialData(source, y_src, cal, y_tc, test, y_tt), RngStream(cfg.seed).substream("table-tune")
-    records = _evaluate_cell(cfg, data, source_scores, test_scores, _sweep_arms(cfg, tau), None, 0, tune, None)
+    arms = _sweep_arms(cfg, partial(_design, cfg.alpha, source, source_scores, test_scores, "tau_design policy failed"))
+    return TrialData(source, y_src, cal, y_tc, test, y_tt), source_scores, test_scores, arms
+
+
+def run_sweep_from_table(table: LogitTable, cfg: ExperimentConfig) -> tuple[list[TrialRecord], list[dict]]:
+    """One-shot sweep over an ingested logit table, its only batch (:func:`_table_cell`)."""
+    data, source_scores, test_scores, arms = _table_cell(table, cfg)
+    tune = RngStream(cfg.seed).substream("table-tune")
+    records = _evaluate_cell(cfg, data, source_scores, test_scores, arms, None, 0, tune, None)
     return records, aggregate_records(records)
 
 
@@ -1051,20 +1050,19 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
     model = table_split = None
-    if logits_path is not None:
-        table = load_logit_table(logits_path)
-        (table_split,) = _table_splits(table, ("target_test",), labeled=("target_test",))
-        designs, sigmas, trials = [partial(_table_tau_design, cfg.alpha, table, *table_split)], [_fmt(None)], 1
-    else:
+    if logits_path is not None:  # the arms of the one cell the run built; tau takes no --logits, so it has no tau arms
+        data, _, _, table_arms = _table_cell(load_logit_table(logits_path), cfg)
+        table_split, sigmas, trials = (data.x_target_test, data.y_target_test), [_fmt(None)], 1
+        arms = {"records.csv": [table_arms], "tau_records.csv": [[]]}
+    else:  # each present file's per-sigma arms, as its run resolved them; a design runs only where an arm needs it
         model = train_model(cfg)
         diagnostics = cache(partial(tau_diagnostics, cfg, model))  # shared by both files' arms
-        designs = [partial(diagnostics, si) for si in range(len(cfg.sigma_grid))]
         sigmas, trials = list(map(_fmt, cfg.sigma_grid)), cfg.trials
-    arms = {}  # each present file's per-sigma arms, as its run resolved them; a design runs only where an arm needs it
-    if "records.csv" in files:
-        arms["records.csv"] = [_sweep_arms(cfg, _policy_tau(cfg, design)) for design in designs]
-    if "tau_records.csv" in files:  # tau takes no --logits, so a table run has no tau arms
-        arms["tau_records.csv"] = [[] if model is None else _tau_arms(design()) for design in designs]
+        arms = {}
+        if "records.csv" in files:
+            arms["records.csv"] = [_sweep_arms(cfg, partial(diagnostics, si)) for si in range(len(sigmas))]
+        if "tau_records.csv" in files:
+            arms["tau_records.csv"] = [_tau_arms(diagnostics(si)) for si in range(len(sigmas))]
     grid = {(sigma, _fmt(t)): (si, t) for si, sigma in enumerate(sigmas) for t in range(trials)}
 
     rows = [(name, row) for name in files for row in read_records_csv(out / name)]
@@ -1192,6 +1190,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built once per process: main's every call parses with the same tree
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftcp",

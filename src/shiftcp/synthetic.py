@@ -226,7 +226,10 @@ def _rejection_failure(radius: float, scale: float) -> str:
 def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     """Shift features by the class translation plus clipped noise; labels are unchanged.
 
-    Non-finite features are a :class:`DataError` (a ``ValueError``), raised before any draw.
+    ``x`` is one point ``(d,)`` with a scalar label or a batch ``(n, d)`` with
+    ``n`` labels; any other shape or label count is a ``ValueError``, and
+    non-finite features a :class:`DataError` (a ``ValueError``), each raised
+    before any draw.
 
     Returns the shifted features aligned row-by-row with ``x``, so the
     positional pairing realizes an explicit coupling for sup-displacement
@@ -236,7 +239,11 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
     single = xa.ndim == 1
     if single:
         xa = xa[None, :]
+    if xa.ndim != 2:
+        raise ValueError(f"features must be one point (d,) or a batch (n, d), got shape {xa.shape}")
     ya = _check_labels(np.atleast_1d(y), shift.per_class_translation.shape[0])
+    if ya.shape != xa.shape[:1]:
+        raise ValueError(f"{ya.size} labels for {xa.shape[0]} feature rows; each row needs its own label")
     if xa.shape[1] != shift.per_class_translation.shape[1]:
         raise ValueError("feature dimension does not match the shift specification")
     if not np.isfinite(xa).all():
@@ -251,12 +258,12 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
 def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: float = 0.1) -> LinearLogitMap:
     """Multinomial logistic regression over classes ``1..n_classes`` by full-batch gradient descent.
 
-    The features must be finite and the labels must hold every class, so the
-    model has ``n_classes`` rows whatever the sample; both are checked before
-    the first epoch. Zero-initialized, so the fit is deterministic. The
-    cross-entropy loss must be non-increasing across epochs and an
-    :class:`InvariantError` is raised if it is not (a sign the learning rate
-    is too large for the data scale).
+    The features must be finite, with one label per row, and the labels must
+    hold every class, so the model has ``n_classes`` rows whatever the
+    sample; all are checked before the first epoch. Zero-initialized, so the
+    fit is deterministic. The cross-entropy loss must be non-increasing
+    across epochs and an :class:`InvariantError` is raised if it is not (a
+    sign the learning rate is too large for the data scale).
 
     Each epoch works on class-major (K, n) arrays allocated once, so its
     passes run along the long axis. The weights are bit-identical to the
@@ -282,6 +289,8 @@ def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: flo
     ya = _check_labels(y, k)
     if xa.ndim != 2 or xa.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, d) array")
+    if ya.shape != xa.shape[:1]:
+        raise ValueError(f"{ya.size} labels for {xa.shape[0]} training rows; each row needs its own label")
     if not np.isfinite(xa).all():
         raise ValueError("training features must be finite")
     if epochs < 1 or learning_rate <= 0:

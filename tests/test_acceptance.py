@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from shiftcp.cli import (
     ExperimentConfig,
     _cell_stream,
+    _map,
     _target_split,
     main,
     make_trial_data,
@@ -176,26 +178,32 @@ def test_c05_pseudo_coverage_bound(default_cfg, default_sweep):
     assert ok
 
 
+def _c06_cell(cfg, model, taus, si: int, t: int):
+    """One default cell's hard-pseudo coverage and relaxed hinge bound at each tau, from its two target splits."""
+    cell = _cell_stream(cfg, si, t)  # its source split is not used
+    x_cal, _ = _target_split(cfg, cell, si, "target-cal", cfg.n_cal)
+    x_test, y_test = _target_split(cfg, cell, si, "target-test", cfg.n_test)
+    cal = pseudo_calibrate(model, x_cal, cfg.alpha)
+    test = scored_view(model, x_test)  # scored once for all seven uses
+    ramp_tgt = population_ramp_loss(model, test, y_test)
+    hinge_tgt = population_hinge_loss(model, test, y_test)
+    covs = [coverage(model, test, y_test, cal, tau) for tau in taus]
+    return covs, [relaxed_coverage_lower_bound(cfg.alpha, ramp_tgt, hinge_tgt, tau) for tau in taus]
+
+
 def test_c06_relaxed_coverage_bound(default_cfg, default_model):
     """Tau-relaxed coverage dominates the hinge bound for tau in {0, .5, 1, 2, 4}."""
     taus = (0.0, 0.5, 1.0, 2.0, 4.0)
+    trials = default_cfg.trials
+    cells = [(si, t) for si in range(len(default_cfg.sigma_grid)) for t in range(trials)]
+    # Fanned out to 4 worker processes like the default sweep; the results come back in cell order.
+    results = _map(partial(_c06_cell, default_cfg, default_model, taus), cells, 4)
     ok = True
     details = []
     for si, sigma in enumerate(default_cfg.sigma_grid):
-        covs = {tau: [] for tau in taus}
-        bounds = {tau: [] for tau in taus}
-        for t in range(default_cfg.trials):
-            # The two target splits of the cell, from its own streams; its source split is not used.
-            cell = _cell_stream(default_cfg, si, t)
-            x_cal, _ = _target_split(default_cfg, cell, si, "target-cal", default_cfg.n_cal)
-            x_test, y_test = _target_split(default_cfg, cell, si, "target-test", default_cfg.n_test)
-            cal = pseudo_calibrate(default_model, x_cal, default_cfg.alpha)
-            test = scored_view(default_model, x_test)  # scored once for all seven uses
-            ramp_tgt = population_ramp_loss(default_model, test, y_test)
-            hinge_tgt = population_hinge_loss(default_model, test, y_test)
-            for tau in taus:
-                covs[tau].append(coverage(default_model, test, y_test, cal, tau))
-                bounds[tau].append(relaxed_coverage_lower_bound(default_cfg.alpha, ramp_tgt, hinge_tgt, tau))
+        rows = results[si * trials : (si + 1) * trials]
+        covs = {tau: [c[j] for c, _ in rows] for j, tau in enumerate(taus)}
+        bounds = {tau: [b[j] for _, b in rows] for j, tau in enumerate(taus)}
         bound_means = []
         for tau in taus:
             c = np.asarray(covs[tau])

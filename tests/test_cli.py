@@ -29,7 +29,6 @@ from shiftcp.cli import (
     TrialData,
     _calibrate_method,
     _map,
-    _policy_tau,
     _sweep_arms,
     _tau_arms,
     _tune_stream,
@@ -49,6 +48,7 @@ from shiftcp.exceptions import ConfigError, DataError
 from shiftcp.pseudo import source_tuned_calibrate
 from shiftcp.rng import RngStream
 from shiftcp.scores import ScoredView, scored_view
+from shiftcp.shift_bounds import tau_correction
 
 from oracles import write_logit_table
 
@@ -65,14 +65,9 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
-def sweep_taus(cfg: ExperimentConfig, model) -> list:
-    """The per-sigma slacks :func:`run_sweep` resolves for ``cfg`` before its cells run."""
-    return [_policy_tau(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
-
-
-def sweep_arms(cfg: ExperimentConfig, taus) -> list:
-    """The per-sigma arms :func:`run_sweep` gives its cells at the slacks ``taus``."""
-    return [_sweep_arms(cfg, tau) for tau in taus]
+def sweep_arms(cfg: ExperimentConfig, model) -> list:
+    """The per-sigma arms :func:`run_sweep` resolves for ``cfg`` before its cells run."""
+    return [_sweep_arms(cfg, partial(tau_diagnostics, cfg, model, si)) for si in range(len(cfg.sigma_grid))]
 
 
 def crisp_config(**overrides) -> ExperimentConfig:
@@ -148,10 +143,9 @@ class TestTrialMachinery:
     def test_single_method_matches_run_trial(self):
         cfg = small_config()
         model = train_model(cfg)
-        taus = sweep_taus(cfg, model)
         hard_cfg = replace(cfg, methods=("hard_pseudo",))
-        (rec,) = run_trial(hard_cfg, model, 1, 2, sweep_arms(hard_cfg, taus))
-        full = {r.method: r for r in run_trial(cfg, model, 1, 2, sweep_arms(cfg, taus))}
+        (rec,) = run_trial(hard_cfg, model, 1, 2, sweep_arms(hard_cfg, model))
+        full = {r.method: r for r in run_trial(cfg, model, 1, 2, sweep_arms(cfg, model))}
         assert rec == full["hard_pseudo"]
 
     def test_trial_data_deterministic(self):
@@ -321,7 +315,8 @@ class TestSweepTauDesign:
         ("policy", "designs"), [({"kind": "none"}, 0), ({"kind": "fixed", "value": 0.5}, 0), ({"kind": "tau_design"}, 2)]
     )
     def test_the_parent_designs_each_sigmas_slack_once(self, tmp_path, monkeypatch, threads, policy, designs):
-        # A design run in a worker process would not reach this counter.
+        # A design run in a worker process would not reach this counter. Replay designs lazily too: the
+        # benchmark's replay audits a none sweep, where an eager design would draw six 8192-row batches.
         calls = []
         design = cli_module.tau_diagnostics
 
@@ -332,6 +327,9 @@ class TestSweepTauDesign:
         monkeypatch.setattr(cli_module, "tau_diagnostics", counted)
         config = _tiny_config(tmp_path, trials=3, tau_policy=policy)
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "run"), "--threads", threads]) == 0
+        assert calls == list(range(designs))
+        calls.clear()
+        assert main(["replay", "--out", str(tmp_path / "run"), "--threads", threads]) == 0
         assert calls == list(range(designs))
 
     def test_replay_passes(self, tmp_path):
@@ -349,12 +347,12 @@ class TestSweepTauDesign:
 
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            taus = sweep_taus(cell_cfg, model)
+            arms = sweep_arms(cell_cfg, model)
             with monkeypatch.context() as m:
                 m.setattr(cli_module, "tau_diagnostics", refuse)
-                m.setattr(cli_module, "_policy_tau", refuse)
+                m.setattr(cli_module, "_sweep_arms", refuse)
                 for si in range(len(cfg.sigma_grid)):
-                    assert {r.tau for r in run_trial(cell_cfg, model, si, 0, sweep_arms(cell_cfg, taus))} == {taus[si]}
+                    assert {r.tau for r in run_trial(cell_cfg, model, si, 0, arms)} == {arms[si][0].tau}
                 with pytest.raises(TypeError):
                     run_trial(cell_cfg, model, 0, 0)
 
@@ -463,6 +461,16 @@ class TestCommandLine:
             # Measured per-class transport stays below the analytic certificate.
             assert row["rho_mix_measured"] <= row["rho_mix_certified"] + 1e-9
 
+    @pytest.mark.parametrize(("n_test", "designed"), [(80, False), (400, True)])
+    def test_bounds_tau_rule_is_the_slack_rule_of_its_entry(self, tmp_path, n_test, designed):
+        # At 80 source_test rows the source hinge loss falls below the undercoverage gap: no slack, so null.
+        cfg_path = self._write_config(tmp_path, sigma_grid=[0.0, 2.4], n_test=n_test)
+        assert main(["bounds", "--config", str(cfg_path), "--out", str(tmp_path / "bounds")]) == 0
+        for row in json.loads((tmp_path / "bounds" / "bounds.json").read_text())["per_sigma"]:
+            ingredients = (row["hinge_source"], row["hinge_target_oracle"], row["undercoverage_gap"])
+            assert row["tau_rule"] == (tau_correction(*ingredients) if designed else None)
+            assert (row["hinge_source"] > row["undercoverage_gap"]) is designed
+
     def test_tune_subcommand(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "tune"
@@ -551,6 +559,19 @@ class TestLogitsRoute:
         capsys.readouterr()
         assert main(["replay", "--out", str(out)]) == 4
         assert capsys.readouterr().err.splitlines()[0] == f"replay mismatch: records.csv: source sigma= trial=0: tau {fields[5]} -> {faithful}"
+
+    def test_the_default_cutoff_grid_needs_the_tables_class_count(self, tmp_path, capsys):
+        # The 3-class config's default grid stopped at ln 3, so a 4-class table's cutoffs up to ln 4 went untried.
+        rng = np.random.default_rng(7)
+        tags = ["source_cal"] * 40 + ["target_cal"] * 40 + ["target_test"] * 40
+        table = tmp_path / "four.csv"
+        write_logit_table(table, tags, np.tile([1, 2, 3, 4], 30), rng.normal(size=(120, 4)))
+        argv = ["sweep", "--logits", str(table), "--out"]
+        assert main([*argv, str(tmp_path / "default")]) == 2
+        err = capsys.readouterr().err
+        assert "the table has 4 classes, the config 3: its default u_grid ends at ln 3; set u_grid" in err
+        assert main([*argv, str(tmp_path / "grid"), "--config", _tiny_config(tmp_path, u_grid=[0.0, 0.7, 1.4])]) == 0
+        assert main([*argv, str(tmp_path / "untuned"), "--config", _tiny_config(tmp_path, methods=["source", "oracle"])]) == 0
 
     def test_bounds_from_logits(self, tmp_path, table_path):
         out = tmp_path / "bounds"
@@ -828,6 +849,13 @@ def _refuse_to_run(monkeypatch, case: str) -> None:
             pytest.fail(f"{name} ran before the taken output name was refused")
 
         monkeypatch.setattr(cli_module, name, refuse)
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    cli_module.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["replay", "--out", str(tmp_path / "no-run")]) == 2
+    assert cli_module.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
@@ -1458,7 +1486,7 @@ class TestOneCellCore:
         cfg = tau_config(trials=1)
         model = train_model(cfg)
         tau_arms = [_tau_arms(tau_diagnostics(cfg, model, si)) for si in range(len(cfg.sigma_grid))]
-        arms = sweep_arms(cfg, sweep_taus(cfg, model))
+        arms = sweep_arms(cfg, model)
         calls = Counter()
 
         def counted(name, fn):
@@ -1502,7 +1530,7 @@ class TestOneGatherPerCell:
 
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            arms = sweep_arms(cell_cfg, sweep_taus(cell_cfg, model))
+            arms = sweep_arms(cell_cfg, model)
             assert test_gathers(lambda: run_trial(cell_cfg, model, 1, 0, arms)) == 1
         assert test_gathers(lambda: run_trial(cfg, model, 1, 0, [_tau_arms(diag) for diag in diagnostics])) == 1
 
@@ -1537,7 +1565,7 @@ class TestOneGatherPerCell:
         runs = []
         for policy in ({"kind": "none"}, {"kind": "fixed", "value": 0.5}, {"kind": "tau_design"}):
             cell_cfg = replace(cfg, tau_policy_kind=policy["kind"], tau_policy_value=policy.get("value", 0.0))
-            runs.append((cell_cfg, sweep_arms(cell_cfg, sweep_taus(cell_cfg, model))))  # resolved before the counters go in
+            runs.append((cell_cfg, sweep_arms(cell_cfg, model)))  # resolved before the counters go in
         monkeypatch.setattr(cli_module, "make_trial_data", drawn)
         monkeypatch.setattr(cli_module, "scored_view", built)
         monkeypatch.setattr(ScoredView, "label_scores", counted)
@@ -1551,7 +1579,7 @@ class TestOneGatherPerCell:
     def test_source_tuned_calibrates_by_its_own_rule_at_u_inf(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(DEFAULT_CONFIG)
         model = train_model(cfg)
-        arms = sweep_arms(cfg, sweep_taus(cfg, model))
+        arms = sweep_arms(cfg, model)
         data = make_trial_data(cfg, 0, 0)
         tuning, tuned = source_tuned_calibrate(
             model, data.x_source, data.y_source, data.x_target_cal, cfg.alpha, cfg.uncertainty_grid(), _tune_stream(cfg, 0, 0)

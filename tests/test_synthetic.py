@@ -165,6 +165,27 @@ class TestApplyShift:
         with pytest.raises(ValueError, match="features to shift must be finite"):
             apply_shift(np.array([0.0, bad]), 2, shift, RngStream(1))
 
+    @pytest.mark.parametrize(("rows", "labels"), [(3, [2]), (1, [1, 2, 2]), (2, [[1, 2]])])
+    def test_one_label_per_row_is_checked_before_any_draw(self, rows, labels, monkeypatch):
+        # One label used to be broadcast over three rows, and one row over three labels.
+        def no_draws(self):
+            raise AssertionError("drew noise for mismatched labels")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        shift = ShiftSpec(np.eye(2), 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"{np.size(labels)} labels for {rows} feature rows"):
+            apply_shift(np.zeros((rows, 2)), labels, shift, RngStream(1))
+
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.zeros((2, 2, 2))])
+    def test_features_must_be_a_point_or_a_batch(self, x):
+        # A scalar used to fail with an IndexError, and a 3-D batch was shifted by broadcasting.
+        with pytest.raises(ValueError, match="one point"):
+            apply_shift(x, [1, 2], ShiftSpec(np.eye(2), 0.0, 0.0), RngStream(1))
+
+    def test_a_single_point_takes_a_scalar_label(self):
+        shift = ShiftSpec(np.array([[0.5, 0.0], [0.0, 0.5]]), 0.0, 0.0)
+        np.testing.assert_array_equal(apply_shift(np.zeros(2), 2, shift, RngStream(1)), [0.0, 0.5])
+
     def test_infeasible_clip_radius_is_refused_before_any_draw(self):
         class NoDraws:
             def standard_normal(self, size):
@@ -461,6 +482,16 @@ class TestTrainClassifier:
         x = np.array([[10.0, 0.0], [-10.0, bad], [0.0, 10.0]])
         with pytest.raises(ValueError, match="training features must be finite"):
             train_classifier(x, [1, 2, 3], 3)
+
+    @pytest.mark.parametrize(("rows", "labels"), [(3, [1, 2]), (2, [1, 2, 1]), (2, [[1, 2]])])
+    def test_one_label_per_row_is_checked_before_the_first_epoch(self, rows, labels, monkeypatch):
+        # Three rows with two labels used to fail inside the first epoch with numpy's broadcast error.
+        def no_epochs(*args, **kwargs):
+            raise AssertionError("ran an epoch on mismatched labels")
+
+        monkeypatch.setattr(np, "matmul", no_epochs)
+        with pytest.raises(ValueError, match=f"{np.size(labels)} labels for {rows} training rows"):
+            train_classifier(np.zeros((rows, 2)), labels, 2)
 
     def test_label_zero_rejected(self):
         # Label 0 used to wrap onto the last class of a 2-class fit.
