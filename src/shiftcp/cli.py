@@ -63,6 +63,8 @@ from .scores import (
     scored_view,
 )
 from .shift_bounds import (
+    _linear_sum_assignment,
+    _subsampled_pairs,
     _undercoverage_gap,
     coverage_gap_bound,
     pseudo_coverage_lower_bound,
@@ -72,7 +74,7 @@ from .shift_bounds import (
     sup_density_estimate,
     tau_correction,
     w1_1d,
-    w1_assignment_subsampled,
+    w1_assignment,
 )
 from .synthetic import (
     _output_file,
@@ -818,7 +820,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
     x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
     x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
 
-    per_sigma, target_scores = [], []
+    per_sigma, target_scores, pairs = [], [], []
     for si, sigma in enumerate(cfg.sigma_grid):
         stream = root.substream("target", si)
         x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
@@ -826,20 +828,28 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
 
         rho_certified = cfg._grid_shifts[sigma].rho_true
         class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
-        per_class_w1 = rho_mix_measured = None
-        if all(rows.size >= 2 for rows in class_rows):
-            per_class_w1 = [w1_assignment_subsampled(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows]
-            rho_mix_measured = rho_mix(cfg.source_spec.priors, per_class_w1)
+        measured = all(rows.size >= 2 for rows in class_rows)  # else the sigma's measured fields stay null
+        pairs.append([_subsampled_pairs(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows] if measured else [])
         per_sigma.append(
             {
                 "sigma": sigma,
                 "rho_certified": rho_certified,
                 "rho_mix_certified": cfg.rho_mix_certified(sigma),
-                "per_class_w1_paired": per_class_w1,
-                "rho_mix_measured": rho_mix_measured,
+                "per_class_w1_paired": None,
+                "rho_mix_measured": None,
                 "w1_score_bound": score_shift_w1_bound(lip, rho_certified),
             }
         )
+    # The solves are independent, so they spread over the usable cores in item order. The solver is loaded
+    # before the fork: each worker would otherwise load it again on every call.
+    items = [pair for sigma_pairs in pairs for pair in sigma_pairs]
+    if items:
+        _linear_sum_assignment()
+    solved = iter(_map(w1_assignment, items, len(items)))
+    for entry, sigma_pairs in zip(per_sigma, pairs):
+        if sigma_pairs:
+            per_class_w1 = [next(solved) for _ in sigma_pairs]
+            entry.update(per_class_w1_paired=per_class_w1, rho_mix_measured=rho_mix(cfg.source_spec.priors, per_class_w1))
     cal, source = (scored_view(model, x_cal), y_cal), (scored_view(model, x_src), y_src)
     report = _bounds_report(cfg.alpha, cfg.tau_grid, lip, cal, source, target_scores, per_sigma)
     for entry in per_sigma:  # the certified floor, at the measured source ramp loss

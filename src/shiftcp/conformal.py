@@ -112,6 +112,23 @@ def _validate_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _validate_finite(**values: float) -> None:
+    """Raise unless every named value is a finite real: NaN and +-inf raise."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _finite_sample(values, name: str, ndim: int = 1) -> np.ndarray:
+    """A nonempty, finite 1-D sample of values, or with ``ndim`` 2 an (n, d) sample of points."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != ndim or v.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty {'1-D sample' if ndim == 1 else '(n, d) array'}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Split-conformal threshold of a calibration score sample at level alpha."""
     s = _score_sample(scores)
@@ -176,13 +193,9 @@ def integrated_coverage_gap(cal_scores_p, test_scores_p, test_scores_q, alpha_gr
     if not (np.diff(grid) > 0).all():
         raise ValueError("alpha grid must be strictly increasing")
 
-    cal_p = np.sort(np.asarray(cal_scores_p, dtype=float))
-    if cal_p.size == 0:
-        raise ValueError("calibration scores must be nonempty")
-    tp = np.sort(np.asarray(test_scores_p, dtype=float))
-    tq = np.sort(np.asarray(test_scores_q, dtype=float))
-    if tp.size == 0 or tq.size == 0:
-        raise ValueError("test score samples must be nonempty")
+    cal_p = np.sort(_finite_sample(cal_scores_p, "cal_scores_p"))
+    tp = np.sort(_finite_sample(test_scores_p, "test_scores_p"))
+    tq = np.sort(_finite_sample(test_scores_q, "test_scores_q"))
 
     n = cal_p.size
     counts = np.array([_quantile_count(n, a) for a in grid.tolist()])

@@ -130,6 +130,8 @@ def pseudo_calibrate(
     consumed); a finite ``u`` randomizes the labels of points whose predictive
     entropy exceeds it. ``inputs`` may be a :class:`~shiftcp.scores.ScoredView`.
     """
+    if math.isnan(u):
+        raise ValueError("cutoff u must be a number, got nan")
     view = scored_view(model, inputs)
     if len(view) == 0:
         raise ValueError("cannot calibrate on an empty input sample")
@@ -211,6 +213,9 @@ def select_u_star(curve, alpha: float) -> float:
     """
     if not curve:
         raise ValueError("coverage curve must be nonempty")
+    for point in curve:
+        if math.isnan(point[0]) or math.isnan(point[1]):
+            raise ValueError(f"coverage curve points must be numbers, got (u, c_hat) = {point}")
     qualifying = [u for u, c in curve if c >= 1.0 - alpha]
     if qualifying:
         return max(qualifying)

@@ -20,22 +20,12 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import _covered_share, _validate_alpha, _validate_nonnegative, calibrate
+from .conformal import _covered_share, _finite_sample, _validate_alpha, _validate_finite, _validate_nonnegative, calibrate
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
 #: Largest exact assignment instance; larger samples must be subsampled.
 MAX_ASSIGNMENT_SIZE = 512
-
-
-def _finite_sample(values, name: str, ndim: int = 1) -> np.ndarray:
-    """A nonempty, finite 1-D sample of values, or with ``ndim`` 2 an (n, d) sample of points."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != ndim or v.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty {'1-D sample' if ndim == 1 else '(n, d) array'}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
 
 
 def _paired_points(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +162,14 @@ def w1_assignment_subsampled(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: 
     estimate, not the exact distance. ``max_points`` must be an integer in
     ``1..MAX_ASSIGNMENT_SIZE``.
     """
+    return w1_assignment(*_subsampled_pairs(a, b, max_points, seed))
+
+
+def _subsampled_pairs(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The paired samples :func:`w1_assignment_subsampled` solves: checked, and thinned with a warning when oversized.
+
+    The warning names the caller of this function's caller.
+    """
     integral = isinstance(max_points, (int, np.integer)) and not isinstance(max_points, bool)
     if not (integral and 1 <= max_points <= MAX_ASSIGNMENT_SIZE):
         raise ValueError(f"max_points must be an integer in 1..{MAX_ASSIGNMENT_SIZE}, got {max_points!r}")
@@ -180,12 +178,12 @@ def w1_assignment_subsampled(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: 
     if n > max_points:
         warnings.warn(
             f"subsampling {n} points down to {max_points} for the assignment solver; result is an estimate",
-            stacklevel=2,
+            stacklevel=3,
         )
         idx = RngStream(seed).substream("w1-subsample").generator().choice(n, size=max_points, replace=False)
         idx.sort()
         pa, pb = pa[idx], pb[idx]
-    return w1_assignment(pa, pb)
+    return pa, pb
 
 
 def rho_mix(class_priors, per_class_w1) -> float:
@@ -286,6 +284,7 @@ def tau_correction(hinge_source: float, hinge_target: float, undercoverage_gap: 
     below at zero: a negative slack would shrink sets below the hard-pseudo
     baseline, defeating the correction.
     """
+    _validate_finite(hinge_source=hinge_source, hinge_target=hinge_target, undercoverage_gap=undercoverage_gap)
     _validate_nonnegative(hinge_target=hinge_target)
     denom = hinge_source - undercoverage_gap
     if not denom > 0:

@@ -1471,6 +1471,58 @@ def test_bounds_solves_assignments_without_the_scipy_optimize_and_spatial_packag
     assert _run_python(code).strip().splitlines()[-1] == "['scipy.optimize._lsap']"
 
 
+def _bounds_fan_out(monkeypatch, capsys, tmp_path, name: str, cores: set, thread: bool = False):
+    """``bounds`` on 1800 target rows at ``cores`` usable cores: (forks, bounds.json, warnings, exit code and stderr)."""
+    # Every class of each sigma exceeds 512 points, so each of the 6 solves draws its subsample and warns.
+    config = _tiny_config(tmp_path, n_train=600, n_cal=200, n_test=1800)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    if thread:
+        other.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bounds", "--config", config, "--out", str(tmp_path / name)])
+    finally:
+        release.set()
+        if thread:
+            other.join(timeout=30)
+    _assert_no_child_left()
+    written = (tmp_path / name / "bounds.json").read_bytes() if code == 0 else b""
+    return len(forks), written, [str(w.message) for w in caught], f"exit {code}: {capsys.readouterr().err}"
+
+
+def test_bounds_solves_are_byte_identical_at_any_worker_count(monkeypatch, capsys, tmp_path):
+    one = _bounds_fan_out(monkeypatch, capsys, tmp_path, "one", {0})
+    two = _bounds_fan_out(monkeypatch, capsys, tmp_path, "two", {0, 1})
+    threaded = _bounds_fan_out(monkeypatch, capsys, tmp_path, "threaded", {0, 1}, thread=True)
+    assert [one[0], two[0], threaded[0]] == [0, 2, 0]  # another live thread keeps the solves in-process
+    assert one[1:] == two[1:] == threaded[1:]
+    assert hashlib.sha256(one[1]).hexdigest() == SEED_DIGESTS["bounds"]["bounds.json"]
+    assert [re.sub(r"\d+ points", "N points", m, count=1) for m in one[2]] == [
+        "subsampling N points down to 512 for the assignment solver; result is an estimate"
+    ] * 6
+
+
+def test_a_failing_solve_fails_bounds_alike_at_any_worker_count(monkeypatch, capsys, tmp_path):
+    # Items 3, 4 and 5 (sigma 0.8) fail; at 2 workers item 4 fails in the first worker's share and 3 in the second's.
+    def solve(a, b):
+        if not np.array_equal(a, b):
+            raise DataError(f"no matching for the sample starting at {a[0, 0]!r}")
+        return 0.0
+
+    monkeypatch.setattr(cli_module, "w1_assignment", solve)
+    one = _bounds_fan_out(monkeypatch, capsys, tmp_path, "one", {0})
+    two = _bounds_fan_out(monkeypatch, capsys, tmp_path, "two", {0, 1})
+    assert [one[0], two[0]] == [0, 2]
+    assert one[1:] == two[1:]
+    assert re.fullmatch(r"exit 3: data error: no matching for the sample starting at \S+\n", one[3])
+    assert len(one[2]) == 6  # every subsample is drawn, and warned about, before the first solve
+
+
 class TestOneCellCore:
     """``sweep`` and ``tau`` cells are one core run with different arms."""
 

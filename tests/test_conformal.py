@@ -354,6 +354,21 @@ class TestCoverageGaps:
         if case == "n_cal_3":
             assert dict(est.per_alpha)[0.01] == 0.0
 
+    @pytest.mark.parametrize(
+        "cal, test_p, test_q, name",
+        [
+            ([0.1, 0.2, 0.3], [0.1, 0.25], [0.3, 0.4, math.nan], "test_scores_q"),
+            ([0.1, 0.2, 0.3], [0.1, 0.25, math.inf], [0.3, 0.4], "test_scores_p"),
+            ([0.1, 0.2, -math.inf], [0.1, 0.25], [0.3, 0.4], "cal_scores_p"),
+        ],
+        ids=["nan-in-q", "inf-in-p", "minus-inf-in-cal"],
+    )
+    def test_a_non_finite_score_is_refused(self, cal, test_p, test_q, name):
+        # Unchecked, NaN in q gives 0.4925 and inf in p 0.2067, against the finite samples' 0.3725.
+        assert integrated_coverage_gap([0.1, 0.2, 0.3], [0.1, 0.25], [0.3, 0.4]).integrated == pytest.approx(0.3725)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            integrated_coverage_gap(cal, test_p, test_q)
+
     def test_gap_grid_validation(self):
         s = np.linspace(0, 1, 10)
         with pytest.raises(ValueError):

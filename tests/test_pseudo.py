@@ -137,6 +137,12 @@ class TestPseudoCalibrate:
         with pytest.raises(ValueError):
             pseudo_calibrate(trained_model, np.empty((0, 2)), 0.2)
 
+    def test_a_nan_cutoff_is_refused(self, trained_model, three_class_source):
+        # NaN compares false with every entropy, so unchecked it randomizes every label, as u = -1 does.
+        x, _ = generate_source(three_class_source, 50, RngStream(34).substream("t"))
+        with pytest.raises(ValueError, match="^cutoff u must be a number, got nan$"):
+            pseudo_calibrate(trained_model, x, 0.2, u=math.nan, rng=RngStream(1))
+
     def test_score_dominance_per_draw(self, trained_model, three_class_source):
         """Randomized pseudo-labels never score below the hard pseudo-label."""
         x, _ = generate_source(three_class_source, 500, RngStream(35).substream("t"))
@@ -207,6 +213,12 @@ class TestSelectUStar:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             select_u_star([], 0.2)
+
+    @pytest.mark.parametrize("curve", [[(math.nan, 0.9), (0.5, 0.9)], [(0.0, math.nan), (0.5, 0.9)]], ids=["nan-u", "nan-coverage"])
+    def test_a_nan_point_is_refused(self, curve):
+        # Unchecked, a NaN cutoff comes out as u* and a NaN coverage is skipped.
+        with pytest.raises(ValueError, match=r"^coverage curve points must be numbers, got \(u, c_hat\) = \("):
+            select_u_star(curve, 0.2)
 
 
 def skewed_model() -> LinearLogitMap:

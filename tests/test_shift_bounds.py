@@ -450,6 +450,12 @@ class TestTauCorrection:
         with pytest.raises(ValueError):
             tau_correction(hinge_source, hinge_target, gap)
 
+    @pytest.mark.parametrize("hinge_source", [math.inf, math.nan])
+    def test_a_non_finite_source_loss_is_named(self, hinge_source):
+        # Unchecked, inf gives a slack of 0, and NaN reaches the denominator check, which blames the gap.
+        with pytest.raises(ValueError, match=f"^hinge_source must be finite, got {hinge_source}$"):
+            tau_correction(hinge_source, 0.1, 0.0)
+
 
 class TestKantorovichRubinstein:
     def test_constant_function(self):
