@@ -15,8 +15,8 @@ core, :func:`_evaluate_cell`, given the run's :class:`Arm` list. ``sweep``'s
 arms are its methods, ``hard_pseudo`` floored by its own cell; ``tau``'s are
 ``hard_pseudo`` and ``tau_adjusted``, both the hard rule, floored by the
 per-sigma oracle losses of :func:`tau_diagnostics`, so a ``tau`` cell draws
-no source split. ``replay`` checks each record against the same arms,
-slacks and floors.
+no source split. One builder, :func:`_arm_record`, decides a record's
+columns from its arm and calibration, for the cell core and for ``replay``.
 
 All outputs are machine-readable (CSV/JSON), under the names ``_COMMANDS``
 declares; :func:`main` refuses a taken name before any fit or draw and, once
@@ -522,23 +522,6 @@ def _design(alpha: float, source: ScoredView, source_scores, target_scores, wher
     return rule
 
 
-def _record(test: ScoredView, test_scores, method: str, sigma, trial: int, cal, tau, u_star=None, thm2=None, cor1=None):
-    """One method's record: coverage and set size of ``cal`` plus slack ``tau`` on the scored test split."""
-    tau_eff = 0.0 if tau is None else tau
-    return TrialRecord(
-        method=method,
-        sigma=sigma,
-        trial=trial,
-        threshold=cal.threshold,
-        u_star=u_star,
-        tau=tau,
-        coverage=_covered_share(test_scores, cal, tau_eff),
-        ess=expected_set_size(None, test, cal, tau_eff),
-        thm2_bound=thm2,
-        cor1_bound=cor1,
-    )
-
-
 #: An arm floored by its own cell: ``cor1_bound`` from the test split, ``thm2_bound`` wherever the source split is drawn.
 CELL_FLOOR = "cell"
 
@@ -566,23 +549,39 @@ def _sweep_arms(cfg: ExperimentConfig, design) -> list[Arm]:
     return [Arm(method, method, tau, CELL_FLOOR if method == "hard_pseudo" else None) for method in cfg.methods]
 
 
-def _arm_cor1(alpha: float, arm: Arm, test_scores) -> float | None:
-    """An arm's ``cor1_bound`` at its slack: from its cell's oracle-flagged test-split losses, from its own losses, or none."""
-    if arm.floor is None:
-        return None
-    losses = _losses(test_scores) if arm.floor == CELL_FLOOR else arm.floor
-    return relaxed_coverage_lower_bound(alpha, *losses, 0.0 if arm.tau is None else arm.tau)
+def _arm_record(alpha: float, arm: Arm, test: ScoredView, test_scores, sigma, trial, cal, u_star, thm2) -> TrialRecord:
+    """An arm's record of ``cal`` on the scored test split: the one place a record's columns are decided.
+
+    Coverage and set size at the arm's slack; ``u_star`` only for the source_tuned rule; ``thm2`` only for a
+    :data:`CELL_FLOOR` arm; ``cor1_bound`` from the cell's oracle-flagged test-split losses, the arm's own, or none.
+    """
+    tau = 0.0 if arm.tau is None else arm.tau
+    cor1 = None
+    if arm.floor is not None:
+        losses = _losses(test_scores) if arm.floor == CELL_FLOOR else arm.floor
+        cor1 = relaxed_coverage_lower_bound(alpha, *losses, tau)
+    return TrialRecord(
+        method=arm.method,
+        sigma=sigma,
+        trial=trial,
+        threshold=cal.threshold,
+        u_star=u_star if arm.rule == "source_tuned" else None,
+        tau=arm.tau,
+        coverage=_covered_share(test_scores, cal, tau),
+        ess=expected_set_size(None, test, cal, tau),
+        thm2_bound=thm2 if arm.floor == CELL_FLOOR else None,
+        cor1_bound=cor1,
+    )
 
 
 def _evaluate_cell(cfg: ExperimentConfig, data: TrialData, source_scores, test_scores, arms, sigma, trial: int, tune, thm2):
     """Each arm's record for one cell of scored splits (generator cell or logit table); each rule calibrates once."""
-    test, calibrated, records = data.x_target_test, {}, []
+    calibrated, records = {}, []
     for arm in arms:
         if arm.rule not in calibrated:
             calibrated[arm.rule] = _calibrate_method(cfg, arm.rule, data, source_scores, tune)
         cal, u_star = calibrated[arm.rule]
-        bounds = (thm2 if arm.floor == CELL_FLOOR else None, _arm_cor1(cfg.alpha, arm, test_scores))
-        records.append(_record(test, test_scores, arm.method, sigma, trial, cal, arm.tau, u_star, *bounds))
+        records.append(_arm_record(cfg.alpha, arm, data.x_target_test, test_scores, sigma, trial, cal, u_star, thm2))
     return records
 
 
@@ -687,9 +686,8 @@ def _map(fn, items: list, threads: int) -> list:
 def _parallel_trials(cfg: ExperimentConfig, model, arms, threads: int) -> list[TrialRecord]:
     """Every cell's records of the run's per-sigma ``arms`` (:func:`run_trial`), ordered by arm, sigma and trial."""
     cells = [(si, t) for si in range(len(cfg.sigma_grid)) for t in range(cfg.trials)]
-    records = [rec for chunk in _map(partial(run_trial, cfg, model, arms=arms), cells, threads) for rec in chunk]
-    methods = [arm.method for arm in arms[0]]
-    return sorted(records, key=lambda r: (methods.index(r.method), r.sigma, r.trial))
+    chunks = _map(partial(run_trial, cfg, model, arms=arms), cells, threads)  # in grid order, each in arm order
+    return [rec for arm_records in zip(*chunks) for rec in arm_records]
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> tuple[list[TrialRecord], list[dict]]:
@@ -996,9 +994,9 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, arms: dict, cell: tup
     """Mismatch messages of one (sigma index, trial) cell's records against the run's ``arms`` of each records file.
 
     ``table_split`` is the logit table's scored test split and labels, if
-    any. Each row is rebuilt from its threshold text and its arm's slack and
-    floor; ``u_star`` and ``thm2_bound`` need the source and tuning draws,
-    so where the writer fills them they keep their own text.
+    any. Each row is rebuilt by :func:`_arm_record` from its threshold text;
+    ``u_star`` and ``thm2_bound`` need the source and tuning draws, so the
+    builder gets the row's own text and keeps it where the arm fills them.
     """
     si, trial = cell
     if table_split is None:
@@ -1013,10 +1011,8 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, arms: dict, cell: tup
         where = _where(name, arm.method, row["sigma"], row["trial"])
         try:
             cal = CalibrationResult(threshold=float(row["threshold"]), alpha=cfg.alpha, n=cfg.n_cal, level=float("nan"))
-            u_star = row["u_star"] if arm.rule == "source_tuned" else None
-            thm2 = row["thm2_bound"] if arm.floor == CELL_FLOOR and table_split is None else None
-            cor1 = _arm_cor1(cfg.alpha, arm, test_scores)
-            rec = _record(view, test_scores, arm.method, row["sigma"], row["trial"], cal, arm.tau, u_star, thm2, cor1)
+            thm2 = row["thm2_bound"] if table_split is None else None
+            rec = _arm_record(cfg.alpha, arm, view, test_scores, row["sigma"], row["trial"], cal, row["u_star"], thm2)
         except ValueError as exc:
             mismatches.append(f"{where}: {exc}")
             continue
@@ -1037,7 +1033,7 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     hold one row per arm of the file and cell of the config's grid (the one
     cell of a logit-table run, which writes no ``tau_records.csv``), named by
     the text the writer printed; a missing, extra or repeated row is a
-    mismatch. Each row, rebuilt by :func:`_record` and formatted as written,
+    mismatch. Each row, rebuilt by :func:`_arm_record` and formatted as written,
     must match byte for byte (see :func:`_audit_cell`). Up to ``threads``
     worker processes audit cells in parallel; a ``seed`` other than the run's
     recorded one is a :class:`ConfigError`.

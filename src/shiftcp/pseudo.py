@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import CalibrationResult, calibrate
+from .conformal import CalibrationResult, _validate_alpha, calibrate
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
@@ -211,6 +211,7 @@ def select_u_star(curve, alpha: float) -> float:
     Falls back to the smallest grid value (maximal randomization, most
     conservative) when no cutoff qualifies.
     """
+    _validate_alpha(alpha)
     if not curve:
         raise ValueError("coverage curve must be nonempty")
     for point in curve:

@@ -194,6 +194,8 @@ def rho_mix(class_priors, per_class_w1) -> float:
         raise ValueError("priors and per-class distances must be matching nonempty vectors")
     if not ((priors >= 0).all() and (dists >= 0).all()):
         raise ValueError("priors and distances must be nonnegative")
+    if not np.isfinite(dists).all():
+        raise ValueError(f"per_class_w1 must be finite, got {dists.tolist()}")
     if abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError(f"priors must sum to 1, got {priors.sum()}")
     return float(priors @ dists)
@@ -202,6 +204,7 @@ def rho_mix(class_priors, per_class_w1) -> float:
 def score_shift_w1_bound(lipschitz: float, rho: float) -> float:
     """W1 bound on the score-distribution shift: margin Lipschitz constant times shift radius."""
     _validate_nonnegative(lipschitz=lipschitz, rho=rho)
+    _validate_finite(lipschitz=lipschitz, rho=rho)
     return float(lipschitz * rho)
 
 
@@ -229,6 +232,7 @@ def sup_density_estimate(scores) -> float:
 def coverage_gap_bound(sup_density: float, w1: float) -> float:
     """Integrated coverage-gap bound: score-density sup times score W1 shift."""
     _validate_nonnegative(sup_density=sup_density, w1=w1)
+    _validate_finite(sup_density=sup_density, w1=w1)
     return float(sup_density * w1)
 
 
@@ -240,6 +244,7 @@ def pseudo_coverage_lower_bound(alpha: float, ramp_source: float, lipschitz: flo
     """
     _validate_alpha(alpha)
     _validate_nonnegative(ramp_source=ramp_source, lipschitz=lipschitz, rho_mix_value=rho_mix_value)
+    _validate_finite(ramp_source=ramp_source, lipschitz=lipschitz, rho_mix_value=rho_mix_value)
     return max(0.0, 1.0 - alpha - ramp_source - lipschitz * rho_mix_value)
 
 
@@ -252,6 +257,7 @@ def relaxed_coverage_lower_bound(alpha: float, ramp_target: float, hinge_target:
     """
     _validate_alpha(alpha)
     _validate_nonnegative(ramp_target=ramp_target, hinge_target=hinge_target, tau=tau)
+    _validate_finite(ramp_target=ramp_target, hinge_target=hinge_target, tau=tau)
     return max(0.0, 1.0 - alpha - min(ramp_target, hinge_target / (1.0 + tau / 2.0)))
 
 

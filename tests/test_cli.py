@@ -1,6 +1,7 @@
 """CLI orchestration: config handling, subcommands, determinism, audits."""
 
 import ast
+import csv
 import hashlib
 import importlib
 import json
@@ -559,6 +560,31 @@ class TestLogitsRoute:
         capsys.readouterr()
         assert main(["replay", "--out", str(out)]) == 4
         assert capsys.readouterr().err.splitlines()[0] == f"replay mismatch: records.csv: source sigma= trial=0: tau {fields[5]} -> {faithful}"
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["default", "overlap"])
+    def test_a_generator_cell_exported_as_a_table_gives_its_records(self, tmp_path, overlap):
+        # gen's sigma-1 splits, scored by train's classifier, are the generator sweep's sigma 0.8, trial 0 cell.
+        # The table route draws source_tuned's randomized labels from its own stream, so that row matches only
+        # where neither route randomizes a label (u* = inf); on configs/overlap.json both pick a finite u*.
+        raw = {"n_train": 600, "n_cal": 200, "n_test": 500, "sigma_grid": [0.0, 0.8]}
+        config = _tiny_config(tmp_path, **raw, **({"source": {"class_cov_scale": 1.0}} if overlap else {}))
+        for command in ("gen", "train", "sweep"):
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+        model = json.loads((tmp_path / "train" / "classifier.json").read_text())
+        rows = list(csv.reader((tmp_path / "gen" / "dataset_sigma_1.csv").read_text().splitlines()))[1:]
+        x = np.array([row[2:] for row in rows], float)
+        logits = x @ np.array(model["weights"]).T + model["biases"]
+        write_logit_table(tmp_path / "table.csv", [row[0] for row in rows], [int(row[1]) for row in rows], logits)
+        assert main(["sweep", "--logits", str(tmp_path / "table.csv"), "--config", config, "--out", str(tmp_path / "table")]) == 0
+
+        cell = [r for r in read_records_csv(tmp_path / "sweep" / "records.csv") if (r["sigma"], r["trial"]) == ("0.8", "0")]
+        want, got = ({r["method"]: r for r in records} for records in (cell, read_records_csv(tmp_path / "table" / "records.csv")))
+        methods = ["source", "hard_pseudo", "oracle"]
+        if want["source_tuned"]["u_star"] == got["source_tuned"]["u_star"] == "inf":
+            methods.append("source_tuned")
+        assert overlap or "source_tuned" in methods
+        columns = ("threshold", "u_star", "coverage", "ess", "cor1_bound")
+        assert {m: [got[m][c] for c in columns] for m in methods} == {m: [want[m][c] for c in columns] for m in methods}
 
     def test_the_default_cutoff_grid_needs_the_tables_class_count(self, tmp_path, capsys):
         # The 3-class config's default grid stopped at ln 3, so a 4-class table's cutoffs up to ln 4 went untried.

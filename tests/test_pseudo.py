@@ -220,6 +220,12 @@ class TestSelectUStar:
         with pytest.raises(ValueError, match=r"^coverage curve points must be numbers, got \(u, c_hat\) = \("):
             select_u_star(curve, 0.2)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_alpha_is_refused(self, alpha):
+        # Unchecked, NaN and -inf qualify no cutoff and fall back to 0.0, and inf qualifies every one.
+        with pytest.raises(ValueError, match=rf"^alpha must lie in \(0, 1\), got {alpha}$"):
+            select_u_star([(0.0, 0.9), (0.5, 0.8)], alpha)
+
 
 def skewed_model() -> LinearLogitMap:
     """A deliberately miscalibrated map: confident errors on class-2 points.

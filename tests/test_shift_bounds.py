@@ -16,6 +16,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
 from shiftcp import shift_bounds
+from shiftcp.pseudo import select_u_star
 from shiftcp.rng import RngStream
 from shiftcp.scores import predict, score
 from shiftcp.shift_bounds import (
@@ -264,6 +265,11 @@ class TestRhoMix:
         with pytest.raises(ValueError, match="nonnegative"):
             rho_mix(priors, dists)
 
+    def test_an_infinite_distance_is_named(self):
+        # Unchecked, an infinite per-class distance gives an infinite mixture shift.
+        with pytest.raises(ValueError, match=r"^per_class_w1 must be finite, got \[inf, 1\.0\]$"):
+            rho_mix([0.5, 0.5], [math.inf, 1.0])
+
 
 class TestScoreShiftBound:
     @pytest.mark.parametrize("lip,rho,expected", [(0.0, 3.0, 0.0), (2.0, 0.0, 0.0), (math.sqrt(2), 0.5, math.sqrt(2) / 2)])
@@ -277,6 +283,12 @@ class TestScoreShiftBound:
     @pytest.mark.parametrize("lip,rho", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_rejected(self, lip, rho):
         with pytest.raises(ValueError, match="nonnegative"):
+            score_shift_w1_bound(lip, rho)
+
+    @pytest.mark.parametrize("lip,rho,name", [(math.inf, 0.0, "lipschitz"), (0.0, math.inf, "rho")])
+    def test_an_infinite_input_is_named(self, lip, rho, name):
+        # Unchecked, inf * 0 gives a NaN bound.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             score_shift_w1_bound(lip, rho)
 
 
@@ -315,6 +327,12 @@ class TestCoverageGapBound:
         with pytest.raises(ValueError, match="nonnegative"):
             coverage_gap_bound(sup, w1)
 
+    @pytest.mark.parametrize("sup,w1,name", [(math.inf, 0.0, "sup_density"), (0.0, math.inf, "w1")])
+    def test_an_infinite_input_is_named(self, sup, w1, name):
+        # Unchecked, inf * 0 gives a NaN bound.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            coverage_gap_bound(sup, w1)
+
 
 class TestPseudoCoverageLowerBound:
     def test_arithmetic(self):
@@ -337,6 +355,15 @@ class TestPseudoCoverageLowerBound:
     )
     def test_negative_input_rejected(self, ramp, lip, rho):
         with pytest.raises(ValueError, match="nonnegative"):
+            pseudo_coverage_lower_bound(0.2, ramp, lip, rho)
+
+    @pytest.mark.parametrize(
+        "ramp,lip,rho,name",
+        [(math.inf, 0.1, 0.0, "ramp_source"), (0.1, math.inf, 0.0, "lipschitz"), (0.1, 0.1, math.inf, "rho_mix_value")],
+    )
+    def test_an_infinite_input_is_named(self, ramp, lip, rho, name):
+        # Unchecked, each gives a floor of 0: -inf, or the NaN of inf * 0, clipped by max(0, .).
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             pseudo_coverage_lower_bound(0.2, ramp, lip, rho)
 
 
@@ -375,6 +402,14 @@ class TestRelaxedCoverageLowerBound:
     def test_nan_input_rejected(self, alpha, ramp, hinge, tau):
         with pytest.raises(ValueError, match="alpha|nonnegative"):
             relaxed_coverage_lower_bound(alpha, ramp, hinge, tau)
+
+    @pytest.mark.parametrize(
+        "ramp,hinge,tau,name", [(math.inf, 0.1, 0.0, "ramp_target"), (0.1, math.inf, 0.0, "hinge_target"), (0.1, 0.3, math.inf, "tau")]
+    )
+    def test_an_infinite_input_is_named(self, ramp, hinge, tau, name):
+        # Unchecked, the min drops the infinite loss (0.7 from a ramp loss above 1) and tau=inf gives the nominal 0.8.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            relaxed_coverage_lower_bound(0.2, ramp, hinge, tau)
 
 
 class TestUndercoverageGap:
@@ -455,6 +490,32 @@ class TestTauCorrection:
         # Unchecked, inf gives a slack of 0, and NaN reaches the denominator check, which blames the gap.
         with pytest.raises(ValueError, match=f"^hinge_source must be finite, got {hinge_source}$"):
             tau_correction(hinge_source, 0.1, 0.0)
+
+
+_NONNEGATIVE, _ALPHA = st.floats(0.0, 10.0), st.floats(0.01, 0.99)
+
+#: The certificate family: strategies for each float argument of a valid call, and the call. Only alpha of
+#: select_u_star is varied, as u = inf is a valid cutoff; rho_mix's floats are a prior and the distances.
+CERTIFICATE_CALLS = {
+    "score_shift_w1_bound": ((_NONNEGATIVE, _NONNEGATIVE), score_shift_w1_bound),
+    "coverage_gap_bound": ((_NONNEGATIVE, _NONNEGATIVE), coverage_gap_bound),
+    "pseudo_coverage_lower_bound": ((_ALPHA, _NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE), pseudo_coverage_lower_bound),
+    "relaxed_coverage_lower_bound": ((_ALPHA, _NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE), relaxed_coverage_lower_bound),
+    "tau_correction": ((st.floats(1.0, 2.0), _NONNEGATIVE, st.floats(-0.5, 0.5)), tau_correction),
+    "rho_mix": ((st.just(0.5), _NONNEGATIVE, _NONNEGATIVE), lambda prior, d1, d2: rho_mix([prior, 0.5], [d1, d2])),
+    "select_u_star": ((_ALPHA,), lambda alpha: select_u_star([(0.0, 0.9), (0.5, 0.8)], alpha)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CALLS))
+@given(data=st.data(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_argument_is_refused(name, data, bad):
+    strategies, call = CERTIFICATE_CALLS[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    assert math.isfinite(call(*args))
+    args[data.draw(st.integers(0, len(args) - 1))] = bad
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 class TestKantorovichRubinstein:
