@@ -25,9 +25,11 @@ a subcommand that takes ``--config`` succeeds, writes the resolved config
 Records have :class:`TrialRecord`'s fields as columns, in method, sigma,
 trial order; ``replay`` finds each record's cell by the text :func:`_fmt` wrote.
 ``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
-and ``replay`` out to forked worker processes in interleaved shares while the
-parent waits; every cell draws from its own stream address, so runs are
-byte-identical for a fixed config and seed whatever the worker count.
+and ``replay`` out to forked worker processes, which take the cells' indices
+from one queue while the parent waits; every cell draws from its own stream
+address, so runs are byte-identical for a fixed config and seed whatever the
+worker count. ``bounds`` deals its fit and its assignment solves to the same
+pool.
 """
 
 from __future__ import annotations
@@ -608,21 +610,30 @@ def _workers(threads: int, n_items: int) -> int:
     return min(threads, n_items, cores) if hasattr(os, "fork") else 1
 
 
-def _run_share(fn, items: list, w: int, workers: int, pipe) -> None:
-    """Child ``w`` of :func:`_map`: run items ``w, w + workers, ...`` in order, pickle the outcome to ``pipe``, exit."""
-    outcome, status = (None, []), 1
+#: Item indices per write to :func:`_map`'s index pipe: one PIPE_BUF of 4-byte indices, which a pipe takes whole or not at all.
+_DEAL = select.PIPE_BUF // 4
+
+
+def _run_worker(fn, items: list, tasks: int, feed: int, pipe) -> None:
+    """Child of :func:`_map`: run the items whose indices it takes from ``tasks``, pickle the outcome to ``pipe``, exit.
+
+    The child takes one index at a time until the pipe ends or an item fails; it first closes its copy of the
+    ``feed`` end, so the pipe ends once the parent has dealt every index.
+    """
+    done, failure, status = [], None, 1
     try:
-        for i in range(w, len(items), workers):
+        os.close(feed)
+        while failure is None and (index := os.read(tasks, 4)):
+            i = int.from_bytes(index, "little")
             try:
-                outcome[1].append(fn(*items[i]))
+                done.append((i, fn(*items[i])))
             except Exception as exc:
-                outcome = (i, exc)
-                break
+                failure = (i, exc)
         try:
-            data = pickle.dumps(outcome)
+            data = pickle.dumps((done, failure))
         except Exception as exc:  # an unpicklable result or exception must still reach the parent
             unsent = RuntimeError(f"worker process {os.getpid()} cannot send its outcome: {exc!r}")
-            data = pickle.dumps((len(items) if outcome[0] is None else outcome[0], unsent))
+            data = pickle.dumps(([], (len(items) if failure is None else failure[0], unsent)))
         pipe.write(data)
         pipe.close()  # the parent sees the end of the outcome before this process is torn down
         status = 0
@@ -630,34 +641,57 @@ def _run_share(fn, items: list, w: int, workers: int, pipe) -> None:
         os._exit(status)
 
 
+def _deal(feed: int, dealt: int, n_items: int) -> int:
+    """Write the next :data:`_DEAL` item indices after ``dealt`` to ``feed``; return how many are dealt then."""
+    chunk = np.arange(dealt, min(dealt + _DEAL, n_items), dtype="<u4")
+    try:
+        os.write(feed, chunk.tobytes())
+    except BlockingIOError:  # the pipe has no room for a whole write yet
+        return dealt
+    return dealt + chunk.size
+
+
 def _map(fn, items: list, threads: int) -> list:
     """``[fn(*args) for args in items]``, fanned out to forked worker processes.
 
-    Each of the :func:`_workers` children runs an interleaved share
-    (:func:`_run_share`) while the parent waits on every pipe at once; the
-    results come back in item order, or the lowest failing item's exception
-    is re-raised, as at one worker. A child whose pipe ends without a
-    readable outcome fails the call as soon as the parent sees it: the other
-    children are killed and the dead one is named with its wait status. Fork
-    is safe only in a single-threaded process, so the loop runs in-process at
-    one worker and whenever another thread is alive.
+    The parent deals item indices, in order, into one pipe shared by the
+    :func:`_workers` children, and feeds it as they drain it, so any number
+    of items is dealt and uneven items balance across the children. Each
+    child (:func:`_run_worker`) runs the items it takes while the parent waits
+    on every pipe at once; the results come back in item order, or the
+    lowest failing item's exception is re-raised, as at one worker: every
+    lower index was taken, and so run, before it. A child whose pipe ends
+    without a readable outcome fails the call as soon as the parent sees it:
+    the other children are killed and the dead one is named with its wait
+    status. Fork is safe only in a single-threaded process, so the loop runs
+    in-process at one worker and whenever another thread is alive.
     """
     workers = _workers(threads, len(items))
     if workers <= 1 or threading.active_count() > 1:
         return [fn(*args) for args in items]
     pids, fds, outcomes, statuses = [], [], {}, []
     dead = cause = None
+    tasks, feed = os.pipe()  # the parent keeps the read end open, so a write never fails on a pipe all children left
     try:
+        dealt = _deal(feed, 0, len(items))  # the first indices wait in the empty pipe before any child starts
         for w in range(workers):
             read_end, write_end = os.pipe()
             fds.append(read_end)
             with open(write_end, "wb") as pipe:
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _run_share(fn, items, w, workers, pipe)
+                    _run_worker(fn, items, tasks, feed, pipe)
+        os.set_blocking(feed, False)
         chunks = [[] for _ in fds]
         while dead is None and len(outcomes) < workers:
-            for fd in select.select([fd for w, fd in enumerate(fds) if w not in outcomes], [], [])[0]:
+            if dealt == len(items) and feed is not None:
+                os.close(feed)  # the pipe ends for the children once they have taken every index
+                feed = None
+            waiting = [fd for w, fd in enumerate(fds) if w not in outcomes]
+            readable, writable, _ = select.select(waiting, [] if feed is None else [feed], [])
+            if writable:
+                dealt = _deal(feed, dealt, len(items))
+            for fd in readable:
                 w = fds.index(fd)
                 data = os.read(fd, 1 << 16)
                 if data:
@@ -669,7 +703,7 @@ def _map(fn, items: list, threads: int) -> list:
                     dead, cause = w, exc
                     break
     finally:
-        for fd in fds:
+        for fd in [*fds, tasks] + ([] if feed is None else [feed]):
             os.close(fd)
         for w, pid in enumerate(pids):
             if w not in outcomes and w != dead:
@@ -677,10 +711,11 @@ def _map(fn, items: list, threads: int) -> list:
             statuses.append(os.waitpid(pid, 0)[1])
     if dead is not None:
         raise RuntimeError(f"worker process {pids[dead]} sent no readable outcome (wait status {statuses[dead]})") from cause
-    failed = [outcome for outcome in outcomes.values() if outcome[0] is not None]
+    failed = [failure for _, failure in outcomes.values() if failure is not None]
     if failed:
-        raise min(failed, key=lambda outcome: outcome[0])[1]
-    return [outcomes[i % workers][1][i // workers] for i in range(len(items))]
+        raise min(failed, key=lambda failure: failure[0])[1]
+    results = dict(pair for done, _ in outcomes.values() for pair in done)
+    return [results[i] for i in range(len(items))]
 
 
 def _parallel_trials(cfg: ExperimentConfig, model, arms, threads: int) -> list[TrialRecord]:
@@ -810,24 +845,38 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
 
 
 def run_bounds_report(cfg: ExperimentConfig) -> dict:
-    """Evaluate every bound from measured and generator-certified quantities."""
-    model = train_model(cfg)
-    lip = lipschitz_bound(model)
+    """Evaluate every bound from measured and generator-certified quantities.
+
+    Every split is drawn, and every class pair subsampled, before the fit: those draws need no model. The fit
+    and the independent assignment solves then share one worker pool, the fit as item 0. A draw that fails
+    first checks the fit in-process, so a config whose fit fails still reports the fit's error.
+    """
     root = RngStream(cfg.seed).substream("bounds")
-
-    x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
-    x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
-
-    per_sigma, target_scores, pairs = [], [], []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        stream = root.substream("target", si)
-        x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
-        target_scores.append(scored_view(model, x_tgt).label_scores(yb))
-
+    try:
+        with np.errstate(over="ignore"):  # an overflowing draw fails its shift, without a numpy warning
+            x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
+            x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
+            targets, pairs = [], []
+            for si, sigma in enumerate(cfg.sigma_grid):
+                stream = root.substream("target", si)
+                x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
+                targets.append((x_tgt, yb))
+                class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
+                measured = all(rows.size >= 2 for rows in class_rows)  # else the sigma's measured fields stay null
+                pairs.append([_subsampled_pairs(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows] if measured else [])
+    except Exception:
+        train_model(cfg)  # a failing fit is reported first, as if it had run before the draws
+        raise
+    # The solver is loaded before the fork: each worker would otherwise load it again on every call.
+    items = [(train_model, cfg)] + [(w1_assignment, *pair) for sigma_pairs in pairs for pair in sigma_pairs]
+    if len(items) > 1:
+        _linear_sum_assignment()
+    model, *solved = _map(lambda fn, *args: fn(*args), items, len(items))
+    lip = lipschitz_bound(model)
+    solved = iter(solved)
+    per_sigma = []
+    for sigma, sigma_pairs in zip(cfg.sigma_grid, pairs):
         rho_certified = cfg._grid_shifts[sigma].rho_true
-        class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
-        measured = all(rows.size >= 2 for rows in class_rows)  # else the sigma's measured fields stay null
-        pairs.append([_subsampled_pairs(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows] if measured else [])
         per_sigma.append(
             {
                 "sigma": sigma,
@@ -838,16 +887,10 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
                 "w1_score_bound": score_shift_w1_bound(lip, rho_certified),
             }
         )
-    # The solves are independent, so they spread over the usable cores in item order. The solver is loaded
-    # before the fork: each worker would otherwise load it again on every call.
-    items = [pair for sigma_pairs in pairs for pair in sigma_pairs]
-    if items:
-        _linear_sum_assignment()
-    solved = iter(_map(w1_assignment, items, len(items)))
-    for entry, sigma_pairs in zip(per_sigma, pairs):
         if sigma_pairs:
             per_class_w1 = [next(solved) for _ in sigma_pairs]
-            entry.update(per_class_w1_paired=per_class_w1, rho_mix_measured=rho_mix(cfg.source_spec.priors, per_class_w1))
+            per_sigma[-1].update(per_class_w1_paired=per_class_w1, rho_mix_measured=rho_mix(cfg.source_spec.priors, per_class_w1))
+    target_scores = [scored_view(model, x).label_scores(y) for x, y in targets]
     cal, source = (scored_view(model, x_cal), y_cal), (scored_view(model, x_src), y_src)
     report = _bounds_report(cfg.alpha, cfg.tau_grid, lip, cal, source, target_scores, per_sigma)
     for entry in per_sigma:  # the certified floor, at the measured source ramp loss

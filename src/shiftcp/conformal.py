@@ -80,8 +80,8 @@ def _score_sample(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-D sample")
-    if np.isnan(s).any():
-        raise ValueError("scores must not contain NaN")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite, without NaN or +-inf")
     return s
 
 

@@ -217,6 +217,8 @@ def select_u_star(curve, alpha: float) -> float:
     for point in curve:
         if math.isnan(point[0]) or math.isnan(point[1]):
             raise ValueError(f"coverage curve points must be numbers, got (u, c_hat) = {point}")
+        if not (point[0] >= 0 and 0 <= point[1] <= 1):
+            raise ValueError(f"coverage curve points need a cutoff u >= 0 and a coverage in [0, 1], got (u, c_hat) = {point}")
     qualifying = [u for u, c in curve if c >= 1.0 - alpha]
     if qualifying:
         return max(qualifying)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conformal import _validate_nonnegative
+from .conformal import _validate_finite, _validate_nonnegative
 from .exceptions import ConfigError, DataError, InvariantError
 from .rng import RngStream
 from .scores import LinearLogitMap, _check_labels, _pairwise_class_sum
@@ -68,6 +68,7 @@ class SourceSpec:
         if (priors < 0).any() or abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("priors must be a probability vector")
         _validate_nonnegative(class_cov_scale=self.class_cov_scale)
+        _validate_finite(class_cov_scale=self.class_cov_scale)
         if not (np.isfinite(means).all() and np.isfinite(priors).all()):
             raise ValueError("spec entries must be finite")
         object.__setattr__(self, "class_means", means)
@@ -282,6 +283,7 @@ def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: flo
       and of a cumulative sum's last row), never pairwise; numpy does not
       document ``einsum``'s order, so ``tests/test_synthetic.py`` pins it.
     """
+    _validate_finite(learning_rate=learning_rate)
     k = operator.index(n_classes)
     if k < 2:
         raise ValueError(f"a classifier needs at least two classes, got n_classes {k}")

@@ -2,15 +2,17 @@
 
 ``kantorovich_rubinstein_holds`` checks ``w1_1d``'s duality, ``winf_coupled``
 the generator's displacement certificate, ``randomized_pseudo_label`` is the
-per-point labelling rule the vectorized pseudo-scores implement, and
-``write_logit_table`` builds the tests' logit tables.
+per-point labelling rule the vectorized pseudo-scores implement,
+``w1_assignment_untransposed`` is ``w1_assignment`` on its untransposed,
+unreduced costs, and ``write_logit_table`` builds the tests' logit tables.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from shiftcp.rng import RngStream
 from shiftcp.scores import predict
-from shiftcp.shift_bounds import _finite_sample, _paired_points
+from shiftcp.shift_bounds import _finite_sample, _paired_points, _reduced_costs
 from shiftcp.synthetic import _write_split_table
 
 
@@ -45,6 +47,18 @@ def randomized_pseudo_label(model, h_value: float, u: float, x, rng: RngStream) 
     if h_value <= u:
         return int(predict(model, x))
     return int(rng.generator().integers(1, model.n_classes + 1))
+
+
+def w1_assignment_untransposed(a, b) -> float:
+    """``w1_assignment`` solved on the tilted costs with one row per point of ``a``, without row or column reductions.
+
+    The matched lengths are averaged in ``a``'s row order, the order the solver returns its rows in.
+    """
+    pa, pb = _paired_points(a, b)
+    if np.array_equal(pa, pb):
+        return 0.0
+    rows, cols = linear_sum_assignment(_reduced_costs(pa, pb))
+    return float(np.linalg.norm(pa[rows] - pb[cols], axis=1).mean())
 
 
 def write_logit_table(path, split, labels, logits) -> None:

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -964,6 +965,9 @@ SEED_DIGESTS = {
     "bounds": {
         "bounds.json": "8fcb423b0fdeb801b2c10d9331201d27c8b5409a5044f29efc245475c678ea8a",
     },
+    "bounds_overlap": {
+        "bounds.json": "78d04568cd047daa839eeceec92c1e188dc02ac79cbb2c54302db2cc926c0070",
+    },
     "sweep_overlap": {
         "records.csv": "3c39255a6155ba7f3a461020eaf7fee53912c63abc41fc015945cf970806181c",
         "aggregate.csv": "b48d19cdb1708733fbbb908bcd34a9808e4e64b594694de42bb896817527e424",
@@ -984,7 +988,9 @@ SEED_DIGESTS = {
     },
 }
 # bounds runs at the benchmark's tiny bounds shape, where every class
-# exceeds the assignment limit, so its subsampled solves are pinned too.
+# exceeds the assignment limit, so its subsampled solves are pinned too;
+# bounds_overlap runs that shape on the overlap source, a second geometry
+# for the solver and the pooled fit.
 # sweep_overlap widens the source classes until tuning engages: 4 of its 6
 # source_tuned cells pick a finite cutoff, where the default config picks
 # u = inf everywhere. sweep_project projects the noise onto the ball instead
@@ -992,8 +998,10 @@ SEED_DIGESTS = {
 # the label search and the view run past three classes. train_default is the
 # default config (4000 rows, 150 epochs): the fit every benchmark workload runs.
 _TINY = {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}
+_TINY_BOUNDS = {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]}
 DIGEST_CONFIGS = {
-    "bounds": {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]},
+    "bounds": _TINY_BOUNDS,
+    "bounds_overlap": {**_TINY_BOUNDS, "source": {"class_cov_scale": 1.0}},
     "sweep_overlap": {**_TINY, "source": {"class_cov_scale": 1.0}},
     "sweep_project": {**_TINY, "shift": {"clip_mode": "project"}},
     "sweep_k5": {
@@ -1182,6 +1190,18 @@ def test_rising_training_loss_names_the_learning_rate(tmp_path, capsys):
     assert re.search(r"training loss increased \([0-9.e+-]+ -> [0-9.e+-]+\)", err)
 
 
+@pytest.mark.parametrize("cores", [{0}, {0, 1}], ids=["one-core", "two-cores"])
+@pytest.mark.parametrize("draw_fails", [False, True], ids=["fit-fails", "fit-and-draw-fail"])
+def test_a_failing_bounds_fit_is_reported_before_a_failing_draw(monkeypatch, capsys, tmp_path, cores, draw_fails):
+    # bounds draws before it fits, and fits as item 0 of its solve pool; a failing draw checks the fit first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    shift = {"shift": {"clip_radius": 1e-300}} if draw_fails else {}
+    config = _tiny_config(tmp_path, train={"learning_rate": 1e160}, **shift)
+    assert main(["bounds", "--config", config, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("config error: train.learning_rate 1e+160 is too large for the training data")
+    _assert_no_child_left()
+
+
 def test_integral_float_counts_up_to_2_53_are_accepted():
     cfg = ExperimentConfig.from_dict({"trials": 3.0, "seed": float(2**53)})
     assert (cfg.trials, cfg.seed) == (3, 2**53)
@@ -1282,10 +1302,18 @@ def test_cli_import_leaves_process_pool_modules_unloaded():
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "loaded = lambda: sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules))\n"
         "before = loaded()\n"
-        "pids = cli._map(lambda i: os.getpid(), [(i,) for i in range(4)], 2)\n"
-        "print(before, len(set(pids)), os.getpid() in pids, loaded())"
+        "out = cli._map(lambda i: (i, os.getpid()), [(i,) for i in range(4)], 2)\n"
+        "pids = {pid for _, pid in out}\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    print('a child is left')\n"
+        "print(before, [i for i, _ in out], len(pids) <= 2, os.getpid() in pids, loaded())"
     )
-    assert _run_python(code).strip() == "[] 2 False []"
+    # Dealt from one queue, one child may take every trivial item.
+    assert _run_python(code).strip() == "[] [0, 1, 2, 3] True False []"
 
 
 def _run_python(code: str) -> str:
@@ -1342,9 +1370,46 @@ def _item_and_pid(item: int) -> tuple[int, int]:
 def test_map_runs_items_in_forked_workers_in_order():
     out = _map(_item_and_pid, [(i,) for i in range(7)], 2)
     assert [item for item, _ in out] == list(range(7))
-    pids = [pid for _, pid in out]
-    assert len(set(pids)) == 2 and os.getpid() not in pids
-    assert all(pids[i] == pids[i + 2] for i in range(5))  # interleaved shares: 0, 2, 4, 6 and 1, 3, 5
+    pids = {pid for _, pid in out}
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids  # dealt from one queue: a child may take every item
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable cores")
+def test_map_deals_more_items_than_a_pipe_holds_in_order():
+    # 20000 4-byte indices overflow a 64 KiB pipe buffer, so the parent must feed the pipe as the children drain it.
+    assert _map(int, [(i,) for i in range(20_000)], 2) == list(range(20_000))
+    _assert_no_child_left()
+
+
+def _slow_first(item: int) -> tuple[int, int]:
+    if item == 0:
+        time.sleep(1.0)
+    return item, os.getpid()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable cores")
+def test_map_does_not_hold_the_other_items_behind_a_slow_one():
+    # Interleaved shares would leave items 2, 4, ... behind item 0; dealt, the other child takes them all.
+    out = _map(_slow_first, [(i,) for i in range(9)], 2)
+    assert [item for item, _ in out] == list(range(9))
+    assert out[0][1] not in {pid for _, pid in out[1:]}
+    _assert_no_child_left()
+
+
+def _log_item(log: Path, item: int) -> int:
+    with open(log, "a") as fh:
+        fh.write(f"{item}\n")
+    return item
+
+
+def test_map_deals_each_index_once_to_more_workers_than_cores(monkeypatch, tmp_path):
+    # Four children race on one index pipe, also past its first write: a lost index fails the ordered
+    # results, and an index taken twice shows in the log of the items run.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    log = tmp_path / "run.log"
+    assert _map(_log_item, [(log, i) for i in range(3000)], 4) == list(range(3000))
+    assert sorted(map(int, log.read_text().split())) == list(range(3000))
     _assert_no_child_left()
 
 

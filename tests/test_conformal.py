@@ -85,6 +85,11 @@ class TestEmpiricalQuantile:
         with pytest.raises(ValueError, match="NaN|positive"):
             empirical_quantile(scores, level)
 
+    def test_an_infinite_score_is_refused(self):
+        # Unchecked, the 0.9 quantile of [1, inf, 3] is inf.
+        with pytest.raises(ValueError, match="^scores must be finite"):
+            empirical_quantile([1.0, math.inf, 3.0], 0.9)
+
     @given(
         scores=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
         alpha=st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
@@ -119,6 +124,16 @@ class TestCalibrate:
         # A NaN score must raise, not give a NaN threshold.
         with pytest.raises(ValueError, match="NaN"):
             calibrate([0.1, math.nan, 0.3, 0.4, 0.5], 0.2)
+
+    @pytest.mark.parametrize(
+        "scores, alpha",
+        [([1.0, 2.0, math.inf], 0.4), ([-math.inf] * 10, 0.5)],
+        ids=["inf-at-level-one", "minus-inf"],
+    )
+    def test_an_infinite_score_is_refused(self, scores, alpha):
+        # Unchecked, the first returns threshold inf at level 1, which reads as FULL_SET, and the second -inf.
+        with pytest.raises(ValueError, match="^scores must be finite"):
+            calibrate(scores, alpha)
 
     def test_level_one_takes_max(self):
         res = calibrate([1.0, 2.0, 3.0, 4.0], 0.2)

@@ -220,6 +220,24 @@ class TestSelectUStar:
         with pytest.raises(ValueError, match=r"^coverage curve points must be numbers, got \(u, c_hat\) = \("):
             select_u_star(curve, 0.2)
 
+    @pytest.mark.parametrize(
+        "curve, bad",
+        [
+            ([(0.0, 0.5), (0.5, math.inf)], r"\(0\.5, inf\)"),
+            ([(0.0, 0.9), (0.5, 1.7)], r"\(0\.5, 1\.7\)"),
+            ([(0.0, -0.5), (0.5, 0.1)], r"\(0\.0, -0\.5\)"),
+            ([(-1.0, 0.9), (0.5, 0.1)], r"\(-1\.0, 0\.9\)"),
+        ],
+        ids=["inf-coverage", "coverage-above-one", "negative-coverage", "negative-cutoff"],
+    )
+    def test_a_point_no_coverage_curve_can_hold_is_refused(self, curve, bad):
+        # Unchecked, these return 0.5, 0.5, 0.0 and the cutoff -1.0, which randomizes every label.
+        with pytest.raises(ValueError, match=rf"^coverage curve points need .* got \(u, c_hat\) = {bad}$"):
+            select_u_star(curve, 0.2)
+
+    def test_an_infinite_cutoff_is_a_valid_point(self):
+        assert select_u_star([(0.0, 0.9), (math.inf, 0.85)], 0.2) == math.inf
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_alpha_is_refused(self, alpha):
         # Unchecked, NaN and -inf qualify no cutoff and fall back to 0.0, and inf qualifies every one.

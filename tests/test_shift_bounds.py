@@ -34,7 +34,7 @@ from shiftcp.shift_bounds import (
 )
 from shiftcp.synthetic import generate_source
 
-from oracles import kantorovich_rubinstein_holds, winf_coupled
+from oracles import kantorovich_rubinstein_holds, w1_assignment_untransposed, winf_coupled
 
 samples_1d = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False),
@@ -135,6 +135,25 @@ class TestW1Assignment:
         # Kantorovich-Rubinstein: the 1-Lipschitz potential x -> <x, theta>
         # certifies W1 >= |mean(b) - mean(a)|.
         assert got >= np.linalg.norm(b.mean(axis=0) - a.mean(axis=0)) - 1e-12
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        d=st.integers(1, 9),
+        translation=st.sampled_from([0.0, 0.5, 5.0, 50.0]),
+        noise=st.sampled_from([0.0, 1e-3, 0.3, 1.0]),
+    )
+    def test_transposed_reduced_costs_keep_the_untransposed_value(self, seed, n, d, translation, noise):
+        g = np.random.default_rng(seed)
+        a = g.normal(size=(n, d))
+        b = a[g.permutation(n)] + translation * g.normal(size=d) + noise * g.normal(size=(n, d))
+        forward = shift_bounds._reduced_costs(a, b)
+        assert np.array_equal(shift_bounds._reduced_costs(b, a).view(np.int64), forward.T.view(np.int64))
+        got, want = w1_assignment(a, b), w1_assignment_untransposed(a, b)
+        if d == 1:  # tilted 1-D costs are 0 or 2|x - y|: optimal matchings tie, and a tie may round differently
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got.hex() == want.hex()
 
     def test_size_mismatch_and_oversize_rejected(self):
         with pytest.raises(ValueError):
@@ -492,10 +511,11 @@ class TestTauCorrection:
             tau_correction(hinge_source, 0.1, 0.0)
 
 
-_NONNEGATIVE, _ALPHA = st.floats(0.0, 10.0), st.floats(0.01, 0.99)
+_NONNEGATIVE, _ALPHA, _COVERAGE = st.floats(0.0, 10.0), st.floats(0.01, 0.99), st.floats(0.0, 1.0)
 
-#: The certificate family: strategies for each float argument of a valid call, and the call. Only alpha of
-#: select_u_star is varied, as u = inf is a valid cutoff; rho_mix's floats are a prior and the distances.
+#: The certificate family: strategies for each float argument of a valid call, and the call. select_u_star's
+#: alpha and its two points' coverages are varied, not their cutoffs, as u = inf is a valid cutoff; rho_mix's
+#: floats are a prior and the distances.
 CERTIFICATE_CALLS = {
     "score_shift_w1_bound": ((_NONNEGATIVE, _NONNEGATIVE), score_shift_w1_bound),
     "coverage_gap_bound": ((_NONNEGATIVE, _NONNEGATIVE), coverage_gap_bound),
@@ -503,7 +523,7 @@ CERTIFICATE_CALLS = {
     "relaxed_coverage_lower_bound": ((_ALPHA, _NONNEGATIVE, _NONNEGATIVE, _NONNEGATIVE), relaxed_coverage_lower_bound),
     "tau_correction": ((st.floats(1.0, 2.0), _NONNEGATIVE, st.floats(-0.5, 0.5)), tau_correction),
     "rho_mix": ((st.just(0.5), _NONNEGATIVE, _NONNEGATIVE), lambda prior, d1, d2: rho_mix([prior, 0.5], [d1, d2])),
-    "select_u_star": ((_ALPHA,), lambda alpha: select_u_star([(0.0, 0.9), (0.5, 0.8)], alpha)),
+    "select_u_star": ((_ALPHA, _COVERAGE, _COVERAGE), lambda alpha, c0, c1: select_u_star([(0.0, c0), (0.5, c1)], alpha)),
 }
 
 

@@ -91,6 +91,11 @@ class TestGenerateSource:
         with pytest.raises(ValueError, match="must be nonnegative, got nan"):
             build()
 
+    def test_an_infinite_scale_is_refused(self):
+        # Unchecked, generate_source then drew all-infinite features.
+        with pytest.raises(ValueError, match="^class_cov_scale must be finite, got inf$"):
+            SourceSpec(np.eye(2), math.inf, np.array([0.5, 0.5]))
+
 
 class TestApplyShift:
     def test_identity_shift(self):
@@ -482,6 +487,17 @@ class TestTrainClassifier:
         x = np.array([[10.0, 0.0], [-10.0, bad], [0.0, 10.0]])
         with pytest.raises(ValueError, match="training features must be finite"):
             train_classifier(x, [1, 2, 3], 3)
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+    def test_a_non_finite_learning_rate_is_refused_before_the_first_epoch(self, learning_rate, monkeypatch):
+        # NaN used to run every epoch and then fail the model's weight check; inf first warned from numpy.
+        def no_epochs(*args, **kwargs):
+            raise AssertionError("ran an epoch at a non-finite learning rate")
+
+        monkeypatch.setattr(np, "matmul", no_epochs)
+        x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(ValueError, match=f"^learning_rate must be finite, got {learning_rate}$"):
+            train_classifier(x, [1, 2, 2], 2, epochs=3, learning_rate=learning_rate)
 
     @pytest.mark.parametrize(("rows", "labels"), [(3, [1, 2]), (2, [1, 2, 1]), (2, [[1, 2]])])
     def test_one_label_per_row_is_checked_before_the_first_epoch(self, rows, labels, monkeypatch):
