@@ -25,11 +25,11 @@ a subcommand that takes ``--config`` succeeds, writes the resolved config
 Records have :class:`TrialRecord`'s fields as columns, in method, sigma,
 trial order; ``replay`` finds each record's cell by the text :func:`_fmt` wrote.
 ``--threads`` fans the independent (sigma, trial) cells of ``sweep``, ``tau``
-and ``replay`` out to forked worker processes, which take the cells' indices
-from one queue while the parent waits; every cell draws from its own stream
-address, so runs are byte-identical for a fixed config and seed whatever the
-worker count. ``bounds`` deals its fit and its assignment solves to the same
-pool.
+and ``replay`` out to forked worker processes, which take chunks of
+consecutive cells from one queue that the parent writes whole before the
+first fork; every cell draws from its own stream address, so runs are
+byte-identical for a fixed config and seed whatever the worker count.
+``bounds`` deals its fit and its assignment solves to the same pool.
 """
 
 from __future__ import annotations
@@ -184,13 +184,13 @@ class ExperimentConfig:
         for a, b in zip(sigma_grid, sigma_grid[1:]):
             if _fmt(a) == _fmt(b):
                 raise ConfigError(f"sigma_grid values {a!r} and {b!r} both print as {_fmt(a)}; replay cannot tell them apart")
-        # The certificate grows with sigma; an overflowing one would feed inf into the bounds.
-        with np.errstate(over="ignore"):
-            rho_max = shift.scaled(sigma_grid[-1]).per_class_rho()
-        if not np.isfinite(rho_max).all():
-            raise ConfigError(
-                f"shift.per_class_translation / shift.clip_radius overflow the certified radius at sigma {sigma_grid[-1]}"
-            )
+        # The shift grows with sigma: an overflowing noise scale would draw inf, an overflowing certificate feed the bounds inf.
+        try:
+            with np.errstate(over="ignore"):  # the scaled spec refuses an overflowing translation or noise scale
+                if not np.isfinite(shift.scaled(sigma_grid[-1]).per_class_rho()).all():
+                    raise ValueError("shift.per_class_translation / shift.clip_radius overflow the certified radius")
+        except ValueError as exc:
+            raise ConfigError(f"the shift overflows at sigma {sigma_grid[-1]}: {exc}") from exc
 
         if not isinstance(merged["methods"], list) or not all(isinstance(m, str) for m in merged["methods"]):
             raise ConfigError("methods must be a list of method names")
@@ -610,25 +610,25 @@ def _workers(threads: int, n_items: int) -> int:
     return min(threads, n_items, cores) if hasattr(os, "fork") else 1
 
 
-#: Item indices per write to :func:`_map`'s index pipe: one PIPE_BUF of 4-byte indices, which a pipe takes whole or not at all.
+#: Most chunks :func:`_map` deals: one PIPE_BUF of 4-byte chunk starts, which the empty pipe takes in one write.
 _DEAL = select.PIPE_BUF // 4
 
 
-def _run_worker(fn, items: list, tasks: int, feed: int, pipe) -> None:
-    """Child of :func:`_map`: run the items whose indices it takes from ``tasks``, pickle the outcome to ``pipe``, exit.
+def _run_worker(fn, items: list, tasks: int, size: int, pipe) -> None:
+    """Child of :func:`_map`: run the chunks it takes from ``tasks``, pickle the outcome to ``pipe``, exit.
 
-    The child takes one index at a time until the pipe ends or an item fails; it first closes its copy of the
-    ``feed`` end, so the pipe ends once the parent has dealt every index.
+    It takes one chunk start at a time and runs that chunk's ``size`` items in order until the pipe ends or an item fails.
     """
     done, failure, status = [], None, 1
     try:
-        os.close(feed)
-        while failure is None and (index := os.read(tasks, 4)):
-            i = int.from_bytes(index, "little")
-            try:
-                done.append((i, fn(*items[i])))
-            except Exception as exc:
-                failure = (i, exc)
+        while failure is None and (start := os.read(tasks, 4)):
+            start = int.from_bytes(start, "little")
+            for i in range(start, min(start + size, len(items))):
+                try:
+                    done.append((i, fn(*items[i])))
+                except Exception as exc:
+                    failure = (i, exc)
+                    break
         try:
             data = pickle.dumps((done, failure))
         except Exception as exc:  # an unpicklable result or exception must still reach the parent
@@ -641,69 +641,56 @@ def _run_worker(fn, items: list, tasks: int, feed: int, pipe) -> None:
         os._exit(status)
 
 
-def _deal(feed: int, dealt: int, n_items: int) -> int:
-    """Write the next :data:`_DEAL` item indices after ``dealt`` to ``feed``; return how many are dealt then."""
-    chunk = np.arange(dealt, min(dealt + _DEAL, n_items), dtype="<u4")
-    try:
-        os.write(feed, chunk.tobytes())
-    except BlockingIOError:  # the pipe has no room for a whole write yet
-        return dealt
-    return dealt + chunk.size
-
-
 def _map(fn, items: list, threads: int) -> list:
     """``[fn(*args) for args in items]``, fanned out to forked worker processes.
 
-    The parent deals item indices, in order, into one pipe shared by the
-    :func:`_workers` children, and feeds it as they drain it, so any number
-    of items is dealt and uneven items balance across the children. Each
-    child (:func:`_run_worker`) runs the items it takes while the parent waits
-    on every pipe at once; the results come back in item order, or the
-    lowest failing item's exception is re-raised, as at one worker: every
-    lower index was taken, and so run, before it. A child whose pipe ends
-    without a readable outcome fails the call as soon as the parent sees it:
-    the other children are killed and the dead one is named with its wait
-    status. Fork is safe only in a single-threaded process, so the loop runs
-    in-process at one worker and whenever another thread is alive.
+    The items are cut into at most :data:`_DEAL` chunks of ``ceil(n / _DEAL)``
+    consecutive items. Before the first fork the parent writes every chunk's
+    start, in order, into one pipe and closes its write end; the
+    :func:`_workers` children share that queue, so uneven items balance
+    across them. Each child (:func:`_run_worker`) runs the chunks it takes
+    while the parent waits on every outcome pipe at once; the results come
+    back in item order, or the lowest failing item's exception is re-raised,
+    as at one worker: chunks are taken in order and run in order, so every
+    lower item was run before it. A child whose pipe ends without a readable
+    outcome fails the call as soon as the parent sees it: the other children
+    are killed and the dead one is named with its wait status. Fork is safe
+    only in a single-threaded process, so the loop runs in-process at one
+    worker and whenever another thread is alive.
     """
     workers = _workers(threads, len(items))
     if workers <= 1 or threading.active_count() > 1:
         return [fn(*args) for args in items]
     pids, fds, outcomes, statuses = [], [], {}, []
     dead = cause = None
-    tasks, feed = os.pipe()  # the parent keeps the read end open, so a write never fails on a pipe all children left
+    size = -(-len(items) // _DEAL)  # ceil(n / _DEAL) items a chunk, so at most _DEAL chunks
+    tasks, feed = os.pipe()
     try:
-        dealt = _deal(feed, 0, len(items))  # the first indices wait in the empty pipe before any child starts
+        with open(feed, "wb", buffering=0) as queue:  # closed before any fork: the pipe ends once every start is taken
+            queue.write(np.arange(0, len(items), size, dtype="<u4").tobytes())
         for w in range(workers):
             read_end, write_end = os.pipe()
             fds.append(read_end)
             with open(write_end, "wb") as pipe:
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _run_worker(fn, items, tasks, feed, pipe)
-        os.set_blocking(feed, False)
-        chunks = [[] for _ in fds]
+                    _run_worker(fn, items, tasks, size, pipe)
+        received = [[] for _ in fds]
         while dead is None and len(outcomes) < workers:
-            if dealt == len(items) and feed is not None:
-                os.close(feed)  # the pipe ends for the children once they have taken every index
-                feed = None
             waiting = [fd for w, fd in enumerate(fds) if w not in outcomes]
-            readable, writable, _ = select.select(waiting, [] if feed is None else [feed], [])
-            if writable:
-                dealt = _deal(feed, dealt, len(items))
-            for fd in readable:
+            for fd in select.select(waiting, [], [])[0]:
                 w = fds.index(fd)
                 data = os.read(fd, 1 << 16)
                 if data:
-                    chunks[w].append(data)
+                    received[w].append(data)
                     continue
                 try:
-                    outcomes[w] = pickle.loads(b"".join(chunks[w]))
+                    outcomes[w] = pickle.loads(b"".join(received[w]))
                 except Exception as exc:  # empty or truncated if the child died, or an exception that cannot be rebuilt
                     dead, cause = w, exc
                     break
     finally:
-        for fd in [*fds, tasks] + ([] if feed is None else [feed]):
+        for fd in [*fds, tasks]:
             os.close(fd)
         for w, pid in enumerate(pids):
             if w not in outcomes and w != dead:

@@ -76,6 +76,9 @@ class UncertaintyGrid:
         Predictive entropy is bounded by ln K, so this grid spans the whole
         attainable range; the +inf point recovers hard pseudo-labeling.
         """
+        for name, value in (("n_classes", n_classes), ("size", size)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n_classes < 2:
             raise ValueError("need at least two classes")
         pts = np.linspace(0.0, math.log(n_classes), size)

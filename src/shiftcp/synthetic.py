@@ -104,6 +104,7 @@ class ShiftSpec:
         if not np.isfinite(t).all():
             raise ValueError("translations must be finite")
         _validate_nonnegative(noise_scale=self.noise_scale, clip_radius=self.clip_radius)
+        _validate_finite(noise_scale=self.noise_scale)  # an infinite clip_radius is a valid unclipped shift
         if self.clip_mode not in ("resample", "project"):
             raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
         object.__setattr__(self, "per_class_translation", t)

@@ -29,6 +29,7 @@ from shiftcp.cli import (
     DEFAULT_CONFIG,
     ExperimentConfig,
     TrialData,
+    _DEAL,
     _calibrate_method,
     _map,
     _sweep_arms,
@@ -728,6 +729,9 @@ _TRAINING_DRAW_WITHOUT_CLASS_3 = {"n_cal": 2000, "n_test": 2000, "sigma_grid": [
 # Finite translations whose certified radius overflows at sigma 0.8.
 _OVERFLOWING_SHIFT = {"per_class_translation": [[1e160, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
+# A finite noise scale whose product with sigma 1e300 overflows.
+_NOISE_OVERFLOWING_SHIFT = {"per_class_translation": [[0, 0], [0, 0], [0, 0]], "clip_radius": 1e-300, "noise_scale": 1e10}
+
 # Each case builds the argv of one CLI call in a temporary directory.
 EXIT_CASES = {
     "sweep-ok": (lambda p: ["sweep", "--config", _tiny_config(p)], 0),
@@ -765,6 +769,19 @@ EXIT_CASES = {
         lambda p: ["sweep", "--config", _tiny_config(p, shift={"noise_scale": 1e200, "clip_mode": "project"})],
         2,
     ),
+    # The noise scale overflows only once scaled to the largest sigma, where the clip radius is 1.
+    **{
+        f"noise-scale-overflow-at-largest-sigma-{command}-{mode}": (
+            lambda p, command=command, mode=mode: [
+                command,
+                "--config",
+                _tiny_config(p, shift={**_NOISE_OVERFLOWING_SHIFT, "clip_mode": mode}, sigma_grid=[0.0, 1e300]),
+            ],
+            2,
+        )
+        for command in ("sweep", "tau", "bounds", "gen", "tune")
+        for mode in ("resample", "project")
+    },
     "threads-below-one": (lambda p: ["sweep", "--config", _tiny_config(p), "--threads", "-3"], 2),
     "bounds-learning-rate-subnormal": (
         lambda p: ["bounds", "--config", _tiny_config(p, train={"learning_rate": 5e-324})],
@@ -1376,9 +1393,11 @@ def test_map_runs_items_in_forked_workers_in_order():
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable cores")
-def test_map_deals_more_items_than_a_pipe_holds_in_order():
-    # 20000 4-byte indices overflow a 64 KiB pipe buffer, so the parent must feed the pipe as the children drain it.
-    assert _map(int, [(i,) for i in range(20_000)], 2) == list(range(20_000))
+@pytest.mark.parametrize("n_items", [_DEAL, _DEAL + 1, 20_000])
+def test_map_deals_more_items_than_a_pipe_holds_in_order(n_items):
+    # At _DEAL items every chunk is one item; one more makes chunks of 2 with a last chunk of 1, and 20 000
+    # 4-byte indices would overflow a 64 KiB pipe buffer, so their 1000 chunk starts go in one write instead.
+    assert _map(int, [(i,) for i in range(n_items)], 2) == list(range(n_items))
     _assert_no_child_left()
 
 
@@ -1404,8 +1423,8 @@ def _log_item(log: Path, item: int) -> int:
 
 
 def test_map_deals_each_index_once_to_more_workers_than_cores(monkeypatch, tmp_path):
-    # Four children race on one index pipe, also past its first write: a lost index fails the ordered
-    # results, and an index taken twice shows in the log of the items run.
+    # Four children race on one queue of 1000 chunk starts, 3 items a chunk: a lost chunk fails the ordered
+    # results, and a chunk taken twice shows in the log of the items run.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     log = tmp_path / "run.log"
     assert _map(_log_item, [(log, i) for i in range(3000)], 4) == list(range(3000))
@@ -1432,6 +1451,20 @@ def test_map_raises_the_lowest_failing_items_error(monkeypatch, threads):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(DataError, match="^item 3 is malformed$"):
         _map(_raise_at_three_and_four, [(i,) for i in range(8)], threads)
+    _assert_no_child_left()
+
+
+def _raise_at_1501_1502_and_2999(item: int) -> int:
+    if item in (1501, 1502, 2999):
+        raise DataError(f"item {item} is malformed")
+    return item
+
+
+def test_map_raises_the_lowest_failing_items_error_across_chunks(monkeypatch):
+    # Chunks of 3: item 1501 ends its chunk's run before 1502, and 2999 fails in the last chunk.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    with pytest.raises(DataError, match="^item 1501 is malformed$"):
+        _map(_raise_at_1501_1502_and_2999, [(i,) for i in range(3000)], 4)
     _assert_no_child_left()
 
 
@@ -1509,6 +1542,34 @@ def test_map_fails_as_soon_as_a_later_worker_dies():
     pid, message, elapsed = _run_python(code).splitlines()
     assert message == f"worker process {pid} sent no readable outcome (wait status {signal.SIGKILL})"
     assert float(elapsed) < 1.0
+
+
+def test_map_fails_as_soon_as_a_worker_dies_in_a_chunk():
+    # 5000 items make chunks of 5; item 1 kills its child inside the first chunk, and the other child's
+    # items would take 50 s.
+    code = (
+        "import os, signal, time, shiftcp.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def item(i):\n"
+        "    if i == 1:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    time.sleep(0.01)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    cli._map(item, [(i,) for i in range(5000)], 2)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "print(time.perf_counter() - start)\n"
+        "try:\n"
+        "    print(os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    pid, message, elapsed, children = _run_python(code).splitlines()
+    assert message == f"worker process {pid} sent no readable outcome (wait status {signal.SIGKILL})"
+    assert float(elapsed) < 1.0
+    assert children == "no child left"
 
 
 @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])

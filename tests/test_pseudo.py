@@ -44,6 +44,24 @@ class TestRngStream:
         with pytest.raises(TypeError):
             RngStream(1).substream(1.5)
 
+    @pytest.mark.parametrize("field, address", [("seed", (-1,)), ("seed", (2**64,)), ("stream", (1, -1)), ("stream", (1, 2**64))])
+    def test_address_outside_64_bits_is_refused(self, field, address):
+        # -1 would alias 2**64 - 1 and 2**64 would alias 0.
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            RngStream(*address)
+
+    @pytest.mark.parametrize("field, address", [("seed", (True,)), ("seed", (1.5,)), ("stream", (1, True)), ("stream", (1, 2.0))])
+    def test_address_that_is_not_an_int_is_refused(self, field, address):
+        # True would replay seed 1; a float failed only at the first draw.
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            RngStream(*address)
+
+    @pytest.mark.parametrize("key", [2**63, -(2**63) - 1])
+    def test_int_key_outside_signed_64_bits_is_refused(self, key):
+        with pytest.raises(ValueError, match=f"key {key} lies outside"):
+            RngStream(1).substream(key)
+        RngStream(1).substream(2**63 - 1, -(2**63))
+
 
 class TestUncertaintyGrid:
     def test_default_spans_entropy_range(self):
@@ -52,6 +70,11 @@ class TestUncertaintyGrid:
         assert grid.values[0] == 0.0
         assert grid.values[-2] == pytest.approx(math.log(3))
         assert math.isinf(grid.values[-1])
+
+    @pytest.mark.parametrize("args, kwargs", [((2.5,), {}), ((True,), {}), ((3,), {"size": 2.5}), ((3,), {"size": True})])
+    def test_default_refuses_a_size_that_is_not_an_integer(self, args, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            UncertaintyGrid.default(*args, **kwargs)
 
     def test_rejects_unsorted_or_negative(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,10 @@ class TestGenerateSource:
         # Unchecked, generate_source then drew all-infinite features.
         with pytest.raises(ValueError, match="^class_cov_scale must be finite, got inf$"):
             SourceSpec(np.eye(2), math.inf, np.array([0.5, 0.5]))
+        # Unchecked, apply_shift moved every point to infinity; an infinite clip radius stays an unclipped shift.
+        with pytest.raises(ValueError, match="^noise_scale must be finite, got inf$"):
+            ShiftSpec(np.zeros((2, 2)), math.inf, math.inf)
+        ShiftSpec(np.zeros((2, 2)), 0.1, math.inf)
 
 
 class TestApplyShift:
