@@ -804,6 +804,7 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
     ``cal`` and ``source`` are the source splits' scored views and labels. ``tau_rule`` is the slack ``tau``
     would design from the entry's splits, null where the rule is degenerate; the target losses are oracle
     inputs. Without a certified ``w1_score_bound``, the coverage gap is bounded at the measured score W1.
+    ``pseudo_coverage_lower`` is the certified floor at the measured source ramp loss, null without ``lipschitz``.
     """
     (view, y_src), (cal_view, y_cal) = source, cal
     src_scores, cal_scores = view.label_scores(y_src), cal_view.label_scores(y_cal)
@@ -813,7 +814,7 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
         raise DataError(f"source_test scores: {exc}") from exc
     for entry, rule, scores in zip(per_sigma, _slack_rule(alpha, view, src_scores, target_scores), target_scores):
         tau, losses, w1 = rule.pop("tau"), (rule["ramp_target_oracle"], rule["hinge_target_oracle"]), w1_1d(src_scores, scores)
-        certified_w1 = entry["w1_score_bound"]
+        certified_w1, ramp, rho = entry["w1_score_bound"], rule["ramp_source"], entry["rho_mix_certified"]
         entry.update(
             rule,
             tau_rule=None if isinstance(tau, ValueError) else tau,
@@ -821,6 +822,7 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
             coverage_gap_measured=integrated_coverage_gap(cal_scores, src_scores, scores).integrated,
             coverage_gap_bound=coverage_gap_bound(sup_density, w1 if certified_w1 is None else certified_w1),
             relaxed_coverage_lower=[[t, relaxed_coverage_lower_bound(alpha, *losses, t)] for t in tau_grid],
+            pseudo_coverage_lower=None if lipschitz is None else pseudo_coverage_lower_bound(alpha, ramp, lipschitz, rho),
         )
     return {
         "alpha": alpha,
@@ -854,7 +856,7 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
     except Exception:
         train_model(cfg)  # a failing fit is reported first, as if it had run before the draws
         raise
-    # The solver is loaded before the fork: each worker would otherwise load it again on every call.
+    # The solver is loaded before the fork: each worker would otherwise load it once more, on its first solve.
     items = [(train_model, cfg)] + [(w1_assignment, *pair) for sigma_pairs in pairs for pair in sigma_pairs]
     if len(items) > 1:
         _linear_sum_assignment()
@@ -864,26 +866,20 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
     per_sigma = []
     for sigma, sigma_pairs in zip(cfg.sigma_grid, pairs):
         rho_certified = cfg._grid_shifts[sigma].rho_true
+        per_class_w1 = [next(solved) for _ in sigma_pairs] if sigma_pairs else None
         per_sigma.append(
             {
                 "sigma": sigma,
                 "rho_certified": rho_certified,
                 "rho_mix_certified": cfg.rho_mix_certified(sigma),
-                "per_class_w1_paired": None,
-                "rho_mix_measured": None,
+                "per_class_w1_paired": per_class_w1,
+                "rho_mix_measured": None if per_class_w1 is None else rho_mix(cfg.source_spec.priors, per_class_w1),
                 "w1_score_bound": score_shift_w1_bound(lip, rho_certified),
             }
         )
-        if sigma_pairs:
-            per_class_w1 = [next(solved) for _ in sigma_pairs]
-            per_sigma[-1].update(per_class_w1_paired=per_class_w1, rho_mix_measured=rho_mix(cfg.source_spec.priors, per_class_w1))
     target_scores = [scored_view(model, x).label_scores(y) for x, y in targets]
     cal, source = (scored_view(model, x_cal), y_cal), (scored_view(model, x_src), y_src)
-    report = _bounds_report(cfg.alpha, cfg.tau_grid, lip, cal, source, target_scores, per_sigma)
-    for entry in per_sigma:  # the certified floor, at the measured source ramp loss
-        ramp, rho = entry["ramp_source"], entry["rho_mix_certified"]
-        entry["pseudo_coverage_lower"] = pseudo_coverage_lower_bound(cfg.alpha, ramp, lip, rho)
-    return report
+    return _bounds_report(cfg.alpha, cfg.tau_grid, lip, cal, source, target_scores, per_sigma)
 
 
 def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> dict:
@@ -891,8 +887,7 @@ def run_bounds_report_from_table(table: LogitTable, alpha: float, tau_grid) -> d
     tags = ("source_cal", "source_test", "target_test")
     cal, source, (target, y_tgt) = _table_splits(table, tags, labeled=tags)
     certified = ("sigma", "rho_certified", "rho_mix_certified", "per_class_w1_paired", "rho_mix_measured", "w1_score_bound")
-    entry = dict.fromkeys((*certified, "pseudo_coverage_lower"))
-    return _bounds_report(alpha, tau_grid, None, cal, source, [target.label_scores(y_tgt)], [entry])
+    return _bounds_report(alpha, tau_grid, None, cal, source, [target.label_scores(y_tgt)], [dict.fromkeys(certified)])
 
 
 # ---------------------------------------------------------------------------

@@ -70,19 +70,10 @@ def conformal_level(n: int, alpha: float) -> Fraction:
 
     ``empirical_quantile(s, conformal_level(len(s), alpha))`` is ``calibrate(s, alpha).threshold``.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"calibration count must be a positive integer, got {n}")
     _validate_alpha(alpha)
     return Fraction(_quantile_count(int(n), alpha), n)
-
-
-def _score_sample(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("scores must be a nonempty 1-D sample")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite, without NaN or +-inf")
-    return s
 
 
 def _order_statistic(s: np.ndarray, k: int) -> float:
@@ -97,7 +88,7 @@ def empirical_quantile(scores, level) -> float:
     result is the ``ceil(level * n)``-th smallest score (exact rational
     arithmetic), hence always an element of ``scores``.
     """
-    s = _score_sample(scores)
+    s = _finite_sample(scores, "scores")
     if level > 1:
         return FULL_SET
     if not level > 0:
@@ -125,13 +116,13 @@ def _finite_sample(values, name: str, ndim: int = 1) -> np.ndarray:
     if v.ndim != ndim or v.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty {'1-D sample' if ndim == 1 else '(n, d) array'}")
     if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite, without NaN or +-inf")
     return v
 
 
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Split-conformal threshold of a calibration score sample at level alpha."""
-    s = _score_sample(scores)
+    s = _finite_sample(scores, "scores")
     _validate_alpha(alpha)
     n = s.size
     k = _quantile_count(n, alpha)

@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import CalibrationResult, _validate_alpha, calibrate
+from .conformal import CalibrationResult, _covered_share, _validate_alpha, calibrate
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
@@ -174,7 +174,7 @@ def _source_probe(view: ScoredView, true_scores, alpha, rng):
 
     def probe(u):
         cal = calibrate(_pseudo_scores(view, u, uniform_scores), alpha)
-        return float(u), float(np.mean(true_scores <= cal.threshold)), cal.threshold
+        return float(u), _covered_share(true_scores, cal, 0.0), cal.threshold
 
     return probe
 

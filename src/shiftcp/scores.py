@@ -266,8 +266,6 @@ def predict(model, x):
 def score(model, x, y):
     """Nonconformity score: the negated margin of label ``y`` at ``x``."""
     view, single = _scored(model, x)
-    if single and np.size(y) != 1:
-        raise ValueError("single input requires a single label")
     out = view.label_scores(y)
     return float(out[0]) if single else out
 

@@ -197,11 +197,12 @@ def _subsampled_pairs(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: int = 0
     pa, pb = _paired_points(a, b)
     n = pa.shape[0]
     if n > max_points:
+        stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused before the warning
         warnings.warn(
             f"subsampling {n} points down to {max_points} for the assignment solver; result is an estimate",
             stacklevel=3,
         )
-        idx = RngStream(seed).substream("w1-subsample").generator().choice(n, size=max_points, replace=False)
+        idx = stream.generator().choice(n, size=max_points, replace=False)
         idx.sort()
         pa, pb = pa[idx], pb[idx]
     return pa, pb

@@ -112,7 +112,7 @@ class ShiftSpec:
     @property
     def rho_true(self) -> float:
         """Certified sup displacement: max translation norm plus the clip radius."""
-        return float(np.linalg.norm(self.per_class_translation, axis=1).max() + self.clip_radius)
+        return float(self.per_class_rho().max())
 
     def per_class_rho(self) -> np.ndarray:
         """Certified per-class displacement bounds ``||t_y|| + clip_radius``."""
@@ -121,12 +121,14 @@ class ShiftSpec:
     def scaled(self, sigma: float) -> "ShiftSpec":
         """Shift of strength ``sigma``: translations, noise and radius all scale jointly."""
         _validate_nonnegative(sigma=sigma)
-        return replace(
-            self,
-            per_class_translation=self.per_class_translation * sigma,
-            noise_scale=self.noise_scale * sigma,
-            clip_radius=self.clip_radius * sigma,
-        )
+        _validate_finite(sigma=sigma)
+        with np.errstate(over="ignore"):  # an overflowing product is refused by the spec's own checks
+            return replace(
+                self,
+                per_class_translation=self.per_class_translation * sigma,
+                noise_scale=self.noise_scale * sigma,
+                clip_radius=self.clip_radius * sigma,
+            )
 
 
 def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -285,6 +287,8 @@ def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: flo
       document ``einsum``'s order, so ``tests/test_synthetic.py`` pins it.
     """
     _validate_finite(learning_rate=learning_rate)
+    if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
     k = operator.index(n_classes)
     if k < 2:
         raise ValueError(f"a classifier needs at least two classes, got n_classes {k}")

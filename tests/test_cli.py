@@ -1014,6 +1014,8 @@ SEED_DIGESTS = {
 # of redrawing it, and sweep_k5 draws five classes under unequal priors, so
 # the label search and the view run past three classes. train_default is the
 # default config (4000 rows, 150 epochs): the fit every benchmark workload runs.
+# Each sweep case also runs on two workers, against the same digests, so finite
+# cutoffs, projected noise and five classes go through the forked pool too.
 _TINY = {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}
 _TINY_BOUNDS = {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]}
 DIGEST_CONFIGS = {
@@ -1034,13 +1036,17 @@ DIGEST_CONFIGS = {
 
 
 @pytest.mark.filterwarnings("ignore:subsampling:UserWarning")
-@pytest.mark.parametrize("case", sorted(SEED_DIGESTS))
-def test_outputs_match_recorded_digests(tmp_path, case):
+@pytest.mark.parametrize(
+    "case, threads",
+    [pytest.param(case, [], id=case) for case in sorted(SEED_DIGESTS)]
+    + [pytest.param(case, ["--threads", "2"], id=f"{case}-threads2") for case in sorted(SEED_DIGESTS) if case.startswith("sweep")],
+)
+def test_outputs_match_recorded_digests(tmp_path, case, threads):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(DIGEST_CONFIGS.get(case, _TINY)))
     out = tmp_path / "run"
     command = case.partition("_")[0]
-    assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out)]) == 0
+    assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out), *threads]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[case]}
     assert got == SEED_DIGESTS[case]
 

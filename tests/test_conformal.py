@@ -46,7 +46,8 @@ class TestConformalLevel:
     def test_small_n_exceeds_one(self):
         assert conformal_level(1, 0.4) == 2.0
 
-    @pytest.mark.parametrize("n,alpha", [(0, 0.2), (-1, 0.2), (3, 0.0), (3, 1.0), (3, 1.5), (3, math.nan)])
+    # A bool count used to pass as an int: conformal_level(True, 0.2) was 2.
+    @pytest.mark.parametrize("n,alpha", [(0, 0.2), (-1, 0.2), (True, 0.2), (3, 0.0), (3, 1.0), (3, 1.5), (3, math.nan)])
     def test_invalid_arguments(self, n, alpha):
         with pytest.raises(ValueError):
             conformal_level(n, alpha)
@@ -381,7 +382,7 @@ class TestCoverageGaps:
     def test_a_non_finite_score_is_refused(self, cal, test_p, test_q, name):
         # Unchecked, NaN in q gives 0.4925 and inf in p 0.2067, against the finite samples' 0.3725.
         assert integrated_coverage_gap([0.1, 0.2, 0.3], [0.1, 0.25], [0.3, 0.4]).integrated == pytest.approx(0.3725)
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, without NaN or \+-inf$"):
             integrated_coverage_gap(cal, test_p, test_q)
 
     def test_gap_grid_validation(self):

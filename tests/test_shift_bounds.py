@@ -221,6 +221,15 @@ class TestW1Assignment:
             with pytest.raises(ValueError, match="^max_points must be an integer in 1..512, got "):
                 w1_assignment_subsampled(a, a + 1.0, max_points=max_points)
 
+    @pytest.mark.parametrize(("seed", "error"), [(-1, ValueError), (True, TypeError)])
+    def test_subsampled_variant_refuses_a_bad_seed_before_it_warns(self, seed, error):
+        # The "result is an estimate" warning used to come first, and the refusal only after it.
+        a = RngStream(7).generator().normal(size=(5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="^seed must"):
+                w1_assignment_subsampled(a, a + 1.0, 2, seed=seed)
+
     def test_subsampled_variant_warns_and_estimates(self):
         rng = RngStream(5).generator()
         a = rng.normal(size=(700, 2))

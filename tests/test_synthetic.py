@@ -156,6 +156,19 @@ class TestApplyShift:
         assert scaled.rho_true == pytest.approx(2.5 * shift.rho_true)
         assert shift.scaled(0.0).rho_true == 0.0
 
+    @pytest.mark.parametrize(
+        ("translation", "sigma", "message"),
+        [(0.1, math.inf, "^sigma must be finite, got inf$"), (10.0, 1e308, "^translations must be finite$")],
+        ids=["infinite-sigma", "overflowing-translation"],
+    )
+    def test_scaling_refuses_without_a_numpy_warning(self, translation, sigma, message):
+        # Both used to warn from numpy's multiply before the refusal; as errors, the warning won.
+        shift = ShiftSpec(np.eye(2) * translation, 0.1, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                shift.scaled(sigma)
+
     def test_label_out_of_range(self):
         shift = ShiftSpec(np.zeros((2, 2)), 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -491,6 +504,17 @@ class TestTrainClassifier:
         x = np.array([[10.0, 0.0], [-10.0, bad], [0.0, 10.0]])
         with pytest.raises(ValueError, match="training features must be finite"):
             train_classifier(x, [1, 2, 3], 3)
+
+    @pytest.mark.parametrize("epochs", [True, 2.5, math.nan, math.inf])
+    def test_a_non_integer_epoch_count_is_refused_before_any_work(self, epochs, monkeypatch):
+        # True used to train one epoch; the floats failed inside the loop, without naming epochs.
+        def no_work(*args, **kwargs):
+            raise AssertionError("allocated training buffers for a non-integer epoch count")
+
+        monkeypatch.setattr(np, "zeros", no_work)
+        x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(ValueError, match=f"^epochs must be an integer, got {epochs!r}$"):
+            train_classifier(x, [1, 2, 2], 2, epochs=epochs)
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
     def test_a_non_finite_learning_rate_is_refused_before_the_first_epoch(self, learning_rate, monkeypatch):
