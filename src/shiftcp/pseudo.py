@@ -135,6 +135,8 @@ def pseudo_calibrate(
     """
     if math.isnan(u):
         raise ValueError("cutoff u must be a number, got nan")
+    if u < 0:  # every entropy exceeds it, so every label would be randomized
+        raise ValueError(f"cutoff u must be nonnegative, got {u}")
     view = scored_view(model, inputs)
     if len(view) == 0:
         raise ValueError("cannot calibrate on an empty input sample")

@@ -195,9 +195,9 @@ def _subsampled_pairs(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: int = 0
     if not (integral and 1 <= max_points <= MAX_ASSIGNMENT_SIZE):
         raise ValueError(f"max_points must be an integer in 1..{MAX_ASSIGNMENT_SIZE}, got {max_points!r}")
     pa, pb = _paired_points(a, b)
+    stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused at any size, and before the warning
     n = pa.shape[0]
     if n > max_points:
-        stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused before the warning
         warnings.warn(
             f"subsampling {n} points down to {max_points} for the assignment solver; result is an estimate",
             stacklevel=3,

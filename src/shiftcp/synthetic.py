@@ -119,7 +119,10 @@ class ShiftSpec:
         return np.linalg.norm(self.per_class_translation, axis=1) + self.clip_radius
 
     def scaled(self, sigma: float) -> "ShiftSpec":
-        """Shift of strength ``sigma``: translations, noise and radius all scale jointly."""
+        """Shift of strength ``sigma``: translations, noise and a finite radius all scale jointly.
+
+        An infinite radius (an unclipped shift) stays infinite at every strength.
+        """
         _validate_nonnegative(sigma=sigma)
         _validate_finite(sigma=sigma)
         with np.errstate(over="ignore"):  # an overflowing product is refused by the spec's own checks
@@ -127,7 +130,7 @@ class ShiftSpec:
                 self,
                 per_class_translation=self.per_class_translation * sigma,
                 noise_scale=self.noise_scale * sigma,
-                clip_radius=self.clip_radius * sigma,
+                clip_radius=self.clip_radius * sigma if math.isfinite(self.clip_radius) else self.clip_radius,
             )
 
 

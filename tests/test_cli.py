@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -53,6 +54,7 @@ from shiftcp.rng import RngStream
 from shiftcp.scores import ScoredView, scored_view
 from shiftcp.shift_bounds import tau_correction
 
+import golden
 from oracles import write_logit_table
 
 
@@ -585,7 +587,7 @@ class TestLogitsRoute:
         if want["source_tuned"]["u_star"] == got["source_tuned"]["u_star"] == "inf":
             methods.append("source_tuned")
         assert overlap or "source_tuned" in methods
-        columns = ("threshold", "u_star", "coverage", "ess", "cor1_bound")
+        columns = ("threshold", "u_star", "tau", "coverage", "ess", "cor1_bound")
         assert {m: [got[m][c] for c in columns] for m in methods} == {m: [want[m][c] for c in columns] for m in methods}
 
     def test_the_default_cutoff_grid_needs_the_tables_class_count(self, tmp_path, capsys):
@@ -961,94 +963,50 @@ def test_replay_names_the_table_split_it_lacks(tmp_path, capsys):
     assert "logit table split target_test has no rows" in capsys.readouterr().err
 
 
-# sha256 of the outputs at this shape and seed 20250809. records.csv and
-# tau_records.csv are the behavioural contract of the CLI: a change that moves
-# these digests must say why. The other files pin the aggregates, the tau
-# diagnostics, the tuning trace and the fitted classifier.
-SEED_DIGESTS = {
-    "sweep": {
-        "records.csv": "7f771a8ba5dc844c86284278172e2d79dd7af0f38e43db1a41f66f700f49f0fe",
-        "aggregate.csv": "b08901708605ba705565f1d3da5af5a55a4746b68c75ce266762fe01df455cca",
-    },
-    "tau": {
-        "tau_records.csv": "fd389dede42fb7244ed09c73eea126c2a406f05aa5bb3b33e3aa98001000433d",
-        "tau_aggregate.csv": "7b7481b60bb3f7dbfdba639c27d3b525910f952d5b452455c5ef5123b44ca508",
-        "tau_diagnostics.json": "0db4664ab99c50dc7f151a6db9a43a186644206664d7a97fa70008428cada38f",
-    },
-    "tune": {
-        "tune_trace.csv": "40adbae8bc91b49ce5332f1e7370da3f42c3f87d266aac6ee2d4d2470c122787",
-        "tune_result.json": "58d2078024ea5dcc4d39e0231083fad9feea6a334390f8f5fc95823ec6a754dc",
-    },
-    "bounds": {
-        "bounds.json": "8fcb423b0fdeb801b2c10d9331201d27c8b5409a5044f29efc245475c678ea8a",
-    },
-    "bounds_overlap": {
-        "bounds.json": "78d04568cd047daa839eeceec92c1e188dc02ac79cbb2c54302db2cc926c0070",
-    },
-    "sweep_overlap": {
-        "records.csv": "3c39255a6155ba7f3a461020eaf7fee53912c63abc41fc015945cf970806181c",
-        "aggregate.csv": "b48d19cdb1708733fbbb908bcd34a9808e4e64b594694de42bb896817527e424",
-    },
-    "sweep_project": {
-        "records.csv": "86d1dd980c000c12fcdd92d21edb6810eb497261d21c2620a1dcf8cd5893a613",
-        "aggregate.csv": "bf5fabc65b15c6a983f8d4ca156c26edc8c967a5f96ca754374c50b5ee10844c",
-    },
-    "sweep_k5": {
-        "records.csv": "2de266a00fee50284f07637fe6f2b05f44afb4b9cdc7f9cf367cf9c5a95c6f52",
-        "aggregate.csv": "fcc65954c2628e2d69d97587a6e8846f8333ff57f7d1964ce764cc33ef47b3ce",
-    },
-    "train": {
-        "classifier.json": "38c5a5e9663d1bdfb7f2b2296162f2e501cc064657ae7c100025f5570ad0f340",
-    },
-    "train_default": {
-        "classifier.json": "4d7be021ce8b19c393ec4b861534036c21d3480a6b957c8a4291475420ac7e8a",
-    },
-}
-# bounds runs at the benchmark's tiny bounds shape, where every class
-# exceeds the assignment limit, so its subsampled solves are pinned too;
-# bounds_overlap runs that shape on the overlap source, a second geometry
-# for the solver and the pooled fit.
-# sweep_overlap widens the source classes until tuning engages: 4 of its 6
-# source_tuned cells pick a finite cutoff, where the default config picks
-# u = inf everywhere. sweep_project projects the noise onto the ball instead
-# of redrawing it, and sweep_k5 draws five classes under unequal priors, so
-# the label search and the view run past three classes. train_default is the
-# default config (4000 rows, 150 epochs): the fit every benchmark workload runs.
-# Each sweep case also runs on two workers, against the same digests, so finite
-# cutoffs, projected noise and five classes go through the forked pool too.
-_TINY = {"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 1}
-_TINY_BOUNDS = {"n_train": 600, "n_cal": 200, "n_test": 1800, "sigma_grid": [0.0, 0.8]}
-DIGEST_CONFIGS = {
-    "bounds": _TINY_BOUNDS,
-    "bounds_overlap": {**_TINY_BOUNDS, "source": {"class_cov_scale": 1.0}},
-    "sweep_overlap": {**_TINY, "source": {"class_cov_scale": 1.0}},
-    "sweep_project": {**_TINY, "shift": {"clip_mode": "project"}},
-    "sweep_k5": {
-        **_TINY,
-        "source": {
-            "class_means": [[2.0, 0.0], [0.6, 1.9], [-1.6, 1.2], [-1.6, -1.2], [0.6, -1.9]],
-            "priors": [0.1, 0.3, 0.05, 0.3, 0.25],
-        },
-        "shift": {"per_class_translation": [[-0.6, 0.0], [-0.2, -0.57], [0.48, -0.36], [0.48, 0.36], [-0.2, 0.57]]},
-    },
-    "train_default": {},
-}
-
-
 @pytest.mark.filterwarnings("ignore:subsampling:UserWarning")
-@pytest.mark.parametrize(
-    "case, threads",
-    [pytest.param(case, [], id=case) for case in sorted(SEED_DIGESTS)]
-    + [pytest.param(case, ["--threads", "2"], id=f"{case}-threads2") for case in sorted(SEED_DIGESTS) if case.startswith("sweep")],
-)
-def test_outputs_match_recorded_digests(tmp_path, case, threads):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(DIGEST_CONFIGS.get(case, _TINY)))
-    out = tmp_path / "run"
-    command = case.partition("_")[0]
-    assert main([command, "--config", str(cfg), "--seed", "20250809", "--out", str(out), *threads]) == 0
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SEED_DIGESTS[case]}
-    assert got == SEED_DIGESTS[case]
+@pytest.mark.parametrize("case, workers", golden.params())
+def test_outputs_match_recorded_digests(monkeypatch, tmp_path, case, workers):
+    # tests/golden.json pins these bytes; records.csv and tau_records.csv are the CLI's behavioural contract.
+    pinned, out = golden.CASES[case], tmp_path / "run"
+    command = pinned["command"]
+    threads = ["--threads", str(workers)] if "--threads" in cli_module._COMMANDS[command][2] else []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    config = golden.config_path(pinned, tmp_path)
+    assert main([command, "--config", str(config), "--seed", str(pinned["seed"]), "--out", str(out), *threads]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned["sha256"]}
+    assert got == pinned["sha256"], golden.mismatch(case, workers, got, pinned["sha256"])
+    if command in ("sweep", "tau"):
+        assert main(["replay", "--out", str(out), *threads]) == 0
+
+
+def test_the_benchmark_digests_are_the_manifests():
+    # perfbench/digests.json still keeps its own copy of five pins; each must be a golden.json case's shape and bytes.
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", golden.ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up while being defined
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    # workload -> (subcommand, its size's shape, file): replay's digest is of the sweep it audits, and
+    # perfbench/selftest.py runs tau at the sweep shape.
+    pinned_by = {
+        "sweep": ("sweep", "sweep", "records.csv"),
+        "replay": ("sweep", "sweep", "records.csv"),
+        "bounds": ("bounds", "bounds", "bounds.json"),
+        "tau": ("tau", "sweep", "tau_records.csv"),
+    }
+    digests = json.loads((golden.ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    for size, entries in digests.items():
+        for workload, digest in entries.items():
+            command, shape, file = pinned_by[workload]
+            config = workloads.SHAPES[size][shape]
+            found = [
+                case["sha256"].get(file)
+                for case in golden.CASES.values()
+                if (case["command"], case["config"], case["seed"]) == (command, config, workloads.DEFAULT_SEED)
+            ]
+            assert found == [digest], f"perfbench/digests.json {size}.{workload}: {digest}; golden.json {command} {config}: {found}"
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "sweep", "tau", "bounds", "tune"])
@@ -1659,7 +1617,9 @@ def test_bounds_solves_are_byte_identical_at_any_worker_count(monkeypatch, capsy
     threaded = _bounds_fan_out(monkeypatch, capsys, tmp_path, "threaded", {0, 1}, thread=True)
     assert [one[0], two[0], threaded[0]] == [0, 2, 0]  # another live thread keeps the solves in-process
     assert one[1:] == two[1:] == threaded[1:]
-    assert hashlib.sha256(one[1]).hexdigest() == SEED_DIGESTS["bounds"]["bounds.json"]
+    want = golden.CASES["bounds"]["sha256"]  # _bounds_fan_out runs the golden bounds case's shape
+    got = {"bounds.json": hashlib.sha256(one[1]).hexdigest()}
+    assert got == want, golden.mismatch("bounds", 1, got, want)
     assert [re.sub(r"\d+ points", "N points", m, count=1) for m in one[2]] == [
         "subsampling N points down to 512 for the assignment solver; result is an estimate"
     ] * 6

@@ -145,7 +145,7 @@ class TestPseudoCalibrate:
     def test_seeded_replay_of_fully_randomized_labels(self, trained_model, three_class_source):
         x, _ = generate_source(three_class_source, 150, RngStream(33).substream("t"))
         rng = RngStream(33).substream("labels")
-        cal = pseudo_calibrate(trained_model, x, 0.2, u=-1.0, rng=rng)
+        cal = pseudo_calibrate(trained_model, x, 0.2, u=0.0, rng=rng)  # every entropy here is positive
         # Independent re-simulation from the same stream address.
         labels = RngStream(33).substream("labels").generator().integers(1, 4, size=150)
         expected = calibrate(score(trained_model, x, labels), 0.2)
@@ -161,10 +161,17 @@ class TestPseudoCalibrate:
             pseudo_calibrate(trained_model, np.empty((0, 2)), 0.2)
 
     def test_a_nan_cutoff_is_refused(self, trained_model, three_class_source):
-        # NaN compares false with every entropy, so unchecked it randomizes every label, as u = -1 does.
+        # NaN compares false with every entropy, so unchecked it randomizes every label.
         x, _ = generate_source(three_class_source, 50, RngStream(34).substream("t"))
         with pytest.raises(ValueError, match="^cutoff u must be a number, got nan$"):
             pseudo_calibrate(trained_model, x, 0.2, u=math.nan, rng=RngStream(1))
+
+    @pytest.mark.parametrize("u", [-1.0, -math.inf])
+    def test_a_negative_cutoff_is_refused(self, trained_model, three_class_source, u):
+        # Every entropy exceeds a negative cutoff, so it used to randomize every label without a word.
+        x, _ = generate_source(three_class_source, 50, RngStream(34).substream("t"))
+        with pytest.raises(ValueError, match=f"^cutoff u must be nonnegative, got {u}$"):
+            pseudo_calibrate(trained_model, x, 0.2, u=u, rng=RngStream(1))
 
     def test_score_dominance_per_draw(self, trained_model, three_class_source):
         """Randomized pseudo-labels never score below the hard pseudo-label."""

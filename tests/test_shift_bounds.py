@@ -230,6 +230,13 @@ class TestW1Assignment:
             with pytest.raises(error, match="^seed must"):
                 w1_assignment_subsampled(a, a + 1.0, 2, seed=seed)
 
+    @pytest.mark.parametrize(("seed", "error"), [(-1, ValueError), (True, TypeError), (1.5, TypeError)])
+    def test_subsampled_variant_refuses_a_bad_seed_on_a_sample_it_solves_whole(self, seed, error):
+        # A sample within max_points draws no subsample; its bad seed used to pass unchecked.
+        a = RngStream(7).generator().normal(size=(3, 2))
+        with pytest.raises(error, match="^seed must"):
+            w1_assignment_subsampled(a, a + 1.0, seed=seed)
+
     def test_subsampled_variant_warns_and_estimates(self):
         rng = RngStream(5).generator()
         a = rng.normal(size=(700, 2))

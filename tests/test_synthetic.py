@@ -156,6 +156,13 @@ class TestApplyShift:
         assert scaled.rho_true == pytest.approx(2.5 * shift.rho_true)
         assert shift.scaled(0.0).rho_true == 0.0
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 2.5])
+    def test_an_unclipped_shift_stays_unclipped_at_every_strength(self, sigma):
+        # inf * 0.0 is NaN: strength 0 used to fail with "clip_radius must be nonnegative, got nan".
+        scaled = ShiftSpec(np.eye(2), 0.1, math.inf).scaled(sigma)
+        assert scaled.clip_radius == math.inf
+        assert scaled.noise_scale == 0.1 * sigma
+
     @pytest.mark.parametrize(
         ("translation", "sigma", "message"),
         [(0.1, math.inf, "^sigma must be finite, got inf$"), (10.0, 1e308, "^translations must be finite$")],
