@@ -51,8 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import CalibrationResult, _covered_share, _validate_alpha, calibrate, expected_set_size, integrated_coverage_gap
-from .exceptions import ConfigError, DataError, InvariantError
+from .conformal import CalibrationResult, _covered_share, calibrate, expected_set_size, integrated_coverage_gap
+from .exceptions import ConfigError, DataError, InvariantError, _validate_alpha
 from .pseudo import UncertaintyGrid, _calibrate_at_cutoff, _curve_with_thresholds, _tune_cutoff, pseudo_calibrate, select_u_star
 from .rng import RngStream
 from .scores import (

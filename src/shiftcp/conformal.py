@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exceptions import _finite_sample, _validate_alpha, _validate_count, _validate_nonnegative
 from .scores import score_matrix, scored_view
 
 #: Sentinel threshold meaning "include every label". Infinity keeps the
@@ -54,11 +55,6 @@ class GapEstimate:
     integrated: float
 
 
-def _validate_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 @lru_cache(maxsize=1024)
 def _quantile_count(n: int, alpha: float) -> int:
     # Exact ceil of (1-alpha)(n+1); Fraction avoids e.g. 0.8*5 -> 4.0000000000000002.
@@ -70,8 +66,7 @@ def conformal_level(n: int, alpha: float) -> Fraction:
 
     ``empirical_quantile(s, conformal_level(len(s), alpha))`` is ``calibrate(s, alpha).threshold``.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"calibration count must be a positive integer, got {n}")
+    _validate_count("n", n, 1)
     _validate_alpha(alpha)
     return Fraction(_quantile_count(int(n), alpha), n)
 
@@ -96,30 +91,6 @@ def empirical_quantile(scores, level) -> float:
     return _order_statistic(s, math.ceil(Fraction(level) * s.size))
 
 
-def _validate_nonnegative(**values: float) -> None:
-    """Raise unless every named value is at least 0; NaN fails the comparison and raises too."""
-    for name, value in values.items():
-        if not value >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-def _validate_finite(**values: float) -> None:
-    """Raise unless every named value is a finite real: NaN and +-inf raise."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _finite_sample(values, name: str, ndim: int = 1) -> np.ndarray:
-    """A nonempty, finite 1-D sample of values, or with ``ndim`` 2 an (n, d) sample of points."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != ndim or v.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty {'1-D sample' if ndim == 1 else '(n, d) array'}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite, without NaN or +-inf")
-    return v
-
-
 def calibrate(scores, alpha: float) -> CalibrationResult:
     """Split-conformal threshold of a calibration score sample at level alpha."""
     s = _finite_sample(scores, "scores")
@@ -134,7 +105,7 @@ def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozen
 
     ``tau = 0`` gives the plain conformal set; ``tau > 0`` relaxes it.
     """
-    _validate_nonnegative(tau=tau)
+    _validate_nonnegative(tau=tau, finite=False)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("prediction_set expects a single input vector")
@@ -153,7 +124,7 @@ def coverage(model, x, y, cal: CalibrationResult, tau: float = 0.0) -> float:
 
 def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) -> float:
     """Share of the true-label scores at or below ``threshold + tau``: the coverage reduction."""
-    _validate_nonnegative(tau=tau)
+    _validate_nonnegative(tau=tau, finite=False)
     if true_scores.size == 0:
         raise ValueError("coverage of an empty sample is undefined")
     return np.count_nonzero(true_scores <= cal.threshold + tau) / true_scores.size
@@ -161,7 +132,7 @@ def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) 
 
 def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> float:
     """Mean prediction-set cardinality over a batch of inputs (or a scored view)."""
-    _validate_nonnegative(tau=tau)
+    _validate_nonnegative(tau=tau, finite=False)
     view = scored_view(model, x)
     if len(view) == 0:
         raise ValueError("expected set size of an empty sample is undefined")

@@ -39,7 +39,8 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import CalibrationResult, _covered_share, _validate_alpha, calibrate
+from .conformal import CalibrationResult, _covered_share, calibrate
+from .exceptions import _validate_alpha, _validate_count
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
@@ -76,11 +77,8 @@ class UncertaintyGrid:
         Predictive entropy is bounded by ln K, so this grid spans the whole
         attainable range; the +inf point recovers hard pseudo-labeling.
         """
-        for name, value in (("n_classes", n_classes), ("size", size)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if n_classes < 2:
-            raise ValueError("need at least two classes")
+        _validate_count("n_classes", n_classes, 2)
+        _validate_count("size", size)
         pts = np.linspace(0.0, math.log(n_classes), size)
         return cls(np.append(pts, np.inf))
 

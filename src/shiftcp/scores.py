@@ -49,6 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .exceptions import _finite_array
+
 
 @dataclass(frozen=True)
 class LinearLogitMap:
@@ -66,16 +68,14 @@ class LinearLogitMap:
     biases: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.biases, dtype=float)
+        w = _finite_array(self.weights, "weights")
+        b = _finite_array(self.biases, "biases")
         if w.ndim != 2:
             raise ValueError("weights must be a (K, d) matrix")
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise ValueError("biases must be a length-K vector matching weights")
         if w.shape[0] < 2:
             raise ValueError("at least two classes are required")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("weights and biases must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
@@ -186,8 +186,7 @@ class ScoredView:
         rows = np.array(self.logits, dtype=float)
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError(f"logits must be an (n, K) matrix with K >= 2, got shape {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise ValueError("logits must be finite; the inputs contain NaN or infinite values")
+        _finite_array(rows, "logits")
         cols = np.ascontiguousarray(rows.T)
         k, n = cols.shape
         best, lead = np.zeros(n, dtype=np.intp), cols[0]

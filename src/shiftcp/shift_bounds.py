@@ -20,7 +20,8 @@ from functools import cache
 
 import numpy as np
 
-from .conformal import _covered_share, _finite_sample, _validate_alpha, _validate_finite, _validate_nonnegative, calibrate
+from .conformal import _covered_share, calibrate
+from .exceptions import _finite_array, _finite_sample, _validate_alpha, _validate_count, _validate_finite, _validate_nonnegative
 from .rng import RngStream
 from .scores import ScoredView, scored_view
 
@@ -191,9 +192,7 @@ def _subsampled_pairs(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: int = 0
 
     The warning names the caller of this function's caller.
     """
-    integral = isinstance(max_points, (int, np.integer)) and not isinstance(max_points, bool)
-    if not (integral and 1 <= max_points <= MAX_ASSIGNMENT_SIZE):
-        raise ValueError(f"max_points must be an integer in 1..{MAX_ASSIGNMENT_SIZE}, got {max_points!r}")
+    _validate_count("max_points", max_points, 1, MAX_ASSIGNMENT_SIZE)
     pa, pb = _paired_points(a, b)
     stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused at any size, and before the warning
     n = pa.shape[0]
@@ -216,8 +215,7 @@ def rho_mix(class_priors, per_class_w1) -> float:
         raise ValueError("priors and per-class distances must be matching nonempty vectors")
     if not ((priors >= 0).all() and (dists >= 0).all()):
         raise ValueError("priors and distances must be nonnegative")
-    if not np.isfinite(dists).all():
-        raise ValueError(f"per_class_w1 must be finite, got {dists.tolist()}")
+    _finite_array(dists, "per_class_w1")
     if abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError(f"priors must sum to 1, got {priors.sum()}")
     return float(priors @ dists)
@@ -226,7 +224,6 @@ def rho_mix(class_priors, per_class_w1) -> float:
 def score_shift_w1_bound(lipschitz: float, rho: float) -> float:
     """W1 bound on the score-distribution shift: margin Lipschitz constant times shift radius."""
     _validate_nonnegative(lipschitz=lipschitz, rho=rho)
-    _validate_finite(lipschitz=lipschitz, rho=rho)
     return float(lipschitz * rho)
 
 
@@ -254,7 +251,6 @@ def sup_density_estimate(scores) -> float:
 def coverage_gap_bound(sup_density: float, w1: float) -> float:
     """Integrated coverage-gap bound: score-density sup times score W1 shift."""
     _validate_nonnegative(sup_density=sup_density, w1=w1)
-    _validate_finite(sup_density=sup_density, w1=w1)
     return float(sup_density * w1)
 
 
@@ -266,7 +262,6 @@ def pseudo_coverage_lower_bound(alpha: float, ramp_source: float, lipschitz: flo
     """
     _validate_alpha(alpha)
     _validate_nonnegative(ramp_source=ramp_source, lipschitz=lipschitz, rho_mix_value=rho_mix_value)
-    _validate_finite(ramp_source=ramp_source, lipschitz=lipschitz, rho_mix_value=rho_mix_value)
     return max(0.0, 1.0 - alpha - ramp_source - lipschitz * rho_mix_value)
 
 
@@ -279,7 +274,6 @@ def relaxed_coverage_lower_bound(alpha: float, ramp_target: float, hinge_target:
     """
     _validate_alpha(alpha)
     _validate_nonnegative(ramp_target=ramp_target, hinge_target=hinge_target, tau=tau)
-    _validate_finite(ramp_target=ramp_target, hinge_target=hinge_target, tau=tau)
     return max(0.0, 1.0 - alpha - min(ramp_target, hinge_target / (1.0 + tau / 2.0)))
 
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conformal import _validate_finite, _validate_nonnegative
-from .exceptions import ConfigError, DataError, InvariantError
+from .exceptions import ConfigError, DataError, InvariantError, _finite_array, _validate_count, _validate_finite, _validate_nonnegative
 from .rng import RngStream
 from .scores import LinearLogitMap, _check_labels, _pairwise_class_sum
 
@@ -59,8 +58,8 @@ class SourceSpec:
     priors: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.asarray(self.class_means, dtype=float)
-        priors = np.asarray(self.priors, dtype=float)
+        means = _finite_array(self.class_means, "class_means")
+        priors = _finite_array(self.priors, "priors")
         if means.ndim != 2 or means.shape[0] < 2:
             raise ValueError("class_means must be a (K, d) matrix with K >= 2")
         if priors.shape != (means.shape[0],):
@@ -68,9 +67,6 @@ class SourceSpec:
         if (priors < 0).any() or abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("priors must be a probability vector")
         _validate_nonnegative(class_cov_scale=self.class_cov_scale)
-        _validate_finite(class_cov_scale=self.class_cov_scale)
-        if not (np.isfinite(means).all() and np.isfinite(priors).all()):
-            raise ValueError("spec entries must be finite")
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "priors", priors)
 
@@ -98,13 +94,11 @@ class ShiftSpec:
     clip_mode: str = "resample"
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.per_class_translation, dtype=float)
+        t = _finite_array(self.per_class_translation, "per_class_translation")
         if t.ndim != 2:
             raise ValueError("per_class_translation must be a (K, d) matrix")
-        if not np.isfinite(t).all():
-            raise ValueError("translations must be finite")
-        _validate_nonnegative(noise_scale=self.noise_scale, clip_radius=self.clip_radius)
-        _validate_finite(noise_scale=self.noise_scale)  # an infinite clip_radius is a valid unclipped shift
+        _validate_nonnegative(noise_scale=self.noise_scale)
+        _validate_nonnegative(clip_radius=self.clip_radius, finite=False)  # an infinite radius is a valid unclipped shift
         if self.clip_mode not in ("resample", "project"):
             raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
         object.__setattr__(self, "per_class_translation", t)
@@ -124,7 +118,6 @@ class ShiftSpec:
         An infinite radius (an unclipped shift) stays infinite at every strength.
         """
         _validate_nonnegative(sigma=sigma)
-        _validate_finite(sigma=sigma)
         with np.errstate(over="ignore"):  # an overflowing product is refused by the spec's own checks
             return replace(
                 self,
@@ -143,8 +136,7 @@ def generate_source(spec: SourceSpec, n: int, rng: RngStream) -> tuple[np.ndarra
     never decreases and its last edge, exactly 1, lies above every uniform.
     Features are one ``standard_normal((n, d))`` block, scaled and moved in place.
     """
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
+    _validate_count("n", n)
     g = rng.generator()
     cdf = spec.priors.cumsum()
     idx = (g.random(n) >= (cdf[:-1] / cdf[-1])[:, None]).sum(axis=0, dtype=np.intp)
@@ -253,8 +245,7 @@ def apply_shift(x, y, shift: ShiftSpec, rng: RngStream) -> np.ndarray:
         raise ValueError(f"{ya.size} labels for {xa.shape[0]} feature rows; each row needs its own label")
     if xa.shape[1] != shift.per_class_translation.shape[1]:
         raise ValueError("feature dimension does not match the shift specification")
-    if not np.isfinite(xa).all():
-        raise DataError("features to shift must be finite")
+    _finite_array(xa, "features to shift", DataError)
     g = rng.generator()
     eps = _clipped_noise(xa.shape[0], xa.shape[1], shift.noise_scale, shift.clip_radius, shift.clip_mode, g)
     out = xa + shift.per_class_translation.take(ya - 1, axis=0)
@@ -290,21 +281,18 @@ def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: flo
       document ``einsum``'s order, so ``tests/test_synthetic.py`` pins it.
     """
     _validate_finite(learning_rate=learning_rate)
-    if isinstance(epochs, bool) or not isinstance(epochs, (int, np.integer)):
-        raise ValueError(f"epochs must be an integer, got {epochs!r}")
+    _validate_count("epochs", epochs, 1)
     k = operator.index(n_classes)
     if k < 2:
         raise ValueError(f"a classifier needs at least two classes, got n_classes {k}")
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_array(x, "training features")
     ya = _check_labels(y, k)
     if xa.ndim != 2 or xa.shape[0] == 0:
         raise ValueError("training data must be a nonempty (n, d) array")
     if ya.shape != xa.shape[:1]:
         raise ValueError(f"{ya.size} labels for {xa.shape[0]} training rows; each row needs its own label")
-    if not np.isfinite(xa).all():
-        raise ValueError("training features must be finite")
-    if epochs < 1 or learning_rate <= 0:
-        raise ValueError("need epochs >= 1 and a positive learning rate")
+    if learning_rate <= 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     missing = sorted(set(range(1, k + 1)) - set(np.unique(ya).tolist()))
     if missing:
         raise ValueError(f"its {xa.shape[0]} rows hold no sample of class(es) {missing}")

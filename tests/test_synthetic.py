@@ -165,7 +165,7 @@ class TestApplyShift:
 
     @pytest.mark.parametrize(
         ("translation", "sigma", "message"),
-        [(0.1, math.inf, "^sigma must be finite, got inf$"), (10.0, 1e308, "^translations must be finite$")],
+        [(0.1, math.inf, "^sigma must be finite, got inf$"), (10.0, 1e308, r"^per_class_translation must be finite, without NaN or \+-inf$")],
         ids=["infinite-sigma", "overflowing-translation"],
     )
     def test_scaling_refuses_without_a_numpy_warning(self, translation, sigma, message):
@@ -520,7 +520,7 @@ class TestTrainClassifier:
 
         monkeypatch.setattr(np, "zeros", no_work)
         x = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
-        with pytest.raises(ValueError, match=f"^epochs must be an integer, got {epochs!r}$"):
+        with pytest.raises(ValueError, match=f"^epochs must be an integer of at least 1, got {epochs!r}$"):
             train_classifier(x, [1, 2, 2], 2, epochs=epochs)
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
