@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import CalibrationResult, _covered_share, calibrate, expected_set_size, integrated_coverage_gap
-from .exceptions import ConfigError, DataError, InvariantError, _validate_alpha
+from .exceptions import ConfigError, DataError, InvariantError, WorkerError, _validate_alpha
 from .pseudo import UncertaintyGrid, _calibrate_at_cutoff, _curve_with_thresholds, _tune_cutoff, pseudo_calibrate, select_u_star
 from .rng import RngStream
 from .scores import (
@@ -697,7 +697,7 @@ def _map(fn, items: list, threads: int) -> list:
                 os.kill(pid, 9)  # SIGKILL; importing signal would cost every CLI start about 1 ms
             statuses.append(os.waitpid(pid, 0)[1])
     if dead is not None:
-        raise RuntimeError(f"worker process {pids[dead]} sent no readable outcome (wait status {statuses[dead]})") from cause
+        raise WorkerError(f"worker process {pids[dead]} sent no readable outcome (wait status {statuses[dead]})") from cause
     failed = [failure for _, failure in outcomes.values() if failure is not None]
     if failed:
         raise min(failed, key=lambda failure: failure[0])[1]
@@ -1120,6 +1120,21 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
 # Subcommand drivers
 
 
+def _say(line: str) -> None:
+    """Print one progress line to stdout; a reader that closed it does not fail the run.
+
+    On a broken pipe stdout is pointed at ``os.devnull``, as the Python docs
+    advise, so later lines and the flush at exit go nowhere instead of ending
+    the run with exit code 120.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_gen(cfg: ExperimentConfig, args, *paths: Path) -> None:
     for si, path in enumerate(paths):
         with np.errstate(over="ignore"):  # an overflowing draw fails its shift, without a numpy warning
@@ -1129,7 +1144,7 @@ def _cmd_gen(cfg: ExperimentConfig, args, *paths: Path) -> None:
         ys = (data.y_source, y_st, data.y_target_cal_oracle, data.y_target_test)
         tags = [tag for tag, y in zip(SPLIT_TAGS, ys) for _ in range(y.size)]
         write_dataset_csv(path, tags, np.concatenate(ys), np.vstack(xs))
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
 
 
 def _cmd_train(cfg: ExperimentConfig, args, classifier_json: Path) -> None:
@@ -1145,7 +1160,7 @@ def _cmd_train(cfg: ExperimentConfig, args, classifier_json: Path) -> None:
         "lipschitz": lipschitz_bound(model),
     }
     _write_json(classifier_json, payload)
-    print(f"wrote {classifier_json} (train accuracy {acc:.4f})")
+    _say(f"wrote {classifier_json} (train accuracy {acc:.4f})")
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args, records_csv: Path, aggregate_csv: Path) -> None:
@@ -1155,7 +1170,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args, records_csv: Path, aggregate_csv: Pa
         records, aggregates = run_sweep(cfg, threads=args.threads)
     write_records_csv(records_csv, records)
     write_aggregate_csv(aggregate_csv, aggregates)
-    print(f"wrote {records_csv} ({len(records)} records)")
+    _say(f"wrote {records_csv} ({len(records)} records)")
 
 
 def _cmd_tau(cfg: ExperimentConfig, args, records_csv: Path, diagnostics_json: Path, aggregate_csv: Path) -> None:
@@ -1163,7 +1178,7 @@ def _cmd_tau(cfg: ExperimentConfig, args, records_csv: Path, diagnostics_json: P
     write_records_csv(records_csv, records)
     _write_json(diagnostics_json, diagnostics)
     write_aggregate_csv(aggregate_csv, aggregate_records(records))
-    print(f"wrote {records_csv} ({len(records)} records)")
+    _say(f"wrote {records_csv} ({len(records)} records)")
 
 
 def _cmd_bounds(cfg: ExperimentConfig, args, bounds_json: Path) -> None:
@@ -1172,19 +1187,19 @@ def _cmd_bounds(cfg: ExperimentConfig, args, bounds_json: Path) -> None:
     else:
         report = run_bounds_report(cfg)
     _write_json(bounds_json, report)
-    print(f"wrote {bounds_json}")
+    _say(f"wrote {bounds_json}")
 
 
 def _cmd_tune(cfg: ExperimentConfig, args, trace_csv: Path, result_json: Path) -> None:
     rows, result = run_tune(cfg)
     _write_csv(trace_csv, rows)
     _write_json(result_json, result)
-    print(f"wrote {trace_csv} (u_star = {_fmt(result['u_star'])})")
+    _say(f"wrote {trace_csv} (u_star = {_fmt(result['u_star'])})")
 
 
 def _cmd_replay(cfg: None, args) -> None:
     audited = replay_audit(args.out, threads=args.threads, seed=args.seed)
-    print(f"replay audit passed: {audited} records verified")
+    _say(f"replay audit passed: {audited} records verified")
 
 
 _FLAGS = {
@@ -1270,6 +1285,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"config error: {exc}; a worker killed for memory needs fewer --threads or smaller counts", file=sys.stderr)
+        return 2
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4

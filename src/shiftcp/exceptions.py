@@ -17,6 +17,10 @@ class InvariantError(RuntimeError):
     """An internal invariant that must hold by construction was violated (exit code 4)."""
 
 
+class WorkerError(RuntimeError):
+    """A worker process ended without a readable outcome, most often killed for memory (exit code 2)."""
+
+
 def _validate_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

@@ -20,10 +20,12 @@ row indices standing in for feature vectors.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -398,12 +400,29 @@ def _utf8_lines(path) -> io.StringIO:
         raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+@contextlib.contextmanager
 def _output_file(path, newline: str | None = None):
-    """``path`` opened for writing UTF-8 text; a path that cannot be written is a :class:`ConfigError` naming it."""
+    """A UTF-8 text file that becomes ``path`` only when the ``with`` block and the close succeed.
+
+    It is written under a temporary name in the same directory and then
+    ``os.replace``d into place, so no reader sees a partial file; on any
+    failure the temporary file is removed and ``path`` is left as it was. An
+    ``OSError`` while opening, writing, closing or replacing is a
+    :class:`ConfigError` naming ``path``.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        return open(path, "w", newline=newline, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        try:
+            with open(temporary, "w", newline=newline, encoding="utf-8") as fh:
+                yield fh
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def load_logit_table(path) -> LogitTable:

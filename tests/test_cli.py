@@ -1335,6 +1335,74 @@ def test_an_oversized_count_is_a_config_error(tmp_path, argv):
     assert proc.stderr.startswith(f"config error: {counts} need more memory than this process can allocate: "), proc.stderr
 
 
+def _package_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+
+def _cap_file_size() -> None:
+    """Run in the child before exec: cap its file writes at 20 000 bytes (Python ignores SIGXFSZ, so a write fails with EFBIG)."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE caps file writes on Linux")
+def test_a_failing_write_is_a_config_error_that_leaves_no_partial_file(tmp_path):
+    # records.csv used to stop at 20 000 bytes, mid-row, and the run ended in OSError's traceback (exit 1).
+    out = tmp_path / "run"
+    config = _written(tmp_path / "config.json", b'{"n_train": 600, "n_cal": 200, "n_test": 500, "trials": 20}')
+    argv = [sys.executable, "-m", "shiftcp", "sweep", "--config", config, "--out", str(out)]
+    proc = subprocess.run(argv, env=_package_env(), capture_output=True, text=True, timeout=120, preexec_fn=_cap_file_size)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: cannot write {out / 'records.csv'}: [Errno 27] File too large"), proc.stderr
+    assert os.listdir(out) == []
+
+
+def test_a_closed_stdout_does_not_fail_the_run(tmp_path):
+    # gen used to end in BrokenPipeError's traceback (or exit 120 at the final flush) after its first file.
+    out = tmp_path / "gen"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "shiftcp", "gen", "--config", _tiny_config(tmp_path), "--out", str(out)]
+        proc = subprocess.run(argv, env=_package_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(os.listdir(out)) == ["config.json", "dataset_sigma_0.csv", "dataset_sigma_1.csv"]
+
+
+def test_a_killed_sweep_worker_is_a_config_error_naming_threads(tmp_path):
+    # The run used to end in the uncaught RuntimeError of _map (exit 1).
+    code = (
+        "import os, signal, sys, shiftcp.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "run_trial = cli.run_trial\n"
+        "def dying_trial(cfg, model, sigma_idx, trial, arms):\n"
+        "    if (sigma_idx, trial) == (0, 0):\n"
+        "        print(os.getpid(), flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_trial(cfg, model, sigma_idx, trial, arms)\n"
+        "cli.run_trial = dying_trial\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    print(os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+        "sys.exit(code)\n"
+    )
+    argv = [sys.executable, "-c", code, "sweep", "--config", _tiny_config(tmp_path, trials=4), "--out", str(tmp_path / "run"), "--threads", "2"]
+    proc = subprocess.run(argv, env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    pid, children = proc.stdout.splitlines()
+    assert children == "no child left"
+    assert proc.stderr == (
+        f"config error: worker process {pid} sent no readable outcome (wait status {signal.SIGKILL}); "
+        "a worker killed for memory needs fewer --threads or smaller counts\n"
+    )
+    assert not (tmp_path / "run" / "records.csv").exists()
+
+
 def test_worker_count_is_capped_by_cores_and_items(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert [_workers(threads, 30) for threads in (1, 2, 4)] == [1, 1, 1]
