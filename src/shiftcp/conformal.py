@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import _finite_sample, _validate_alpha, _validate_count, _validate_nonnegative
+from .exceptions import _finite_sample, _validate_alpha, _validate_count, _validate_finite, _validate_nonnegative
 from .scores import score_matrix, scored_view
 
 #: Sentinel threshold meaning "include every label". Infinity keeps the
@@ -84,10 +84,11 @@ def empirical_quantile(scores, level) -> float:
     arithmetic), hence always an element of ``scores``.
     """
     s = _finite_sample(scores, "scores")
-    if level > 1:
-        return FULL_SET
     if not level > 0:
         raise ValueError(f"quantile level must be positive, got {level}")
+    _validate_finite(level=level)
+    if level > 1:
+        return FULL_SET
     return _order_statistic(s, math.ceil(Fraction(level) * s.size))
 
 
@@ -105,7 +106,7 @@ def prediction_set(model, x, cal: CalibrationResult, tau: float = 0.0) -> frozen
 
     ``tau = 0`` gives the plain conformal set; ``tau > 0`` relaxes it.
     """
-    _validate_nonnegative(tau=tau, finite=False)
+    _validate_nonnegative(tau=tau)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("prediction_set expects a single input vector")
@@ -124,7 +125,7 @@ def coverage(model, x, y, cal: CalibrationResult, tau: float = 0.0) -> float:
 
 def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) -> float:
     """Share of the true-label scores at or below ``threshold + tau``: the coverage reduction."""
-    _validate_nonnegative(tau=tau, finite=False)
+    _validate_nonnegative(tau=tau)
     if true_scores.size == 0:
         raise ValueError("coverage of an empty sample is undefined")
     return np.count_nonzero(true_scores <= cal.threshold + tau) / true_scores.size
@@ -132,7 +133,7 @@ def _covered_share(true_scores: np.ndarray, cal: CalibrationResult, tau: float) 
 
 def expected_set_size(model, x, cal: CalibrationResult, tau: float = 0.0) -> float:
     """Mean prediction-set cardinality over a batch of inputs (or a scored view)."""
-    _validate_nonnegative(tau=tau, finite=False)
+    _validate_nonnegative(tau=tau)
     view = scored_view(model, x)
     if len(view) == 0:
         raise ValueError("expected set size of an empty sample is undefined")

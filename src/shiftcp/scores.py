@@ -92,7 +92,8 @@ class LinearLogitMap:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected inputs of shape (n, {self.dim}), got {x.shape}")
-        return (self.weights @ x.T + self.biases[:, None]).T
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite logit is refused by the view, without a warning
+            return (self.weights @ x.T + self.biases[:, None]).T
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -104,8 +105,8 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"inputs must be 1-D or 2-D, got ndim={x.ndim}")
 
 
-def _check_labels(y: np.ndarray, n_classes: int | None) -> np.ndarray:
-    """Integer labels of at least 1 and, when ``n_classes`` is given, at most ``n_classes``."""
+def _check_labels(y: np.ndarray, n_classes: int | None, lowest: int = 1) -> np.ndarray:
+    """Integer labels of at least ``lowest`` and, when ``n_classes`` is given, at most ``n_classes``."""
     y = np.asarray(y)
     if not np.issubdtype(y.dtype, np.integer):
         # NaN, infinite and huge values have no integer to cast to; they fail the round trip.
@@ -114,8 +115,8 @@ def _check_labels(y: np.ndarray, n_classes: int | None) -> np.ndarray:
         if not np.array_equal(yi, y):
             raise ValueError("labels must be integers")
         y = yi
-    if y.size and (y.min() < 1 or (n_classes is not None and y.max() > n_classes)):
-        raise ValueError(f"labels must lie in 1..{n_classes or 'K'}")
+    if y.size and (y.min() < lowest or (n_classes is not None and y.max() > n_classes)):
+        raise ValueError(f"labels must lie in {lowest}..{n_classes or 'K'}")
     return y.astype(np.intp, copy=False)
 
 

@@ -214,10 +214,10 @@ def rho_mix(class_priors, per_class_w1) -> float:
     if priors.shape != dists.shape or priors.ndim != 1 or priors.size == 0:
         raise ValueError("priors and per-class distances must be matching nonempty vectors")
     if not ((priors >= 0).all() and (dists >= 0).all()):
-        raise ValueError("priors and distances must be nonnegative")
+        raise ValueError("class_priors and per_class_w1 must be nonnegative")
     _finite_array(dists, "per_class_w1")
     if abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"priors must sum to 1, got {priors.sum()}")
+        raise ValueError(f"class_priors must sum to 1, got {priors.sum()}")
     return float(priors @ dists)
 
 

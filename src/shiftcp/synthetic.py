@@ -284,7 +284,10 @@ def train_classifier(x, y, n_classes: int, epochs: int = 200, learning_rate: flo
     """
     _validate_finite(learning_rate=learning_rate)
     _validate_count("epochs", epochs, 1)
-    k = operator.index(n_classes)
+    try:
+        k = operator.index(n_classes)
+    except TypeError:
+        raise TypeError(f"n_classes must be an integer, got {n_classes!r}") from None
     if k < 2:
         raise ValueError(f"a classifier needs at least two classes, got n_classes {k}")
     xa = _finite_array(x, "training features")
@@ -502,5 +505,9 @@ def _write_split_table(path, split, labels, values, prefix: str) -> None:
 
 
 def write_dataset_csv(path, split, labels, features) -> None:
-    """Export a dataset as ``split,label,x_0,...,x_{d-1}`` for reproducibility audits."""
-    _write_split_table(path, split, labels, features, "x_")
+    """Export a dataset as ``split,label,x_0,...,x_{d-1}`` for reproducibility audits.
+
+    Labels must be integers of at least :data:`MISSING_LABEL` and features finite, checked before the file is opened.
+    """
+    labels = _check_labels(labels, None, lowest=MISSING_LABEL)
+    _write_split_table(path, split, labels, _finite_array(features, "features"), "x_")

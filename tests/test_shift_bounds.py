@@ -3,8 +3,11 @@
 import importlib.machinery
 import itertools
 import math
+import re
 import sys
 import warnings
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.stats import wasserstein_distance
 
+import shiftcp
 from shiftcp import shift_bounds
 from shiftcp.pseudo import select_u_star
 from shiftcp.rng import RngStream
@@ -552,6 +556,215 @@ def test_a_non_finite_argument_is_refused(name, data, bad):
     args[data.draw(st.integers(0, len(args) - 1))] = bad
     with pytest.raises(ValueError):
         call(*args)
+
+
+@dataclass(frozen=True)
+class Contract:
+    """One valid call of an exported callable and the arguments the input contract covers.
+
+    ``reals`` are scalars and ``samples`` arrays, whose last entry is made bad; ``counts`` are integers.
+    ``named`` gives the word a refusal names where it is not the argument's own: the view names the
+    logits an input row produced. ``infinite_ok`` lists the arguments that take +inf by design.
+    """
+
+    call: Callable
+    args: dict
+    reals: tuple = ()
+    samples: tuple = ()
+    counts: tuple = ()
+    named: dict = field(default_factory=dict)
+    infinite_ok: tuple = ()
+
+
+_MODEL = shiftcp.LinearLogitMap(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.zeros(3))
+_X = np.array([[1.0, 0.2], [0.1, 0.9], [-0.8, -0.7], [0.6, 0.5], [0.3, -0.1], [-0.2, 0.4]])
+_Y = np.array([1, 2, 3, 1, 2, 3])
+_SCORES = np.linspace(-1.0, 1.0, 10)
+_CAL = shiftcp.calibrate(_SCORES, 0.2)
+_GRID = shiftcp.UncertaintyGrid(np.array([0.0, 0.5, math.inf]))
+_SOURCE = shiftcp.SourceSpec(np.array([[2.0, 0.0], [-2.0, 0.0]]), 0.6, np.array([0.5, 0.5]))
+_SHIFT = shiftcp.ShiftSpec(np.array([[-0.6, 0.0], [0.6, 0.0]]), 0.1, 0.2)
+_RNG = RngStream(7)
+_VIEW = {"x": "logits", "y": "labels"}
+_SOURCE_VIEW = {"x_source": "logits", "y_source": "labels", "x_target": "logits"}
+_LABELED = {"model": _MODEL, "x": _X, "y": _Y}
+
+#: Every callable shiftcp exports, or one of its methods, with the real, sample and count arguments it refuses
+#: NaN, +-inf (and, for counts, True and 2.5) in.
+INPUT_CONTRACT = {
+    "calibrate": Contract(shiftcp.calibrate, {"scores": _SCORES, "alpha": 0.2}, ("alpha",), ("scores",)),
+    "conformal_level": Contract(shiftcp.conformal_level, {"n": 10, "alpha": 0.2}, ("alpha",), counts=("n",)),
+    "coverage": Contract(shiftcp.coverage, {**_LABELED, "cal": _CAL, "tau": 0.1}, ("tau",), ("x", "y"), named=_VIEW),
+    "empirical_quantile": Contract(shiftcp.empirical_quantile, {"scores": _SCORES, "level": 0.5}, ("level",), ("scores",)),
+    "expected_set_size": Contract(
+        shiftcp.expected_set_size, {"model": _MODEL, "x": _X, "cal": _CAL, "tau": 0.1}, ("tau",), ("x",), named=_VIEW
+    ),
+    "integrated_coverage_gap": Contract(
+        shiftcp.integrated_coverage_gap,
+        {"cal_scores_p": _SCORES, "test_scores_p": _SCORES, "test_scores_q": _SCORES + 0.1, "alpha_grid": [0.1, 0.2]},
+        samples=("cal_scores_p", "test_scores_p", "test_scores_q", "alpha_grid"),
+        named={"alpha_grid": "alpha grid"},
+    ),
+    "prediction_set": Contract(
+        shiftcp.prediction_set, {"model": _MODEL, "x": _X[0], "cal": _CAL, "tau": 0.1}, ("tau",), ("x",), named=_VIEW
+    ),
+    "UncertaintyGrid": Contract(
+        shiftcp.UncertaintyGrid, {"values": [0.0, 0.5, 1.0]}, samples=("values",), named={"values": "uncertainty grid"},
+        infinite_ok=("values",),
+    ),
+    "UncertaintyGrid.default": Contract(shiftcp.UncertaintyGrid.default, {"n_classes": 3, "size": 4}, counts=("n_classes", "size")),
+    "pseudo_calibrate": Contract(
+        shiftcp.pseudo_calibrate,
+        {"model": _MODEL, "inputs": _X, "alpha": 0.2, "u": 0.5, "rng": _RNG},
+        ("alpha", "u"),
+        ("inputs",),
+        named={"inputs": "logits"},
+        infinite_ok=("u",),
+    ),
+    "select_u_star": Contract(
+        shiftcp.select_u_star, {"curve": [(0.0, 0.9), (0.5, 0.8)], "alpha": 0.2}, ("alpha",), ("curve",),
+        named={"curve": "coverage curve"},
+    ),
+    "source_coverage_curve": Contract(
+        shiftcp.source_coverage_curve,
+        {"model": _MODEL, "x_source": _X, "y_source": _Y, "alpha": 0.2, "grid": _GRID, "rng": _RNG},
+        ("alpha",),
+        ("x_source", "y_source"),
+        named=_SOURCE_VIEW,
+    ),
+    "source_tuned_calibrate": Contract(
+        shiftcp.source_tuned_calibrate,
+        {"model": _MODEL, "x_source": _X, "y_source": _Y, "x_target": _X[::-1], "alpha": 0.2, "grid": _GRID, "rng": _RNG},
+        ("alpha",),
+        ("x_source", "y_source", "x_target"),
+        named=_SOURCE_VIEW,
+    ),
+    "RngStream": Contract(RngStream, {"seed": 7, "stream": 0}, counts=("seed", "stream")),
+    "RngStream.substream": Contract(lambda key: _RNG.substream(key), {"key": 3}, counts=("key",), named={"key": "keys"}),
+    "LinearLogitMap": Contract(shiftcp.LinearLogitMap, {"weights": _MODEL.weights, "biases": _MODEL.biases}, samples=("weights", "biases")),
+    "ScoredView": Contract(shiftcp.ScoredView, {"logits": _MODEL.logit_matrix(_X)}, samples=("logits",)),
+    "lipschitz_bound": Contract(shiftcp.lipschitz_bound, {"model": _MODEL}),
+    **{
+        name: Contract(getattr(shiftcp, name), _LABELED, samples=("x", "y"), named=_VIEW)
+        for name in ("margin", "score", "population_hinge_loss", "population_ramp_loss")
+    },
+    **{
+        name: Contract(getattr(shiftcp, name), {"model": _MODEL, "x": _X}, samples=("x",), named=_VIEW)
+        for name in ("predict", "predictive_entropy", "score_matrix", "scored_view")
+    },
+    "coverage_gap_bound": Contract(coverage_gap_bound, {"sup_density": 2.0, "w1": 0.1}, ("sup_density", "w1")),
+    "pseudo_coverage_lower_bound": Contract(
+        pseudo_coverage_lower_bound,
+        {"alpha": 0.2, "ramp_source": 0.1, "lipschitz": 2.0, "rho_mix_value": 0.05},
+        ("alpha", "ramp_source", "lipschitz", "rho_mix_value"),
+    ),
+    "relaxed_coverage_lower_bound": Contract(
+        relaxed_coverage_lower_bound,
+        {"alpha": 0.2, "ramp_target": 0.1, "hinge_target": 0.2, "tau": 0.5},
+        ("alpha", "ramp_target", "hinge_target", "tau"),
+    ),
+    "rho_mix": Contract(
+        rho_mix, {"class_priors": [0.5, 0.5], "per_class_w1": [0.1, 0.2]}, samples=("class_priors", "per_class_w1"),
+    ),
+    "score_shift_w1_bound": Contract(score_shift_w1_bound, {"lipschitz": 2.0, "rho": 0.1}, ("lipschitz", "rho")),
+    "sup_density_estimate": Contract(sup_density_estimate, {"scores": _SCORES}, samples=("scores",)),
+    "tau_correction": Contract(
+        tau_correction,
+        {"hinge_source": 1.5, "hinge_target": 0.5, "undercoverage_gap": 0.1},
+        ("hinge_source", "hinge_target", "undercoverage_gap"),
+    ),
+    "undercoverage_gap_estimate": Contract(
+        undercoverage_gap_estimate,
+        {"model": _MODEL, "x_source": _X, "y_source": _Y, "alpha": 0.2},
+        ("alpha",),
+        ("x_source", "y_source"),
+        named=_SOURCE_VIEW,
+    ),
+    "w1_1d": Contract(w1_1d, {"a": _SCORES, "b": _SCORES + 0.5}, samples=("a", "b")),
+    "w1_assignment": Contract(w1_assignment, {"a": _X, "b": _X + 0.5}, samples=("a", "b")),
+    "w1_assignment_subsampled": Contract(
+        w1_assignment_subsampled, {"a": _X, "b": _X + 0.5, "max_points": 6, "seed": 0}, samples=("a", "b"),
+        counts=("max_points", "seed"),
+    ),
+    "SourceSpec": Contract(
+        shiftcp.SourceSpec,
+        {"class_means": _SOURCE.class_means, "class_cov_scale": 0.6, "priors": _SOURCE.priors},
+        ("class_cov_scale",),
+        ("class_means", "priors"),
+    ),
+    "ShiftSpec": Contract(
+        shiftcp.ShiftSpec,
+        {"per_class_translation": _SHIFT.per_class_translation, "noise_scale": 0.1, "clip_radius": 0.2},
+        ("noise_scale", "clip_radius"),
+        ("per_class_translation",),
+        infinite_ok=("clip_radius",),
+    ),
+    "ShiftSpec.scaled": Contract(lambda sigma: _SHIFT.scaled(sigma), {"sigma": 1.5}, ("sigma",)),
+    "apply_shift": Contract(
+        shiftcp.apply_shift, {"x": _X, "y": _Y % 2 + 1, "shift": _SHIFT, "rng": _RNG}, samples=("x", "y"),
+        named={"x": "features to shift", "y": "labels"},
+    ),
+    "generate_source": Contract(shiftcp.generate_source, {"spec": _SOURCE, "n": 5, "rng": _RNG}, counts=("n",)),
+    "train_classifier": Contract(
+        shiftcp.train_classifier,
+        {"x": _X, "y": _Y, "n_classes": 3, "epochs": 3, "learning_rate": 0.1},
+        ("learning_rate",),
+        ("x", "y"),
+        ("n_classes", "epochs"),
+        named={"x": "training features", "y": "labels"},
+    ),
+    "write_dataset_csv": Contract(
+        shiftcp.write_dataset_csv,
+        {"path": "dataset.csv", "split": ["source_cal", "target_cal"], "labels": [1, 2], "features": _X[:2]},
+        samples=("labels", "features"),
+    ),
+}
+
+#: Exports outside the table, each for a reason: result records the package builds from checked inputs; the
+#: logit-table containers, whose logits load_logit_table refuses line by line and every view refuses again;
+#: the elementwise maps, which pass NaN and +-inf through like numpy; and the exception types.
+CONTRACT_EXCEPTIONS = {
+    "CalibrationResult", "GapEstimate", "TuningResult", "LogitTable", "LogitTableMap", "load_logit_table",
+    "logits", "hinge_loss", "ramp_loss", "ConfigError", "DataError", "InvariantError",
+}  # fmt: skip
+
+
+def test_the_input_contract_covers_every_export():
+    exported = {name for name in dir(shiftcp) if not name.startswith("_") and callable(getattr(shiftcp, name))}
+    assert exported == {name.split(".")[0] for name in INPUT_CONTRACT} | CONTRACT_EXCEPTIONS
+
+
+def _contract_cases():
+    for name, entry in INPUT_CONTRACT.items():
+        for arg in entry.reals + entry.samples + entry.counts:
+            bads = [math.nan, math.inf, -math.inf] + ([True, 2.5] if arg in entry.counts else [])
+            yield from (pytest.param(name, arg, bad, id=f"{name}-{arg}-{bad}") for bad in bads)
+
+
+@pytest.mark.parametrize(("name", "arg", "bad"), list(_contract_cases()))
+def test_every_export_refuses_a_bad_argument_by_name(name, arg, bad, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # write_dataset_csv writes there
+    entry = INPUT_CONTRACT[name]
+    entry.call(**entry.args)
+    args = dict(entry.args)
+    if arg in entry.samples:
+        sample = np.array(args[arg], dtype=float)
+        sample.flat[-1] = bad
+        args[arg] = sample.tolist() if isinstance(args[arg], list) else sample
+    else:
+        args[arg] = bad
+    if bad == math.inf and arg in entry.infinite_ok:
+        entry.call(**args)  # documented: +inf is a valid value of this argument
+        return
+    with pytest.raises((ValueError, TypeError), match=rf"\b{re.escape(entry.named.get(arg, arg))}\b"):
+        entry.call(**args)
+
+
+def test_a_dataset_with_a_non_finite_feature_is_refused_before_its_file_is_opened(tmp_path):
+    # The NaN used to be written into the file as "nan".
+    with pytest.raises(ValueError, match=r"^features must be finite, without NaN or \+-inf$"):
+        shiftcp.write_dataset_csv(tmp_path / "dataset.csv", ["source_cal"], [1], [[math.nan, 0.0]])
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestKantorovichRubinstein:
