@@ -67,7 +67,6 @@ from .scores import (
 from .shift_bounds import (
     _linear_sum_assignment,
     _subsampled_pairs,
-    _undercoverage_gap,
     coverage_gap_bound,
     pseudo_coverage_lower_bound,
     relaxed_coverage_lower_bound,
@@ -75,6 +74,7 @@ from .shift_bounds import (
     score_shift_w1_bound,
     sup_density_estimate,
     tau_correction,
+    undercoverage_gap_estimate,
     w1_1d,
     w1_assignment,
 )
@@ -487,35 +487,27 @@ def _losses(true_scores) -> tuple[float, float]:
     return _population_loss(ramp_loss, true_scores), _population_loss(hinge_loss, true_scores)
 
 
-def _slack_rule(alpha: float, source: ScoredView, source_scores, target_scores: list) -> list[dict]:
-    """The slack rule's measured ingredients against each target split, and the slack it designs.
+def _slack_rule(alpha: float, source: ScoredView, y_source, target_scores) -> dict:
+    """The slack rule's measured ingredients against one target split, and the slack it designs.
 
-    Each entry holds both splits' (ramp, hinge) losses, the source
-    undercoverage gap (absent where the source is too small to measure it)
-    and ``tau``: :func:`tau_correction`'s slack, or the ``ValueError`` of a
-    degenerate rule. The source side is measured once; the target losses
-    (of its true-label scores) are oracle inputs.
+    Both splits' (ramp, hinge) losses, the source undercoverage gap (absent
+    where the source is too small to measure it) and ``tau``:
+    :func:`tau_correction`'s slack, or the ``ValueError`` of a degenerate
+    rule. The target losses (of its true-label scores) are oracle inputs.
     """
-    side = dict(zip(("ramp_source", "hinge_source"), _losses(source_scores)))
+    rule = dict(zip(("ramp_source", "hinge_source"), _losses(source.label_scores(y_source))))
+    rule.update(zip(("ramp_target_oracle", "hinge_target_oracle"), _losses(target_scores)))
     try:
-        side["undercoverage_gap"] = _undercoverage_gap(source, source_scores, alpha)
+        rule["undercoverage_gap"] = undercoverage_gap_estimate(None, source, y_source, alpha)
+        rule["tau"] = tau_correction(rule["hinge_source"], rule["hinge_target_oracle"], rule["undercoverage_gap"])
     except ValueError as exc:
-        side["tau"] = exc
-    rules = []
-    for scores in target_scores:
-        rule = {**side, **dict(zip(("ramp_target_oracle", "hinge_target_oracle"), _losses(scores)))}
-        if "tau" not in rule:
-            try:
-                rule["tau"] = tau_correction(rule["hinge_source"], rule["hinge_target_oracle"], rule["undercoverage_gap"])
-            except ValueError as exc:
-                rule["tau"] = exc
-        rules.append(rule)
-    return rules
+        rule["tau"] = exc
+    return rule
 
 
-def _design(alpha: float, source: ScoredView, source_scores, target_scores, where: str) -> dict:
-    """:func:`_slack_rule` against one target; a degenerate rule is a :class:`DataError` whose message starts with ``where``."""
-    (rule,) = _slack_rule(alpha, source, source_scores, [target_scores])
+def _design(alpha: float, source: ScoredView, y_source, target_scores, where: str) -> dict:
+    """:func:`_slack_rule`; a degenerate rule is a :class:`DataError` whose message starts with ``where``."""
+    rule = _slack_rule(alpha, source, y_source, target_scores)
     if isinstance(rule["tau"], ValueError):
         names = ("hinge_source", "hinge_target_oracle", "undercoverage_gap")
         measured = ", ".join(f"{name}={rule[name]:.4g}" for name in names if name in rule)
@@ -773,7 +765,7 @@ def tau_diagnostics(cfg: ExperimentConfig, model, sigma_idx: int) -> dict:
     x_tgt, y_tgt, _ = _shifted_sample(cfg, sigma, n_tgt, diag.substream("target-base"), diag.substream("target-shift"))
     target_scores = scored_view(model, x_tgt).label_scores(y_tgt)
     source = scored_view(model, x_src)
-    design = _design(cfg.alpha, source, source.label_scores(y_src), target_scores, f"sigma={sigma}")
+    design = _design(cfg.alpha, source, y_src, target_scores, f"sigma={sigma}")
     return {"sigma": sigma, **{k: v for k, v in design.items() if k != "ramp_source"}}
 
 
@@ -812,7 +804,8 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
         sup_density = sup_density_estimate(src_scores)
     except ValueError as exc:
         raise DataError(f"source_test scores: {exc}") from exc
-    for entry, rule, scores in zip(per_sigma, _slack_rule(alpha, view, src_scores, target_scores), target_scores):
+    for entry, scores in zip(per_sigma, target_scores):
+        rule = _slack_rule(alpha, view, y_src, scores)
         tau, losses, w1 = rule.pop("tau"), (rule["ramp_target_oracle"], rule["hinge_target_oracle"]), w1_1d(src_scores, scores)
         certified_w1, ramp, rho = entry["w1_score_bound"], rule["ramp_source"], entry["rho_mix_certified"]
         entry.update(
@@ -944,7 +937,7 @@ def _table_cell(table: LogitTable, cfg: ExperimentConfig):
     labeled = ("source_cal", "target_test", *(("target_cal",) if "oracle" in cfg.methods else ()))
     (source, y_src), (cal, y_tc), (test, y_tt) = _table_splits(table, ("source_cal", "target_cal", "target_test"), labeled)
     source_scores, test_scores = source.label_scores(y_src), test.label_scores(y_tt)
-    arms = _sweep_arms(cfg, partial(_design, cfg.alpha, source, source_scores, test_scores, "tau_design policy failed"))
+    arms = _sweep_arms(cfg, partial(_design, cfg.alpha, source, y_src, test_scores, "tau_design policy failed"))
     return TrialData(source, y_src, cal, y_tc, test, y_tt), source_scores, test_scores, arms
 
 
@@ -1048,6 +1041,30 @@ def _audit_cell(cfg: ExperimentConfig, model, table_split, arms: dict, cell: tup
     return mismatches
 
 
+def _diagnostics_mismatches(path: Path, recomputed: list[dict]) -> list[str]:
+    """Mismatch messages of the ``tau_diagnostics.json`` at ``path`` against each sigma's recomputed diagnostics.
+
+    Its length, each entry's keys and each value must match; a number is compared as the records write it,
+    through :func:`_fmt`, and any other value as its JSON text. A file that cannot be read as a JSON list of
+    objects is a :class:`DataError`.
+    """
+    try:
+        written = json.load(_utf8_lines(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"{path} is not JSON: {exc}") from exc
+    if not (isinstance(written, list) and all(isinstance(entry, dict) for entry in written)):
+        raise DataError(f"{path}: the document must be a JSON list of one object per sigma")
+    text = lambda v: _fmt(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else json.dumps(v)
+    mismatches = [] if len(written) == len(recomputed) else [f"{path.name}: length {len(written)} -> {len(recomputed)}"]
+    for entry, diag in zip(written, recomputed):
+        where = f"{path.name}: sigma={_fmt(diag['sigma'])}"
+        if entry.keys() != diag.keys():
+            mismatches.append(f"{where} keys {','.join(sorted(entry))} -> {','.join(sorted(diag))}")
+        wrong = [(key, text(entry[key]), text(diag[key])) for key in sorted(entry.keys() & diag.keys())]
+        mismatches += [f"{where} {key} {found} -> {want}" for key, found, want in wrong if found != want]
+    return mismatches
+
+
 def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     """Rebuild each record from its threshold, its run's arms and its cell's regenerated test split.
 
@@ -1058,8 +1075,11 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     hold one row per arm of the file and cell of the config's grid (the one
     cell of a logit-table run, which writes no ``tau_records.csv``), named by
     the text the writer printed; a missing, extra or repeated row is a
-    mismatch. Each row, rebuilt by :func:`_arm_record` and formatted as written,
-    must match byte for byte (see :func:`_audit_cell`). Up to ``threads``
+    mismatch, and so is the first row out of the writer's order (by arm, then
+    sigma, then trial). Each row, rebuilt by :func:`_arm_record` and formatted
+    as written, must match byte for byte (see :func:`_audit_cell`). A present
+    ``tau_diagnostics.json`` must hold each sigma's recomputed diagnostics at
+    the records' 9 digits (see :func:`_diagnostics_mismatches`). Up to ``threads``
     worker processes audit cells in parallel; a ``seed`` other than the run's
     recorded one is a :class:`ConfigError`.
     Returns the number of audited rows; raises :class:`InvariantError` on any mismatch.
@@ -1080,7 +1100,7 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     if not files:
         raise DataError(f"no records.csv or tau_records.csv under {out}")
 
-    model = table_split = None
+    model = table_split = diagnostics = None
     if logits_path is not None:  # the arms of the one cell the run built; tau takes no --logits, so it has no tau arms
         data, _, _, table_arms = _table_cell(load_logit_table(logits_path), cfg)
         table_split, sigmas, trials = (data.x_target_test, data.y_target_test), [_fmt(None)], 1
@@ -1097,22 +1117,35 @@ def replay_audit(out_dir, threads: int = 1, seed: int | None = None) -> int:
     grid = {(sigma, _fmt(t)): (si, t) for si, sigma in enumerate(sigmas) for t in range(trials)}
 
     rows = [(name, row) for name in files for row in read_records_csv(out / name)]
-    counts = Counter((name, row["method"], row["sigma"], row["trial"]) for name, row in rows)
-    expected = {(name, arm.method, *key) for name in files for key, (si, _) in grid.items() for arm in arms[name][si]}
+    read = [(name, row["method"], row["sigma"], row["trial"]) for name, row in rows]
+    # Each file's rows as the writer orders them (see _parallel_trials): by arm, then sigma, then trial.
+    written = [(name, arm[si].method, *key) for name in files for arm in zip(*arms[name]) for key, (si, _) in grid.items()]
+    counts, expected = Counter(read), set(written)
     mismatches = [f"{_where(*key)}: missing" for key in sorted(expected - counts.keys())]
     mismatches += [f"{_where(*key)}: not in the config's grid" for key in sorted(counts.keys() - expected)]
     mismatches += [f"{_where(*key)}: repeated {n} times" for key, n in counts.items() if n > 1]
+    misplaced = next((i for i, (got, want) in enumerate(zip(read, written)) if got != want), None)
+    if not mismatches and misplaced is not None:  # every row is there once, but not every row where the writer put it
+        line = 2 + [key[0] for key in read[:misplaced]].count(read[misplaced][0])
+        _, method, sigma, trial = written[misplaced]
+        mismatches.append(f"{_where(*read[misplaced])}: on line {line}, where the writer puts {method} sigma={sigma} trial={trial}")
 
     cells: dict[tuple, list[tuple[str, dict]]] = {}
-    for name, row in rows:
-        if (name, row["method"], row["sigma"], row["trial"]) in expected:
+    for key, (name, row) in zip(read, rows):
+        if key in expected:
             cells.setdefault(grid[row["sigma"], row["trial"]], []).append((name, row))
     audit = partial(_audit_cell, cfg, model, table_split, arms)
     mismatches += [msg for msgs in _map(audit, list(cells.items()), threads) for msg in msgs]
-    for msg in mismatches:
+    wrong_diagnostics = []
+    if (out / "tau_diagnostics.json").exists():  # a logit-table run designs no per-sigma slack, so it writes none
+        recomputed = [] if diagnostics is None else [diagnostics(si) for si in range(len(sigmas))]
+        wrong_diagnostics = _diagnostics_mismatches(out / "tau_diagnostics.json", recomputed)
+    for msg in mismatches + wrong_diagnostics:
         print(f"replay mismatch: {msg}", file=sys.stderr)
-    if mismatches:
-        raise InvariantError(f"{len(mismatches)} of {len(rows)} records failed the replay audit")
+    failed = [f"{len(mismatches)} of {len(rows)} records"] if mismatches else []
+    failed += ["tau_diagnostics.json"] if wrong_diagnostics else []
+    if failed:
+        raise InvariantError(f"{' and '.join(failed)} failed the replay audit")
     return len(rows)
 
 

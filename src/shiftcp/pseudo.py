@@ -215,7 +215,7 @@ def select_u_star(curve, alpha: float) -> float:
     conservative) when no cutoff qualifies.
     """
     _validate_alpha(alpha)
-    if not curve:
+    if len(curve) == 0:  # not `not curve`: an (m, 2) array has no truth value
         raise ValueError("coverage curve must be nonempty")
     for point in curve:
         if math.isnan(point[0]) or math.isnan(point[1]):

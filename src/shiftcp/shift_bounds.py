@@ -23,7 +23,7 @@ import numpy as np
 from .conformal import _covered_share, calibrate
 from .exceptions import _finite_array, _finite_sample, _validate_alpha, _validate_count, _validate_finite, _validate_nonnegative
 from .rng import RngStream
-from .scores import ScoredView, scored_view
+from .scores import scored_view
 
 #: Largest exact assignment instance; larger samples must be subsampled.
 MAX_ASSIGNMENT_SIZE = 512
@@ -287,11 +287,7 @@ def undercoverage_gap_estimate(model, x_source, y_source, alpha: float) -> float
     of those arrays. ``x_source`` may be a :class:`~shiftcp.scores.ScoredView`.
     """
     view = scored_view(model, x_source)
-    return _undercoverage_gap(view, view.label_scores(y_source), alpha)
-
-
-def _undercoverage_gap(view: ScoredView, true_scores: np.ndarray, alpha: float) -> float:
-    """:func:`undercoverage_gap_estimate` of a scored sample and its true-label scores."""
+    true_scores = view.label_scores(y_source)
     if len(view) < 2:
         raise ValueError("need at least two labeled source points")
     half = len(view) // 2

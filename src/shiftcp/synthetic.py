@@ -507,7 +507,11 @@ def _write_split_table(path, split, labels, values, prefix: str) -> None:
 def write_dataset_csv(path, split, labels, features) -> None:
     """Export a dataset as ``split,label,x_0,...,x_{d-1}`` for reproducibility audits.
 
-    Labels must be integers of at least :data:`MISSING_LABEL` and features finite, checked before the file is opened.
+    Labels must be integers of at least :data:`MISSING_LABEL` and features a finite (n, d) array, checked before
+    the file is opened.
     """
     labels = _check_labels(labels, None, lowest=MISSING_LABEL)
-    _write_split_table(path, split, labels, _finite_array(features, "features"), "x_")
+    features = _finite_array(features, "features")
+    if features.ndim != 2:
+        raise ValueError(f"features must be an (n, d) array, got shape {features.shape}")
+    _write_split_table(path, split, labels, features, "x_")

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -1035,9 +1036,18 @@ def _table_run(tmp_path, out) -> list[str]:
     return ["sweep", "--logits", str(path), "--out", str(out)]
 
 
+def _swapped(i: int, j: int):
+    def swap(rows):
+        rows[i], rows[j] = rows[j], rows[i]
+        return rows
+
+    return swap
+
+
 # Each case: the run (sigma grid [0, 0.8], 2 trials), its records file, an edit
 # of the file's data rows, and the mismatch lines replay must print. Records run
-# method by method, then by sigma and trial.
+# method by method, then by sigma and trial; with every row there once, the first
+# row out of that order is the mismatch (it used to pass the audit).
 INCOMPLETE_RECORDS = {
     "sweep-missing-cell": (
         "sweep",
@@ -1062,6 +1072,30 @@ INCOMPLETE_RECORDS = {
         lambda rows: rows[:-1] + [rows[-1].replace("oracle,,0,", "oracle,,1,")],
         ["records.csv: oracle sigma= trial=0: missing", "records.csv: oracle sigma= trial=1: not in the config's grid"],
     ),
+    "sweep-first-and-last-swapped": (
+        "sweep",
+        "records.csv",
+        _swapped(0, -1),
+        ["records.csv: oracle sigma=0.8 trial=1: on line 2, where the writer puts source sigma=0 trial=0"],
+    ),
+    "sweep-sigma-and-trial-swapped": (
+        "sweep",
+        "records.csv",
+        _swapped(1, 2),
+        ["records.csv: source sigma=0.8 trial=0: on line 3, where the writer puts source sigma=0 trial=1"],
+    ),
+    "tau-first-and-last-swapped": (
+        "tau",
+        "tau_records.csv",
+        _swapped(0, -1),
+        ["tau_records.csv: tau_adjusted sigma=0.8 trial=1: on line 2, where the writer puts hard_pseudo sigma=0 trial=0"],
+    ),
+    "table-first-and-last-swapped": (
+        "table",
+        "records.csv",
+        _swapped(0, -1),
+        ["records.csv: oracle sigma= trial=0: on line 2, where the writer puts source sigma= trial=0"],
+    ),
 }
 
 
@@ -1079,6 +1113,93 @@ def test_replay_rejects_records_that_miss_or_repeat_a_row(tmp_path, capsys, case
         lines = capsys.readouterr().err.splitlines()
         assert sorted(line.removeprefix("replay mismatch: ") for line in lines[:-1]) == sorted(expected)
         assert lines[-1].startswith(f"invariant violation: {len(expected)} of ")
+
+
+@pytest.fixture(scope="module")
+def tau_run(tmp_path_factory) -> Path:
+    """A tiny tau run's output directory (sigma grid [0, 0.8]), which passes replay."""
+    root = tmp_path_factory.mktemp("tau")
+    assert main(["tau", "--config", _tiny_config(root, trials=2), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+def _edit_key(si: int, key: str, value):
+    def edit(diagnostics):
+        diagnostics[si][key] = value(diagnostics[si].get(key)) if callable(value) else value
+
+    return edit
+
+
+# Each case: an edit of a tau run's tau_diagnostics.json (one object per sigma), and the mismatch lines replay
+# must print, from the faithful file's entries. Numbers are compared as the records write them, at 9 digits.
+TAMPERED_DIAGNOSTICS = {
+    "sigma": (_edit_key(1, "sigma", 0.9), lambda d: ["sigma=0.8 sigma 0.9 -> 0.8"]),
+    "tau": (_edit_key(0, "tau", 9.0), lambda d: [f"sigma=0 tau 9 -> {d[0]['tau']:.9g}"]),
+    "source-hinge": (_edit_key(1, "hinge_source", 0.5), lambda d: [f"sigma=0.8 hinge_source 0.5 -> {d[1]['hinge_source']:.9g}"]),
+    "source-gap": (
+        _edit_key(1, "undercoverage_gap", lambda v: v + 1e-6),
+        lambda d: [f"sigma=0.8 undercoverage_gap {d[1]['undercoverage_gap'] + 1e-6:.9g} -> {d[1]['undercoverage_gap']:.9g}"],
+    ),
+    "oracle-loss": (
+        _edit_key(0, "ramp_target_oracle", lambda v: 2 * v),
+        lambda d: [f"sigma=0 ramp_target_oracle {2 * d[0]['ramp_target_oracle']:.9g} -> {d[0]['ramp_target_oracle']:.9g}"],
+    ),
+    "number-as-text": (
+        _edit_key(0, "hinge_target_oracle", lambda v: f"{v:.9g}"),
+        lambda d: [f'sigma=0 hinge_target_oracle "{d[0]["hinge_target_oracle"]:.9g}" -> {d[0]["hinge_target_oracle"]:.9g}'],
+    ),
+    "entry-dropped": (lambda d: d.pop(), lambda d: ["length 1 -> 2"]),
+    "key-dropped": (
+        lambda d: d[1].pop("tau"),
+        lambda d: [f"sigma=0.8 keys {','.join(sorted(set(d[1]) - {'tau'}))} -> {','.join(sorted(d[1]))}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_DIAGNOSTICS))
+def test_replay_checks_the_tau_diagnostics_a_tau_run_wrote(tmp_path, tau_run, capsys, case):
+    # Replay recomputes every sigma's diagnostics for the tau arms; it used to leave the file unread.
+    edit, expected = TAMPERED_DIAGNOSTICS[case]
+    out = tmp_path / "run"
+    shutil.copytree(tau_run, out)
+    faithful = json.loads((out / "tau_diagnostics.json").read_text())
+    diagnostics = json.loads((out / "tau_diagnostics.json").read_text())
+    edit(diagnostics)
+    (out / "tau_diagnostics.json").write_text(json.dumps(diagnostics))
+    capsys.readouterr()
+    assert main(["replay", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"replay mismatch: tau_diagnostics.json: {line}" for line in expected(faithful)),
+        "invariant violation: tau_diagnostics.json failed the replay audit",
+    ]
+
+
+def test_replay_reads_tau_diagnostics_at_the_records_nine_digits(tmp_path, tau_run):
+    # A last-bit difference in a recomputed value, as another BLAS may give, is no mismatch.
+    out = tmp_path / "run"
+    shutil.copytree(tau_run, out)
+    diagnostics = json.loads((out / "tau_diagnostics.json").read_text())
+    for entry in diagnostics:
+        moved = {key: math.nextafter(value, math.inf) for key, value in entry.items() if key != "sigma" and value != 0.0}
+        assert all(f"{moved[key]:.9g}" == f"{entry[key]:.9g}" for key in moved)
+        entry.update(moved)
+    (out / "tau_diagnostics.json").write_text(json.dumps(diagnostics))
+    assert main(["replay", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    ("content", "error"),
+    [(b"\xff", "line 1: not UTF-8 text"), (b"[{", "is not JSON"), (b"{}", "the document must be a JSON list")],
+    ids=["not-utf8", "not-json", "not-a-list"],
+)
+def test_replay_refuses_an_unreadable_tau_diagnostics_by_name(tmp_path, tau_run, capsys, content, error):
+    out = tmp_path / "run"
+    shutil.copytree(tau_run, out)
+    (out / "tau_diagnostics.json").write_bytes(content)
+    capsys.readouterr()
+    assert main(["replay", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out / 'tau_diagnostics.json'}") and error in err
 
 
 def _last_digit_raised(text: str) -> str:

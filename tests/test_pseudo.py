@@ -244,6 +244,16 @@ class TestSelectUStar:
         with pytest.raises(ValueError):
             select_u_star([], 0.2)
 
+    def test_a_curve_given_as_an_array_selects_the_cutoff_its_points_do(self):
+        # `if not curve` used to raise numpy's "truth value of an array ... is ambiguous".
+        curve = [(0.0, 0.9), (0.5, 0.8)]
+        assert select_u_star(np.array(curve), 0.2) == select_u_star(curve, 0.2) == 0.5
+
+    def test_an_empty_array_curve_rejected(self):
+        # It used to raise numpy's "truth value of an empty array is ambiguous".
+        with pytest.raises(ValueError, match="^coverage curve must be nonempty$"):
+            select_u_star(np.empty((0, 2)), 0.2)
+
     @pytest.mark.parametrize("curve", [[(math.nan, 0.9), (0.5, 0.9)], [(0.0, math.nan), (0.5, 0.9)]], ids=["nan-u", "nan-coverage"])
     def test_a_nan_point_is_refused(self, curve):
         # Unchecked, a NaN cutoff comes out as u* and a NaN coverage is skipped.

@@ -621,10 +621,10 @@ INPUT_CONTRACT = {
         named={"inputs": "logits"},
         infinite_ok=("u",),
     ),
-    "select_u_star": Contract(
-        shiftcp.select_u_star, {"curve": [(0.0, 0.9), (0.5, 0.8)], "alpha": 0.2}, ("alpha",), ("curve",),
-        named={"curve": "coverage curve"},
-    ),
+    **{
+        name: Contract(shiftcp.select_u_star, {"curve": curve, "alpha": 0.2}, ("alpha",), ("curve",), named={"curve": "coverage curve"})
+        for name, curve in (("select_u_star", [(0.0, 0.9), (0.5, 0.8)]), ("select_u_star.array", np.array([(0.0, 0.9), (0.5, 0.8)])))
+    },
     "source_coverage_curve": Contract(
         shiftcp.source_coverage_curve,
         {"model": _MODEL, "x_source": _X, "y_source": _Y, "alpha": 0.2, "grid": _GRID, "rng": _RNG},
@@ -764,6 +764,14 @@ def test_a_dataset_with_a_non_finite_feature_is_refused_before_its_file_is_opene
     # The NaN used to be written into the file as "nan".
     with pytest.raises(ValueError, match=r"^features must be finite, without NaN or \+-inf$"):
         shiftcp.write_dataset_csv(tmp_path / "dataset.csv", ["source_cal"], [1], [[math.nan, 0.0]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("features", [[0.5], [[[0.5, 0.1]]]], ids=["1-d", "3-d"])
+def test_a_dataset_whose_features_are_not_a_matrix_is_refused_before_its_file_is_opened(tmp_path, features):
+    # One row of 1-D features used to fail at values.shape[1] with an IndexError, 3-D ones inside the row loop.
+    with pytest.raises(ValueError, match=r"^features must be an \(n, d\) array, got shape \("):
+        shiftcp.write_dataset_csv(tmp_path / "dataset.csv", ["source_cal"], [1], features)
     assert list(tmp_path.iterdir()) == []
 
 
