@@ -1806,7 +1806,7 @@ def test_bounds_solves_are_byte_identical_at_any_worker_count(monkeypatch, capsy
     threaded = _bounds_fan_out(monkeypatch, capsys, tmp_path, "threaded", {0, 1}, thread=True)
     assert [one[0], two[0], threaded[0]] == [0, 2, 0]  # another live thread keeps the solves in-process
     assert one[1:] == two[1:] == threaded[1:]
-    want = golden.CASES["bounds"]["sha256"]  # _bounds_fan_out runs the golden bounds case's shape
+    want = {"bounds.json": golden.CASES["bounds"]["sha256"]["bounds.json"]}  # _bounds_fan_out runs the golden bounds case's shape
     got = {"bounds.json": hashlib.sha256(one[1]).hexdigest()}
     assert got == want, golden.mismatch("bounds", 1, got, want)
     assert [re.sub(r"\d+ points", "N points", m, count=1) for m in one[2]] == [
