@@ -260,31 +260,21 @@ class ExperimentConfig:
         )
 
     def resolved(self) -> dict:
-        """Fully materialized configuration (all defaults filled) for output headers."""
+        """The configuration, all defaults filled, under :data:`DEFAULT_CONFIG`'s keys, each read from its field.
+
+        A top-level key reads its field (``u_grid`` the run's grid); a section's keys read ``tau_policy_<key>``,
+        ``train``'s own fields or the specs. A key without a field fails every run; arrays and tuples become lists.
+        """
+        sections = {"tau_policy": lambda key: getattr(self, f"tau_policy_{key}"), "train": partial(getattr, self)}
+        sections.update(source=partial(getattr, self.source_spec), shift=partial(getattr, self.shift_spec))
+
+        def plain(value):
+            return value.tolist() if isinstance(value, np.ndarray) else list(value) if isinstance(value, tuple) else value
+
         return {
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "n_train": self.n_train,
-            "n_cal": self.n_cal,
-            "n_test": self.n_test,
-            "trials": self.trials,
-            "sigma_grid": list(self.sigma_grid),
-            "methods": list(self.methods),
-            "tau_policy": {"kind": self.tau_policy_kind, "value": self.tau_policy_value},
-            "u_grid": list(self.uncertainty_grid().values.tolist()),
-            "tau_grid": list(self.tau_grid),
-            "train": {"epochs": self.epochs, "learning_rate": self.learning_rate},
-            "source": {
-                "class_means": self.source_spec.class_means.tolist(),
-                "class_cov_scale": self.source_spec.class_cov_scale,
-                "priors": self.source_spec.priors.tolist(),
-            },
-            "shift": {
-                "per_class_translation": self.shift_spec.per_class_translation.tolist(),
-                "noise_scale": self.shift_spec.noise_scale,
-                "clip_radius": self.shift_spec.clip_radius,
-                "clip_mode": self.shift_spec.clip_mode,
-            },
+            key: {sub: plain(sections[key](sub)) for sub in default} if isinstance(default, dict)
+            else plain(self.uncertainty_grid().values if key == "u_grid" else getattr(self, key))
+            for key, default in DEFAULT_CONFIG.items()
         }
 
     # Per-run constants, derived on first use and shared by every cell of the run.

@@ -1020,6 +1020,15 @@ def test_every_run_leaves_the_config_it_ran(tmp_path, command):
     assert ExperimentConfig.from_dict(written).resolved() == ran.resolved() == written
 
 
+@pytest.mark.parametrize("section, key", [(None, "calibration"), ("tau_policy", "scale"), ("shift", "clip_shape")])
+def test_a_default_key_without_a_field_fails_the_resolved_config(monkeypatch, section, key):
+    # config.json is laid out by DEFAULT_CONFIG; a key that no field holds used to drop out of it silently.
+    cfg = ExperimentConfig.from_dict({})
+    monkeypatch.setitem(cli_module.DEFAULT_CONFIG if section is None else cli_module.DEFAULT_CONFIG[section], key, 1)
+    with pytest.raises(AttributeError, match=key):
+        cfg.resolved()
+
+
 def test_replay_finds_a_cell_by_the_text_its_sigma_was_written_as(tmp_path):
     # 0.1234567891 is written as 0.123456789, which float() does not read back as the grid value.
     out = tmp_path / "run"
