@@ -65,6 +65,7 @@ from .scores import (
     scored_view,
 )
 from .shift_bounds import (
+    MAX_ASSIGNMENT_SIZE,
     _linear_sum_assignment,
     _subsampled_pairs,
     coverage_gap_bound,
@@ -819,16 +820,17 @@ def _bounds_report(alpha: float, tau_grid, lipschitz: float | None, cal, source,
 def run_bounds_report(cfg: ExperimentConfig) -> dict:
     """Evaluate every bound from measured and generator-certified quantities.
 
-    Every split is drawn, and every class pair subsampled, before the fit: those draws need no model. The fit
-    and the independent assignment solves then share one worker pool, the fit as item 0. A draw that fails
-    first checks the fit in-process, so a config whose fit fails still reports the fit's error.
+    Every split is drawn, and every class pair subsampled, before the fit: those draws need no model. Once
+    every draw has succeeded, one stderr line counts the class samples cut to :data:`MAX_ASSIGNMENT_SIZE`
+    points, if any. The fit and the independent assignment solves then share one worker pool, the fit as item
+    0. A draw that fails first checks the fit in-process, so a config whose fit fails still reports the fit's error.
     """
     root = RngStream(cfg.seed).substream("bounds")
     try:
         with np.errstate(over="ignore"):  # an overflowing draw fails its shift, without a numpy warning
             x_cal, y_cal = generate_source(cfg.source_spec, cfg.n_cal, root.substream("source-cal"))
             x_src, y_src = generate_source(cfg.source_spec, cfg.n_test, root.substream("source-test"))
-            targets, pairs = [], []
+            targets, pairs, cut = [], [], 0
             for si, sigma in enumerate(cfg.sigma_grid):
                 stream = root.substream("target", si)
                 x_tgt, yb, xb = _shifted_sample(cfg, sigma, cfg.n_test, stream.substream("base"), stream.substream("shift"))
@@ -836,9 +838,16 @@ def run_bounds_report(cfg: ExperimentConfig) -> dict:
                 class_rows = [np.nonzero(yb == c)[0] for c in range(1, cfg.source_spec.n_classes + 1)]
                 measured = all(rows.size >= 2 for rows in class_rows)  # else the sigma's measured fields stay null
                 pairs.append([_subsampled_pairs(xb[rows], x_tgt[rows], seed=cfg.seed) for rows in class_rows] if measured else [])
+                cut += sum(rows.size > MAX_ASSIGNMENT_SIZE for rows in class_rows) if measured else 0
     except Exception:
         train_model(cfg)  # a failing fit is reported first, as if it had run before the draws
         raise
+    if cut:
+        print(
+            f"note: {cut} of {sum(map(len, pairs))} class samples were cut to {MAX_ASSIGNMENT_SIZE} points for the "
+            "assignment solver, so per_class_w1_paired and rho_mix_measured are estimates",
+            file=sys.stderr,
+        )
     # The solver is loaded before the fork: each worker would otherwise load it once more, on its first solve.
     items = [(train_model, cfg)] + [(w1_assignment, *pair) for sigma_pairs in pairs for pair in sigma_pairs]
     if len(items) > 1:

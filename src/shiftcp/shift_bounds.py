@@ -180,27 +180,24 @@ def w1_assignment_subsampled(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: 
     """Assignment W1 after deterministic subsampling of oversized samples.
 
     Samples beyond ``max_points`` are thinned with a fixed-seed draw (paired
-    rows keep their pairing) and a warning is emitted: the result is then an
-    estimate, not the exact distance. ``max_points`` must be an integer in
-    ``1..MAX_ASSIGNMENT_SIZE``.
+    rows keep their pairing) and a warning naming the caller is emitted: the
+    result is then an estimate, not the exact distance. ``max_points`` must be
+    an integer in ``1..MAX_ASSIGNMENT_SIZE``.
     """
-    return w1_assignment(*_subsampled_pairs(a, b, max_points, seed))
+    pa, pb = _subsampled_pairs(a, b, max_points, seed)
+    if len(pa) < len(a):
+        message = f"subsampling {len(a)} points down to {max_points} for the assignment solver; result is an estimate"
+        warnings.warn(message, stacklevel=2)
+    return w1_assignment(pa, pb)
 
 
 def _subsampled_pairs(a, b, max_points: int = MAX_ASSIGNMENT_SIZE, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The paired samples :func:`w1_assignment_subsampled` solves: checked, and thinned with a warning when oversized.
-
-    The warning names the caller of this function's caller.
-    """
+    """The paired samples :func:`w1_assignment_subsampled` solves: checked, and thinned when oversized."""
     _validate_count("max_points", max_points, 1, MAX_ASSIGNMENT_SIZE)
     pa, pb = _paired_points(a, b)
-    stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused at any size, and before the warning
+    stream = RngStream(seed).substream("w1-subsample")  # a bad seed is refused at any size
     n = pa.shape[0]
     if n > max_points:
-        warnings.warn(
-            f"subsampling {n} points down to {max_points} for the assignment solver; result is an estimate",
-            stacklevel=3,
-        )
         idx = stream.generator().choice(n, size=max_points, replace=False)
         idx.sort()
         pa, pb = pa[idx], pb[idx]

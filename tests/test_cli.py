@@ -964,7 +964,6 @@ def test_replay_names_the_table_split_it_lacks(tmp_path, capsys):
     assert "logit table split target_test has no rows" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:subsampling:UserWarning")
 @pytest.mark.parametrize("case, workers", golden.params())
 def test_outputs_match_recorded_digests(monkeypatch, tmp_path, case, workers):
     # tests/golden.json pins these bytes; records.csv and tau_records.csv are the CLI's behavioural contract.
@@ -1785,9 +1784,15 @@ def test_bounds_solves_assignments_without_the_scipy_optimize_and_spatial_packag
     assert _run_python(code).strip().splitlines()[-1] == "['scipy.optimize._lsap']"
 
 
+_CUT_NOTICE = (
+    "note: 6 of 6 class samples were cut to 512 points for the assignment solver, "
+    "so per_class_w1_paired and rho_mix_measured are estimates"
+)
+
+
 def _bounds_fan_out(monkeypatch, capsys, tmp_path, name: str, cores: set, thread: bool = False):
     """``bounds`` on 1800 target rows at ``cores`` usable cores: (forks, bounds.json, warnings, exit code and stderr)."""
-    # Every class of each sigma exceeds 512 points, so each of the 6 solves draws its subsample and warns.
+    # Every class of each sigma exceeds 512 points, so each of the 6 solves draws its subsample.
     config = _tiny_config(tmp_path, n_train=600, n_cal=200, n_test=1800)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
     fork, forks = os.fork, []
@@ -1818,9 +1823,9 @@ def test_bounds_solves_are_byte_identical_at_any_worker_count(monkeypatch, capsy
     want = {"bounds.json": golden.CASES["bounds"]["sha256"]["bounds.json"]}  # _bounds_fan_out runs the golden bounds case's shape
     got = {"bounds.json": hashlib.sha256(one[1]).hexdigest()}
     assert got == want, golden.mismatch("bounds", 1, got, want)
-    assert [re.sub(r"\d+ points", "N points", m, count=1) for m in one[2]] == [
-        "subsampling N points down to 512 for the assignment solver; result is an estimate"
-    ] * 6
+    # It used to raise one subsampling warning per class sample, each printed with its source line.
+    assert one[2] == []
+    assert one[3] == f"exit 0: {_CUT_NOTICE}\n"
 
 
 def test_a_failing_solve_fails_bounds_alike_at_any_worker_count(monkeypatch, capsys, tmp_path):
@@ -1835,8 +1840,16 @@ def test_a_failing_solve_fails_bounds_alike_at_any_worker_count(monkeypatch, cap
     two = _bounds_fan_out(monkeypatch, capsys, tmp_path, "two", {0, 1})
     assert [one[0], two[0]] == [0, 2]
     assert one[1:] == two[1:]
-    assert re.fullmatch(r"exit 3: data error: no matching for the sample starting at \S+\n", one[3])
-    assert len(one[2]) == 6  # every subsample is drawn, and warned about, before the first solve
+    # Every subsample is drawn, and the notice printed, before the first solve.
+    assert re.fullmatch(rf"exit 3: {re.escape(_CUT_NOTICE)}\ndata error: no matching for the sample starting at \S+\n", one[3])
+    assert one[2] == []
+
+
+def test_bounds_prints_nothing_when_no_class_sample_is_cut(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--config", _tiny_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestOneCellCore:

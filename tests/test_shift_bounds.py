@@ -241,6 +241,13 @@ class TestW1Assignment:
         with pytest.raises(error, match="^seed must"):
             w1_assignment_subsampled(a, a + 1.0, seed=seed)
 
+    def test_subsampled_variant_warns_its_own_caller(self):
+        # The warning is raised here, not in the private helper, so it names the line that called the function.
+        a = RngStream(5).generator().normal(size=(700, 2))
+        with pytest.warns(UserWarning, match="^subsampling 700 points down to 128 for the assignment solver") as record:
+            w1_assignment_subsampled(a, a + 1.0, max_points=128)
+        assert [w.filename for w in record] == [__file__]
+
     def test_subsampled_variant_warns_and_estimates(self):
         rng = RngStream(5).generator()
         a = rng.normal(size=(700, 2))
