@@ -217,10 +217,17 @@ def select_u_star(curve, alpha: float) -> float:
     _validate_alpha(alpha)
     if len(curve) == 0:  # not `not curve`: an (m, 2) array has no truth value
         raise ValueError("coverage curve must be nonempty")
+    if isinstance(curve, np.ndarray) and (curve.ndim != 2 or curve.shape[1] != 2):
+        raise ValueError(f"coverage curve must be (u, c_hat) pairs, an (m, 2) array, got shape {curve.shape}")
     for point in curve:
-        if math.isnan(point[0]) or math.isnan(point[1]):
+        try:
+            u, c_hat = point
+            nan = math.isnan(u) or math.isnan(c_hat)
+        except (TypeError, ValueError):
+            raise ValueError(f"coverage curve points must be (u, c_hat) pairs of numbers, got {point!r}") from None
+        if nan:
             raise ValueError(f"coverage curve points must be numbers, got (u, c_hat) = {point}")
-        if not (point[0] >= 0 and 0 <= point[1] <= 1):
+        if not (u >= 0 and 0 <= c_hat <= 1):
             raise ValueError(f"coverage curve points need a cutoff u >= 0 and a coverage in [0, 1], got (u, c_hat) = {point}")
     qualifying = [u for u, c in curve if c >= 1.0 - alpha]
     if qualifying:

@@ -275,6 +275,16 @@ class TestSelectUStar:
         with pytest.raises(ValueError, match=rf"^coverage curve points need .* got \(u, c_hat\) = {bad}$"):
             select_u_star(curve, 0.2)
 
+    @pytest.mark.parametrize(
+        "curve",
+        [[(0.1,)], [(0.1, 0.9, 5)], np.array([[0.1, 0.9, 5.0]]), [0.5, 0.9], np.array([0.5, 0.9])],
+        ids=["one-value", "three-values", "three-column-array", "bare-numbers", "flat-array"],
+    )
+    def test_a_point_that_is_not_a_pair_is_refused_naming_the_curve(self, curve):
+        # These used to raise IndexError, "too many values to unpack", or "'float' object is not subscriptable".
+        with pytest.raises(ValueError, match=r"^coverage curve (points )?must be \(u, c_hat\) pairs"):
+            select_u_star(curve, 0.2)
+
     def test_an_infinite_cutoff_is_a_valid_point(self):
         assert select_u_star([(0.0, 0.9), (math.inf, 0.85)], 0.2) == math.inf
 
